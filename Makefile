@@ -53,12 +53,14 @@ check: vet lint race
 bench:
 	$(GO) test -run 'Benchmark' -bench . -benchmem -timeout $(TEST_TIMEOUT) ./...
 
-# Machine-readable baseline: records the sweep into BENCH_8.json under
-# LABEL (default "post"), replacing any previous run with the same label.
-# Compare runs with: jq '.runs[] | {label, probe: (.results[] | select(.name=="BenchmarkProbe"))}' BENCH_8.json
+# Machine-readable baseline: `make bench-json PR=n` records the sweep into
+# BENCH_n.json under LABEL (default "post"), replacing any previous run with
+# the same label.
+# Compare runs with: jq '.runs[] | {label, probe: (.results[] | select(.name=="BenchmarkProbe"))}' BENCH_n.json
 LABEL ?= post
 bench-json:
-	$(GO) test -run 'Benchmark' -bench . -benchmem -timeout $(TEST_TIMEOUT) ./... | $(GO) run ./cmd/benchjson -label $(LABEL) -o BENCH_8.json
+	@test -n "$(PR)" || { echo "usage: make bench-json PR=<n> [LABEL=post]" >&2; exit 2; }
+	$(GO) test -run 'Benchmark' -bench . -benchmem -timeout $(TEST_TIMEOUT) ./... | $(GO) run ./cmd/benchjson -label $(LABEL) -o BENCH_$(PR).json
 
 # The committed transcript every number in EXPERIMENTS.md was read from.
 # The campaign is fully seeded, so this is byte-reproducible; CI regenerates
@@ -67,6 +69,7 @@ experiments-output:
 	$(GO) run ./cmd/experiments > experiments_output.txt
 
 # Short deterministic fuzz pass over the archive codec seeds plus a minute
-# of mutation.
+# of mutation: the container reader, then the v3 trace payload codec.
 fuzz:
-	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz FuzzReadArchive -fuzztime 30s
+	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz 'FuzzReadArchive$$' -fuzztime 30s
+	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz 'FuzzTraceRecord$$' -fuzztime 30s

@@ -2,11 +2,11 @@
 // campaign and reports detected SR-MPLS segments, per-flag statistics,
 // and interworking tunnels. The input format is sniffed: an arest.archive
 // record stream (as cmd/tntsim emits) replays the full campaign — traces
-// plus the archived fingerprint and bdrmap annotations. A v2 archive is
-// analyzed as a one-pass stream, traces folded in fixed-size batches, so
-// memory stays bounded by the report state rather than the campaign size;
-// a v1 archive (side data after the traces) is materialized first. The
-// legacy JSON-Lines trace format still works and analyzes bare traces.
+// plus the archived fingerprint and bdrmap annotations. An archive (v2 or
+// v3) is analyzed as a one-pass stream, traces folded in fixed-size
+// batches, so memory stays bounded by the report state rather than the
+// campaign size. The legacy JSON-Lines trace format still works and
+// analyzes bare traces.
 //
 // Usage:
 //
@@ -164,7 +164,7 @@ func (a *analysis) report(tr *probe.Trace, p *core.Path, res *core.Result) {
 	}
 }
 
-// campaignVisitor folds a v2 archive straight into the analysis: side
+// campaignVisitor folds an archive straight into the analysis: side
 // records accumulate annotation state, sealed (with any CLI fingerprint
 // overrides merged in) when the first trace arrives.
 type campaignVisitor struct {
@@ -314,57 +314,26 @@ func run(argv []string, sigs <-chan os.Signal, hard func(), stdin io.Reader, std
 		an.enc = json.NewEncoder(stdout)
 	}
 
-	// Sniff the input format and drive the analysis. A v2 archive streams;
-	// a v1 archive or a JSONL tracestore is materialized and replayed
-	// through the identical accumulator.
+	// Sniff the input format and drive the analysis. An archive streams; a
+	// JSONL tracestore is materialized and replayed through the identical
+	// accumulator.
 	br := bufio.NewReader(r)
 	var meta tracestore.Meta
 	if archive.Sniff(br) {
-		ar, err := archive.NewReader(br)
-		if err != nil {
+		v := &campaignVisitor{
+			an:       an,
+			snmp:     map[netip.Addr]mpls.Vendor{},
+			ttl:      map[netip.Addr]mpls.Vendor{},
+			overSNMP: fsnmp,
+			overTTL:  fttl,
+			borders:  map[netip.Addr]int{},
+		}
+		// A stream error with an.err set is the analysis aborting the
+		// stream (cancellation or encode failure) — handled below.
+		if err := archive.Stream(br, v); err != nil && an.err == nil {
 			return errorf("read traces: %v", err)
 		}
-		if ar.Version() >= 2 {
-			v := &campaignVisitor{
-				an:       an,
-				snmp:     map[netip.Addr]mpls.Vendor{},
-				ttl:      map[netip.Addr]mpls.Vendor{},
-				overSNMP: fsnmp,
-				overTTL:  fttl,
-				borders:  map[netip.Addr]int{},
-			}
-			// A stream error with an.err set is the analysis aborting the
-			// stream (cancellation or encode failure) — handled below.
-			if err := archive.StreamRecords(ar, v); err != nil && an.err == nil {
-				return errorf("read traces: %v", err)
-			}
-			meta = v.meta
-		} else {
-			data, err := archive.ReadFrom(ar)
-			if err != nil {
-				return errorf("read traces: %v", err)
-			}
-			meta = tracestore.Meta{
-				ASN:  data.Meta.Record.ASN,
-				Name: data.Meta.Record.Name,
-				Seed: data.Meta.Seed,
-				VPs:  len(data.VPs),
-			}
-			for a, v := range fsnmp {
-				data.SNMP[a] = v
-			}
-			for a, v := range fttl {
-				data.TTL[a] = v
-			}
-			an.ann = fingerprint.NewAnnotator(data.SNMP, data.TTL)
-			if len(data.Borders) > 0 {
-				borders := data.Borders
-				an.asOf = func(a netip.Addr) int { return borders[a] }
-			}
-			for _, tr := range data.Traces() {
-				an.add(tr)
-			}
-		}
+		meta = v.meta
 	} else {
 		var traces []*probe.Trace
 		var err error

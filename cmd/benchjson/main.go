@@ -18,7 +18,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -51,7 +53,7 @@ func main() {
 	out := flag.String("o", "", "output file to merge into (stdout when empty)")
 	flag.Parse()
 
-	results, err := parse(os.Stdin)
+	results, err := parse(os.Stdin, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -101,8 +103,9 @@ func main() {
 // parse reads `go test -bench` output: "pkg:" lines set the package of the
 // benchmark lines that follow (the format go test emits when benchmarking
 // multiple packages); everything else that does not start with "Benchmark"
-// is ignored.
-func parse(r *os.File) ([]Result, error) {
+// is ignored. procs is the GOMAXPROCS the benchmarks ran under: benchjson
+// reads the output of a go test run in the same environment.
+func parse(r io.Reader, procs int) ([]Result, error) {
 	var results []Result
 	pkg := ""
 	sc := bufio.NewScanner(r)
@@ -119,7 +122,7 @@ func parse(r *os.File) ([]Result, error) {
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
 		}
-		res, ok, err := parseLine(line, pkg)
+		res, ok, err := parseLine(line, pkg, procs)
 		if err != nil {
 			return nil, err
 		}
@@ -133,18 +136,12 @@ func parse(r *os.File) ([]Result, error) {
 // parseLine parses one "BenchmarkX-8  N  v ns/op [v B/op  v allocs/op]"
 // line. ok is false for Benchmark lines without measurements (the bare
 // name go test prints before running it under -v).
-func parseLine(line, pkg string) (Result, bool, error) {
+func parseLine(line, pkg string, procs int) (Result, bool, error) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
 		return Result{}, false, nil
 	}
-	name := f[0]
-	// Trim the -GOMAXPROCS suffix go test appends to parallel benchmarks.
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
-	}
+	name := benchName(f[0], procs)
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
 		return Result{}, false, nil // not a measurement line
@@ -165,4 +162,15 @@ func parseLine(line, pkg string) (Result, bool, error) {
 		}
 	}
 	return res, true, nil
+}
+
+// benchName trims the "-<procs>" suffix go test appends to every benchmark
+// name when GOMAXPROCS > 1, and nothing else: a sub-benchmark whose own
+// name ends in a number ("workers-8") keeps it, and at GOMAXPROCS=1, where
+// go test appends no suffix, the name is returned unchanged.
+func benchName(name string, procs int) string {
+	if procs <= 1 {
+		return name
+	}
+	return strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
 }

@@ -1,7 +1,7 @@
 // Command tntsim runs the simulated TNT measurement campaign against one
 // synthetic AS from the paper's Table 5 catalogue and writes the collected
 // campaign — traces plus fingerprint/alias/bdrmap annotations and ground
-// truth — as an arest.archive.v2 record stream (side data ahead of the
+// truth — as an arest.archive.v3 record stream (side data ahead of the
 // traces, so replays can analyze it as a one-pass stream), ready for
 // cmd/arest to re-analyze offline. The legacy JSON-Lines trace format is
 // still available behind -format jsonl (it stores traces only).

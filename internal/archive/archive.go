@@ -7,22 +7,23 @@
 // The on-disk format is a magic line followed by a sequence of framed
 // records and a mandatory end trailer:
 //
-//	magic   "arest.archive.v1\n" or "arest.archive.v2\n"  (17 bytes)
+//	magic   "arest.archive.v2\n" or "arest.archive.v3\n"  (17 bytes)
 //	record  type    uint8
 //	        length  uint32 big-endian        (payload bytes)
-//	        payload JSON                     (schema fixed per type)
+//	        payload schema fixed per type and version
 //	        crc     uint32 big-endian        (CRC-32C over type+length+payload)
 //	...
 //	end     a TypeEnd record whose payload carries the record and trace
 //	        counts; a stream without it is truncated (an interrupted
 //	        writer), which readers report as ErrTruncated.
 //
-// v1 and v2 share the framing and record schemas; they differ only in
-// canonical record order. v1 interleaves traces before the annotation
-// records; v2 moves all side data (fingerprints, aliases, borders, ground
+// Both versions put all side data (fingerprints, aliases, borders, ground
 // truth, degradation) ahead of the trace run, so a one-pass streaming
 // consumer can seal its annotation state before the first trace arrives.
-// Readers accept both.
+// They differ only in the TypeTrace payload: JSON in v2, the fixed-layout
+// binary codec of tracecodec.go in v3. Every other payload is JSON in
+// both. Readers accept both; the v1 container (traces before side data)
+// is no longer read.
 //
 // Writer and Reader stream one record at a time, so a campaign never needs
 // to be wholly resident; Stream in stream.go folds records into a Visitor
@@ -40,20 +41,22 @@ import (
 	"io"
 )
 
-// Magic opens every v1 archive. The trailing newline keeps accidental
+// MagicV2 opens every v2 archive. The trailing newline keeps accidental
 // `cat` of an archive from gluing into a terminal line and gives format
 // sniffers an unambiguous 17-byte prefix.
-const Magic = "arest.archive.v1\n"
-
-// MagicV2 opens every v2 archive (same framing as v1, side data before
-// traces). Deliberately the same length as Magic so sniffing and version
-// detection read one fixed-size prefix.
 const MagicV2 = "arest.archive.v2\n"
+
+// MagicV3 opens every v3 archive (v2 framing and record order, binary
+// trace payloads). Deliberately the same length as MagicV2 so sniffing and
+// version detection read one fixed-size prefix.
+const MagicV3 = "arest.archive.v3\n"
+
+const magicLen = len(MagicV2)
 
 // Type tags one framed record.
 type Type uint8
 
-// Record types of format v1. Values are part of the on-disk format and
+// Record types. Values are part of the on-disk format and
 // must never be renumbered.
 const (
 	TypeMeta        Type = 1 // campaign metadata (one per archive, first)
@@ -98,8 +101,8 @@ func (t Type) String() string {
 const MaxPayload = 1 << 26
 
 var (
-	// ErrBadMagic reports a stream that starts with neither Magic nor
-	// MagicV2.
+	// ErrBadMagic reports a stream that starts with neither MagicV2 nor
+	// MagicV3.
 	ErrBadMagic = errors.New("archive: bad magic (not an arest.archive stream)")
 	// ErrCorrupt reports a CRC mismatch or malformed frame.
 	ErrCorrupt = errors.New("archive: corrupt record")
@@ -115,27 +118,33 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // concurrent use.
 type Writer struct {
 	bw      *bufio.Writer
+	version int
+	// scratch is the reused v3 trace payload buffer: a trace encodes with
+	// no allocation once it has grown to the largest trace.
+	scratch []byte
+	// frame holds a record's header, then its CRC. As a field it costs no
+	// per-record allocation, where a local array would escape through
+	// bufio's io.Writer call.
+	frame   [5]byte
 	records int
 	traces  int
 	closed  bool
 	err     error
 }
 
-// NewWriter writes the v1 magic and returns a streaming record writer.
-// Record order is the caller's responsibility; WriteData produces the
-// canonical order for each version.
-func NewWriter(w io.Writer) (*Writer, error) { return newWriterVersion(w, 1) }
-
-func newWriterVersion(w io.Writer, version int) (*Writer, error) {
-	magic := Magic
-	if version == 2 {
-		magic = MagicV2
+// newWriter writes the magic of container version 2 or 3 and returns a
+// streaming record writer. Record order is the caller's responsibility;
+// WriteData produces the canonical order.
+func newWriter(w io.Writer, version int) (*Writer, error) {
+	magic := MagicV2
+	if version == 3 {
+		magic = MagicV3
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
 		return nil, fmt.Errorf("archive: write magic: %w", err)
 	}
-	return &Writer{bw: bw}, nil
+	return &Writer{bw: bw, version: version}, nil
 }
 
 // endPayload is the trailer body: record and trace counts let readers
@@ -145,30 +154,61 @@ type endPayload struct {
 	Traces  int `json:"traces"`
 }
 
-// writeRecord frames one payload. The CRC covers the type byte, the length
-// field, and the payload, so a flipped bit anywhere in the frame is caught.
-func (w *Writer) writeRecord(t Type, payload any) error {
+func (w *Writer) usable() error {
 	if w.err != nil {
 		return w.err
 	}
 	if w.closed {
 		return errors.New("archive: write after Close")
 	}
+	return nil
+}
+
+// writeRecord frames one JSON payload.
+func (w *Writer) writeRecord(t Type, payload any) error {
+	if err := w.usable(); err != nil {
+		return err
+	}
 	body, err := json.Marshal(payload)
 	if err != nil {
 		w.err = fmt.Errorf("archive: encode %s: %w", t, err)
 		return w.err
 	}
+	return w.writeFrame(t, body)
+}
+
+// writeTrace frames one trace record in the writer's version: JSON in v2,
+// the binary codec in v3, appended into the reused scratch buffer.
+func (w *Writer) writeTrace(rec TraceRecord) error {
+	if w.version < 3 {
+		return w.writeRecord(TypeTrace, rec)
+	}
+	if err := w.usable(); err != nil {
+		return err
+	}
+	body, err := rec.AppendMarshal(w.scratch[:0])
+	if err != nil {
+		w.err = err
+		return err
+	}
+	w.scratch = body
+	return w.writeFrame(TypeTrace, body)
+}
+
+// writeFrame frames one encoded payload. The CRC covers the type byte, the
+// length field, and the payload, so a flipped bit anywhere in the frame is
+// caught.
+func (w *Writer) writeFrame(t Type, body []byte) error {
 	if len(body) > MaxPayload {
 		w.err = fmt.Errorf("archive: %s payload %d bytes exceeds cap %d", t, len(body), MaxPayload)
 		return w.err
 	}
-	var hdr [5]byte
+	hdr := w.frame[:]
 	hdr[0] = byte(t)
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body)))
-	crc := crc32.Update(0, castagnoli, hdr[:])
+	crc := crc32.Update(0, castagnoli, hdr)
 	crc = crc32.Update(crc, castagnoli, body)
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+	if _, err := w.bw.Write(hdr); err != nil {
 		w.err = err
 		return err
 	}
@@ -176,9 +216,9 @@ func (w *Writer) writeRecord(t Type, payload any) error {
 		w.err = err
 		return err
 	}
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc)
-	if _, err := w.bw.Write(tail[:]); err != nil {
+	tail := w.frame[:4]
+	binary.BigEndian.PutUint32(tail, crc)
+	if _, err := w.bw.Write(tail); err != nil {
 		w.err = err
 		return err
 	}
@@ -206,10 +246,11 @@ func (w *Writer) Close() error {
 	return w.bw.Flush()
 }
 
-// Reader streams records out of a v1 or v2 archive.
+// Reader streams records out of a v2 or v3 archive.
 type Reader struct {
 	br      *bufio.Reader
 	version int
+	frame   [5]byte // header, then CRC: a field, like Writer.frame
 	records int
 	traces  int
 	done    bool
@@ -223,35 +264,40 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	var magic [len(Magic)]byte
+	var magic [magicLen]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
 	}
 	version := 0
 	switch string(magic[:]) {
-	case Magic:
-		version = 1
 	case MagicV2:
 		version = 2
+	case MagicV3:
+		version = 3
 	default:
 		return nil, ErrBadMagic
 	}
-	return &Reader{br: br, version: version, offset: int64(len(Magic))}, nil
+	return &Reader{br: br, version: version, offset: int64(magicLen)}, nil
 }
 
-// Version returns the container version (1 or 2) declared by the magic.
+// Version returns the container version (2 or 3) declared by the magic.
 func (r *Reader) Version() int { return r.version }
 
-// Next returns the next record's type and raw JSON payload. It returns
-// io.EOF after the end trailer has been consumed, ErrTruncated if the
-// stream stops without one, and ErrCorrupt on a CRC or framing error. The
-// payload buffer is owned by the caller.
-func (r *Reader) Next() (Type, []byte, error) {
+// Next returns the next record's type and raw payload. It returns io.EOF
+// after the end trailer has been consumed, ErrTruncated if the stream
+// stops without one, and ErrCorrupt on a CRC or framing error. The payload
+// buffer is owned by the caller.
+func (r *Reader) Next() (Type, []byte, error) { return r.next(nil) }
+
+// next is Next reading the payload into buf's backing array when it is
+// large enough, so a caller that copies every decoded field out (as
+// StreamRecords does) reads a whole archive through one buffer.
+func (r *Reader) next(buf []byte) (Type, []byte, error) {
 	if r.done {
 		return 0, nil, io.EOF
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+	hdr := r.frame[:]
+	if _, err := io.ReadFull(r.br, hdr); err != nil {
 		if err == io.EOF {
 			return 0, nil, ErrTruncated
 		}
@@ -262,17 +308,20 @@ func (r *Reader) Next() (Type, []byte, error) {
 	if n > MaxPayload {
 		return 0, nil, fmt.Errorf("%w: %s length %d exceeds cap at offset %d", ErrCorrupt, t, n, r.offset)
 	}
-	body := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
 	if _, err := io.ReadFull(r.br, body); err != nil {
 		return 0, nil, fmt.Errorf("%w: payload at offset %d: %v", ErrTruncated, r.offset, err)
 	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r.br, tail[:]); err != nil {
+	crc := crc32.Update(0, castagnoli, hdr)
+	tail := r.frame[:4]
+	if _, err := io.ReadFull(r.br, tail); err != nil {
 		return 0, nil, fmt.Errorf("%w: checksum at offset %d: %v", ErrTruncated, r.offset, err)
 	}
-	crc := crc32.Update(0, castagnoli, hdr[:])
 	crc = crc32.Update(crc, castagnoli, body)
-	if got := binary.BigEndian.Uint32(tail[:]); got != crc {
+	if got := binary.BigEndian.Uint32(tail); got != crc {
 		return 0, nil, fmt.Errorf("%w: %s at offset %d: crc %08x, want %08x", ErrCorrupt, t, r.offset, got, crc)
 	}
 	r.offset += int64(5 + len(body) + 4)

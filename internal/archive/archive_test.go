@@ -18,9 +18,10 @@ import (
 
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
-// fixtureData builds a small hand-rolled campaign exercising every record
-// type, including edge shapes: a VP with zero traces, an unresponsive hop,
-// a revealed hop, and a decode-error hop.
+// fixtureData builds a small hand-rolled campaign in the current writer
+// format (v3) exercising every record type, including edge shapes: a VP
+// with zero traces, an unresponsive hop, a revealed hop, and a
+// decode-error hop.
 func fixtureData() *Data {
 	rec := asgen.Record{ID: 46, ASN: 293, Name: "ESnet", Category: asgen.Transit,
 		TracesSent: 123, IPsDiscovered: 45, CiscoConfirmed: true}
@@ -47,7 +48,7 @@ func fixtureData() *Data {
 		Halt: probe.HaltGaps,
 	}
 	return &Data{
-		Meta: Meta{Format: FormatV1, Record: rec, Dep: dep, Seed: 42,
+		Meta: Meta{Format: FormatV3, Record: rec, Dep: dep, Seed: 42,
 			NumVPs: 2, MaxTargets: 8, FlowsPerTarget: 2},
 		VPs:   []netip.Addr{addr("172.16.0.1"), addr("172.16.1.1")},
 		PerVP: [][]*probe.Trace{{tr1, tr2}, {}},
@@ -108,7 +109,7 @@ func TestTruncatedStream(t *testing.T) {
 	raw := encode(t, fixtureData())
 	// Every proper prefix must fail with ErrTruncated or ErrCorrupt (for
 	// cuts inside the magic, ErrBadMagic) — never succeed, never panic.
-	for _, cut := range []int{0, 5, len(Magic), len(Magic) + 3, len(raw) / 2, len(raw) - 1} {
+	for _, cut := range []int{0, 5, magicLen, magicLen + 3, len(raw) / 2, len(raw) - 1} {
 		_, err := ReadData(bytes.NewReader(raw[:cut]))
 		if err == nil {
 			t.Fatalf("prefix of %d bytes accepted", cut)
@@ -122,7 +123,7 @@ func TestTruncatedStream(t *testing.T) {
 func TestCorruptedStream(t *testing.T) {
 	raw := encode(t, fixtureData())
 	// Flip one bit at several offsets past the magic: CRC must catch it.
-	for _, off := range []int{len(Magic), len(Magic) + 7, len(raw) / 2, len(raw) - 3} {
+	for _, off := range []int{magicLen, magicLen + 7, len(raw) / 2, len(raw) - 3} {
 		mut := bytes.Clone(raw)
 		mut[off] ^= 0x20
 		if _, err := ReadData(bytes.NewReader(mut)); err == nil {
@@ -144,7 +145,7 @@ func TestHugeLengthRejected(t *testing.T) {
 	// A frame whose length field exceeds MaxPayload must be rejected
 	// without attempting the allocation.
 	var buf bytes.Buffer
-	buf.WriteString(Magic)
+	buf.WriteString(MagicV3)
 	buf.Write([]byte{byte(TypeMeta), 0xff, 0xff, 0xff, 0xff})
 	if _, err := ReadData(&buf); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
@@ -154,7 +155,7 @@ func TestHugeLengthRejected(t *testing.T) {
 func TestEndTrailerCountsVerified(t *testing.T) {
 	d := fixtureData()
 	var buf bytes.Buffer
-	aw, err := NewWriter(&buf)
+	aw, err := newWriter(&buf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestEndTrailerCountsVerified(t *testing.T) {
 
 func TestMetaMustComeFirst(t *testing.T) {
 	var buf bytes.Buffer
-	aw, err := NewWriter(&buf)
+	aw, err := newWriter(&buf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +194,14 @@ func TestMetaMustComeFirst(t *testing.T) {
 func TestUnknownRecordTypeSkipped(t *testing.T) {
 	d := fixtureData()
 	var buf bytes.Buffer
-	aw, err := NewWriter(&buf)
+	aw, err := newWriter(&buf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := aw.writeRecord(TypeMeta, d.Meta); err != nil {
 		t.Fatal(err)
 	}
-	// A future additive record type must not break a v1 reader.
+	// A future additive record type must not break a reader.
 	if err := aw.writeRecord(Type(42), map[string]int{"future": 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@ import (
 
 // benchData builds a campaign-sized archive deterministically: 8 VPs x 64
 // traces x 16 hops with MPLS stacks, plus annotation records — roughly one
-// mid-size AS from the Table 5 catalogue.
+// mid-size AS from the Table 5 catalogue. It declares the current writer
+// format (v3); benchDataV2 re-declares it as v2.
 func benchData() *Data {
 	d := fixtureData()
 	d.VPs = nil
@@ -42,14 +43,20 @@ func benchData() *Data {
 	return d
 }
 
-func BenchmarkWriteData(b *testing.B) {
+func benchDataV2() *Data {
 	d := benchData()
+	d.Meta.Format = FormatV2
+	return d
+}
+
+func benchWriteData(b *testing.B, d *Data) {
 	var buf bytes.Buffer
 	if err := WriteData(&buf, d); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
 	b.ReportMetric(float64(buf.Len()), "bytes/archive")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := WriteData(io.Discard, d); err != nil {
@@ -58,13 +65,14 @@ func BenchmarkWriteData(b *testing.B) {
 	}
 }
 
-func BenchmarkReadData(b *testing.B) {
+func benchReadData(b *testing.B, d *Data) {
 	var buf bytes.Buffer
-	if err := WriteData(&buf, benchData()); err != nil {
+	if err := WriteData(&buf, d); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
 	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ReadData(bytes.NewReader(raw)); err != nil {
@@ -73,10 +81,15 @@ func BenchmarkReadData(b *testing.B) {
 	}
 }
 
+func BenchmarkWriteData(b *testing.B)   { benchWriteData(b, benchDataV2()) }
+func BenchmarkWriteDataV3(b *testing.B) { benchWriteData(b, benchData()) }
+func BenchmarkReadData(b *testing.B)    { benchReadData(b, benchDataV2()) }
+func BenchmarkReadDataV3(b *testing.B)  { benchReadData(b, benchData()) }
+
 func BenchmarkReaderNext(b *testing.B) {
-	// Framing-layer throughput without the JSON decode of the payloads.
+	// Framing-layer throughput without the decode of the payloads.
 	var buf bytes.Buffer
-	if err := WriteData(&buf, benchData()); err != nil {
+	if err := WriteData(&buf, benchDataV2()); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()

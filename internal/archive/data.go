@@ -6,7 +6,6 @@ package archive
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,7 +24,7 @@ import (
 // the measurement knobs that shaped the probing. It carries everything a
 // replay needs so analysis never reaches back into the generator.
 type Meta struct {
-	Format         string           `json:"format"` // FormatV1 or FormatV2; selects the record order WriteData emits
+	Format         string           `json:"format"` // FormatV2 or FormatV3; selects the container WriteData emits
 	Record         asgen.Record     `json:"record"`
 	Dep            asgen.Deployment `json:"dep"`
 	Seed           int64            `json:"seed"`
@@ -34,21 +33,21 @@ type Meta struct {
 	FlowsPerTarget int              `json:"flows_per_target"`
 }
 
-// FormatV1 and FormatV2 are the accepted Meta.Format values. The format
+// FormatV2 and FormatV3 are the accepted Meta.Format values. The format
 // declared in the meta record must match the container magic; WriteData
-// derives the magic (and the canonical record order) from it.
+// derives the magic (and the trace payload encoding) from it.
 const (
-	FormatV1 = "arest.archive.v1"
 	FormatV2 = "arest.archive.v2"
+	FormatV3 = "arest.archive.v3"
 )
 
 // formatVersion maps a Meta.Format value to its container version.
 func formatVersion(format string) (int, error) {
 	switch format {
-	case FormatV1:
-		return 1, nil
 	case FormatV2:
 		return 2, nil
+	case FormatV3:
+		return 3, nil
 	}
 	return 0, fmt.Errorf("archive: unknown meta format %q", format)
 }
@@ -153,20 +152,19 @@ func sortedAddrs[V any](m map[netip.Addr]V) []netip.Addr {
 	return out
 }
 
-// WriteData streams the whole campaign into w in the canonical record
-// order of the version d.Meta.Format declares. v1: meta, VPs, traces
-// (grouped per VP), fingerprints (snmp then ttl, each address-sorted),
-// alias sets, borders, ground truth, degradation, end trailer. v2 moves
-// everything after the VPs ahead of the traces, so a streaming consumer
-// has all annotation state before the first trace. Either way the order
-// is canonical — byte-identical re-encoding is possible, which the
-// golden-file tests pin.
+// WriteData streams the whole campaign into w in the container
+// d.Meta.Format declares, in canonical record order: meta, VPs,
+// fingerprints (snmp then ttl, each address-sorted), alias sets, borders,
+// ground truth, degradation, traces (grouped per VP), end trailer. Side
+// data precedes the traces, so a streaming consumer has all annotation
+// state before the first trace. The order is canonical — byte-identical
+// re-encoding is possible, which the golden-file tests pin.
 func WriteData(w io.Writer, d *Data) error {
 	version, err := formatVersion(d.Meta.Format)
 	if err != nil {
 		return err
 	}
-	aw, err := newWriterVersion(w, version)
+	aw, err := newWriter(w, version)
 	if err != nil {
 		return err
 	}
@@ -178,33 +176,17 @@ func WriteData(w io.Writer, d *Data) error {
 			return err
 		}
 	}
-	if version == 1 {
-		if err := writeTraces(aw, d); err != nil {
-			return err
-		}
-		if err := writeSideData(aw, d); err != nil {
-			return err
-		}
-	} else {
-		if err := writeSideData(aw, d); err != nil {
-			return err
-		}
-		if err := writeTraces(aw, d); err != nil {
-			return err
-		}
+	if err := writeSideData(aw, d); err != nil {
+		return err
 	}
-	return aw.Close()
-}
-
-func writeTraces(aw *Writer, d *Data) error {
 	for i, ts := range d.PerVP {
 		for _, tr := range ts {
-			if err := aw.writeRecord(TypeTrace, TraceRecord{VPIndex: i, Trace: tr}); err != nil {
+			if err := aw.writeTrace(TraceRecord{VPIndex: i, Trace: tr}); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return aw.Close()
 }
 
 func writeSideData(aw *Writer, d *Data) error {
@@ -246,21 +228,12 @@ func writeSideData(aw *Writer, d *Data) error {
 // violations, so callers can distinguish "interrupted writer" from
 // "damaged file". It is a thin client of the streaming fold in stream.go.
 func ReadData(r io.Reader) (*Data, error) {
-	ar, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return ReadFrom(ar)
-}
-
-// ReadFrom drains an already-opened record stream into a Data.
-func ReadFrom(ar *Reader) (*Data, error) {
 	d := &Data{
 		SNMP:    map[netip.Addr]mpls.Vendor{},
 		TTL:     map[netip.Addr]mpls.Vendor{},
 		Borders: map[netip.Addr]int{},
 	}
-	if err := StreamRecords(ar, &dataVisitor{d: d}); err != nil {
+	if err := Stream(r, &dataVisitor{d: d}); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -373,9 +346,9 @@ func ReadFile(path string) (*Data, error) {
 // without consuming them. It lets cmd/arest accept both the binary format
 // and the legacy JSONL tracestore behind one flag.
 func Sniff(br *bufio.Reader) bool {
-	head, err := br.Peek(len(Magic))
+	head, err := br.Peek(magicLen)
 	if err != nil {
 		return false
 	}
-	return bytes.Equal(head, []byte(Magic)) || bytes.Equal(head, []byte(MagicV2))
+	return string(head) == MagicV2 || string(head) == MagicV3
 }

@@ -12,70 +12,45 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 const (
-	goldenPath   = "testdata/golden_v1.arest"
 	goldenPathV2 = "testdata/golden_v2.arest"
+	goldenPathV3 = "testdata/golden_v3.arest"
 )
 
-// TestGoldenV1 pins the on-disk bytes of format v1. If it fails after a
-// code change, the change altered the serialization of existing archives —
-// that needs a format bump (arest.archive.v2), not a golden refresh.
-// Regenerate with `go test ./internal/archive -run Golden -update` only
-// when the fixture itself was deliberately extended.
-func TestGoldenV1(t *testing.T) {
-	raw := encode(t, fixtureData())
+// checkGolden pins one format's on-disk bytes in both directions: the
+// golden file decodes to the fixture, and the fixture encodes to the
+// golden file. A failure after a code change means existing archives of
+// that format would decode or re-encode differently — that needs a new
+// format version, not a golden refresh. Regenerate with
+// `go test ./internal/archive -run Golden -update` only when the fixture
+// itself was deliberately extended.
+func checkGolden(t *testing.T, path string, fixture func() *Data) {
+	t.Helper()
+	raw := encode(t, fixture())
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, raw, 0o644); err != nil {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	golden, err := os.ReadFile(goldenPath)
+	golden, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Decoding the golden bytes must reproduce the fixture value...
 	got, err := ReadData(bytes.NewReader(golden))
 	if err != nil {
 		t.Fatalf("golden archive no longer decodes: %v", err)
 	}
-	if want := fixtureData(); !reflect.DeepEqual(got, want) {
+	if want := fixture(); !reflect.DeepEqual(got, want) {
 		t.Errorf("golden decode diverged from fixture:\n got %+v\nwant %+v", got, want)
 	}
-	// ...and encoding the fixture must reproduce the golden bytes exactly.
 	if !bytes.Equal(raw, golden) {
-		t.Errorf("encoder output changed: %d bytes, golden %d bytes; the v1 format is frozen",
-			len(raw), len(golden))
+		t.Errorf("encoder output changed: %d bytes, golden %d bytes; the %s format is frozen",
+			len(raw), len(golden), fixture().Meta.Format)
 	}
 }
 
-// TestGoldenV2 pins the on-disk bytes of format v2 the same way. A failure
-// after a code change means existing v2 archives would re-encode
-// differently — that needs a v3, not a golden refresh.
-func TestGoldenV2(t *testing.T) {
-	raw := encode(t, fixtureDataV2())
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenPathV2), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPathV2, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	golden, err := os.ReadFile(goldenPathV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadData(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("golden archive no longer decodes: %v", err)
-	}
-	if want := fixtureDataV2(); !reflect.DeepEqual(got, want) {
-		t.Errorf("golden decode diverged from fixture:\n got %+v\nwant %+v", got, want)
-	}
-	if !bytes.Equal(raw, golden) {
-		t.Errorf("encoder output changed: %d bytes, golden %d bytes; the v2 format is frozen",
-			len(raw), len(golden))
-	}
-}
+func TestGoldenV2(t *testing.T) { checkGolden(t, goldenPathV2, fixtureDataV2) }
+
+func TestGoldenV3(t *testing.T) { checkGolden(t, goldenPathV3, fixtureDataV3) }

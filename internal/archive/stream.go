@@ -1,7 +1,7 @@
 // Streaming fold API: Stream decodes, validates, and dispatches one
 // archive's records to a Visitor one at a time, so a consumer's memory is
 // bounded by its own accumulated state, never by the archive size.
-// ReadData/ReadFrom in data.go are thin clients folding into a
+// ReadData in data.go is a thin client folding into a
 // wholly-resident Data; exp.DetectStream folds straight into analysis
 // aggregates.
 package archive
@@ -30,8 +30,7 @@ type Visitor interface {
 }
 
 // Stream checks the magic and folds every record of the archive into v.
-// It accepts both container versions; for one-pass consumers that need
-// side data before traces, check the Reader's Version via StreamRecords.
+// It accepts both container versions.
 func Stream(r io.Reader, v Visitor) error {
 	ar, err := NewReader(r)
 	if err != nil {
@@ -45,13 +44,16 @@ func Stream(r io.Reader, v Visitor) error {
 // ErrTruncated/ErrCorrupt on container damage, or the visitor's own error
 // verbatim. Unknown record types are skipped, not fatal: a reader of this
 // vintage can cross archives produced by a writer with additive
-// extensions.
+// extensions. Payloads are read through one reused buffer: every decoder
+// copies the fields it keeps, so no visited value aliases it.
 func StreamRecords(ar *Reader, v Visitor) error {
 	sawMeta := false
 	sawDegraded := false
 	numVPs := 0
+	var buf []byte
 	for {
-		t, body, err := ar.Next()
+		t, body, err := ar.next(buf)
+		buf = body
 		if err == io.EOF {
 			break
 		}
@@ -94,7 +96,12 @@ func StreamRecords(ar *Reader, v Visitor) error {
 			}
 		case TypeTrace:
 			var rec TraceRecord
-			if err := decode(body, &rec); err != nil {
+			if ar.Version() >= 3 {
+				err = UnmarshalTraceRecordInto(&rec, body)
+			} else {
+				err = decode(body, &rec)
+			}
+			if err != nil {
 				return err
 			}
 			if rec.VPIndex < 0 || rec.VPIndex >= numVPs {

@@ -11,8 +11,8 @@ import (
 	"arest/internal/probe"
 )
 
-// fixtureDataV2 is the v1 fixture re-declared as format v2, with a
-// degradation record so the v2 side-data run exercises every record type.
+// fixtureDataV2 is the fixture re-declared as format v2, with a
+// degradation record so the side-data run exercises every record type.
 func fixtureDataV2() *Data {
 	d := fixtureData()
 	d.Meta.Format = FormatV2
@@ -64,7 +64,7 @@ func TestV2TracesAfterSideData(t *testing.T) {
 		case TypeTrace:
 			sawTrace = true
 		case TypeMeta, TypeVP:
-			// Precede traces in both versions.
+			// Precede traces.
 		default:
 			if sawTrace {
 				t.Fatalf("%s record after a trace in a v2 stream", typ)
@@ -155,15 +155,15 @@ func TestFormatContainerMismatch(t *testing.T) {
 		version int
 		format  string
 	}{
-		{"v2 meta in v1 container", 1, FormatV2},
-		{"v1 meta in v2 container", 2, FormatV1},
-		{"unknown format", 1, "arest.archive.v9"},
+		{"v3 meta in v2 container", 2, FormatV3},
+		{"v2 meta in v3 container", 3, FormatV2},
+		{"unknown format", 3, "arest.archive.v9"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := fixtureData()
 			d.Meta.Format = tc.format
 			var buf bytes.Buffer
-			aw, err := newWriterVersion(&buf, tc.version)
+			aw, err := newWriter(&buf, tc.version)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +207,7 @@ func TestSniffV2(t *testing.T) {
 func TestForgedVPTraceCountClamped(t *testing.T) {
 	build := func(traceCount, actualTraces int) []byte {
 		var buf bytes.Buffer
-		aw, err := NewWriter(&buf)
+		aw, err := newWriter(&buf, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestForgedVPTraceCountClamped(t *testing.T) {
 		}
 		for i := 0; i < actualTraces; i++ {
 			tr := &probe.Trace{VP: addr("172.16.0.1"), Dst: addr("100.1.0.1")}
-			if err := aw.writeRecord(TypeTrace, TraceRecord{VPIndex: 0, Trace: tr}); err != nil {
+			if err := aw.writeTrace(TraceRecord{VPIndex: 0, Trace: tr}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -45,6 +45,15 @@ type Path struct {
 // asOf may be nil when AS annotation is unavailable (0 is recorded).
 func BuildPath(tr *probe.Trace, ann *fingerprint.Annotator, asOf func(netip.Addr) int) *Path {
 	p := &Path{VP: tr.VP, Dst: tr.Dst}
+	n := 0
+	for i := range tr.Hops {
+		if tr.Hops[i].Responded() {
+			n++
+		}
+	}
+	if n > 0 {
+		p.Hops = make([]Hop, 0, n) // one allocation per path, not one per doubling
+	}
 	for i := range tr.Hops {
 		th := &tr.Hops[i]
 		if !th.Responded() {
@@ -75,14 +84,19 @@ func BuildPath(tr *probe.Trace, ann *fingerprint.Annotator, asOf func(netip.Addr
 // returned (paths normally enter and leave an AS once).
 func (p *Path) RestrictToAS(asn int) *Path {
 	out := &Path{VP: p.VP, Dst: p.Dst}
-	started := false
+	start, end := -1, len(p.Hops)
 	for i := range p.Hops {
 		if p.Hops[i].ASN == asn {
-			out.Hops = append(out.Hops, p.Hops[i])
-			started = true
-		} else if started {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			end = i
 			break
 		}
+	}
+	if start >= 0 {
+		out.Hops = append([]Hop(nil), p.Hops[start:end]...)
 	}
 	return out
 }

@@ -111,16 +111,36 @@ func NewAgg() *Agg {
 	}
 }
 
+// traceFacts are the per-trace classifications addTrace folds. They are
+// pure functions of one raw trace and its analysis, so the streaming fold
+// derives them inside its concurrent analyze fan-out, leaving only the
+// accumulation itself on the fold's goroutine.
+type traceFacts struct {
+	tunnels  []probe.Tunnel        // raw-trace tunnel visibility classes
+	analyses []core.TunnelAnalysis // interworking analysis; nil without a result
+}
+
+func newTraceFacts(tr *probe.Trace, res *core.Result) traceFacts {
+	f := traceFacts{tunnels: probe.ClassifyTunnels(tr)}
+	if res != nil {
+		f.analyses = res.Tunnels()
+	}
+	return f
+}
+
 // addTrace folds one trace: the raw trace always contributes (tunnel
 // classes, responder accumulation); res is the analysis of its AS-restricted
-// path and is nil when the restriction was empty. sr is the archived
-// ground-truth set, sealed before the first trace arrives.
-func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, sr map[netip.Addr]bool) {
+// path and is nil when the restriction was empty; facts is
+// newTraceFacts(tr, res). sr is the archived ground-truth set, sealed
+// before the first trace arrives.
+func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts traceFacts, sr map[netip.Addr]bool) {
 	a.Traces++
-	for _, t := range probe.ClassifyTunnels(tr) {
+	explicit := false
+	for _, t := range facts.tunnels {
 		a.TunnelTypes[t.Type]++
+		explicit = explicit || t.Type == probe.TunnelExplicit
 	}
-	if probe.HasExplicitTunnel(tr) {
+	if explicit {
 		a.ExplicitPaths++
 	}
 	for i := range tr.Hops {
@@ -211,7 +231,7 @@ func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, sr map[neti
 		a.Ifaces[h.Addr] = ifc
 	}
 
-	for _, t := range res.Tunnels() {
+	for _, t := range facts.analyses {
 		a.Patterns[t.Pattern]++
 		if !t.Interworking() {
 			continue

@@ -94,8 +94,8 @@ func fixtureResult() *ASResult {
 	sr := aggSRSet()
 	t1, r1 := fixtureTrace1()
 	t2, r2 := fixtureTrace2()
-	agg.addTrace(0, t1, r1, sr)
-	agg.addTrace(1, t2, r2, sr)
+	agg.addTrace(0, t1, r1, newTraceFacts(t1, r1), sr)
+	agg.addTrace(1, t2, r2, newTraceFacts(t2, r2), sr)
 	return &ASResult{Agg: agg, SREnabled: sr}
 }
 
@@ -231,10 +231,10 @@ func TestAggFixtureMerge(t *testing.T) {
 	t2, r2 := fixtureTrace2()
 	a := NewAgg()
 	a.NumVPs = 2
-	a.addTrace(0, t1, r1, sr)
+	a.addTrace(0, t1, r1, newTraceFacts(t1, r1), sr)
 	b := NewAgg()
 	b.NumVPs = 2
-	b.addTrace(1, t2, r2, sr)
+	b.addTrace(1, t2, r2, newTraceFacts(t2, r2), sr)
 
 	merged := NewAgg()
 	merged.Merge(b)

@@ -261,7 +261,7 @@ func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Depl
 
 	data := &archive.Data{
 		Meta: archive.Meta{
-			Format:         archive.FormatV2,
+			Format:         archive.FormatV3,
 			Record:         rec,
 			Dep:            dep,
 			Seed:           cfg.Seed,
@@ -459,7 +459,7 @@ func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Depl
 // live runs and archive replays.
 //
 // It is a thin client of the streaming fold in stream.go: the in-memory
-// Data is replayed through the exact record sequence its v2 encoding would
+// Data is replayed through the exact record sequence its encoding would
 // contain, so Detect here and DetectStream over the encoded bytes are
 // deep-equal by construction.
 func Detect(ctx context.Context, data *archive.Data, cfg Config) (*ASResult, error) {

@@ -68,6 +68,7 @@ type fold struct {
 
 	batch   []archive.TraceRecord
 	results []*core.Result // analysis slots, indexed like batch
+	facts   []traceFacts   // per-trace classification slots, indexed like batch
 }
 
 func newFold(ctx context.Context, cfg Config, applyBudget bool) *fold {
@@ -84,6 +85,7 @@ func newFold(ctx context.Context, cfg Config, applyBudget bool) *fold {
 		borders:     map[netip.Addr]int{},
 		batch:       make([]archive.TraceRecord, 0, analyzeBatch),
 		results:     make([]*core.Result, analyzeBatch),
+		facts:       make([]traceFacts, analyzeBatch),
 	}
 }
 
@@ -174,7 +176,7 @@ func (f *fold) Degraded(rec archive.Degraded) error {
 		return err
 	}
 	if f.applyBudget {
-		// Budget exceeded: abort before a single trace is decoded — in a v2
+		// Budget exceeded: abort before a single trace is decoded — in every
 		// archive the degradation summary precedes the trace run.
 		return f.cfg.degradedBudgetErr(&rec)
 	}
@@ -222,19 +224,19 @@ func (f *fold) flush() error {
 	asOf := f.res.Annotation.AsFunc()
 	if err := par.ForEach(f.ctx, f.cfg.analyzeWorkers(), n, func(i int) {
 		defer f.busy.Start()()
-		p := core.BuildPath(f.batch[i].Trace, f.res.Annotator, asOf)
-		sub := p.RestrictToAS(f.asn)
-		if len(sub.Hops) == 0 {
-			return
+		tr := f.batch[i].Trace
+		sub := core.BuildPath(tr, f.res.Annotator, asOf).RestrictToAS(f.asn)
+		if len(sub.Hops) > 0 {
+			f.results[i] = f.det.Analyze(sub)
 		}
-		f.results[i] = f.det.Analyze(sub)
+		f.facts[i] = newTraceFacts(tr, f.results[i])
 	}); err != nil {
 		return err
 	}
 	inAS := 0
 	for i := 0; i < n; i++ {
 		rec := f.batch[i]
-		f.agg.addTrace(rec.VPIndex, rec.Trace, f.results[i], f.res.SREnabled)
+		f.agg.addTrace(rec.VPIndex, rec.Trace, f.results[i], f.facts[i], f.res.SREnabled)
 		if f.cfg.KeepPaths {
 			f.res.PerVP[rec.VPIndex].Traces = append(f.res.PerVP[rec.VPIndex].Traces, rec.Trace)
 		}
@@ -245,7 +247,7 @@ func (f *fold) flush() error {
 				f.res.Results = append(f.res.Results, f.results[i])
 			}
 		}
-		f.results[i] = nil
+		f.results[i], f.facts[i] = nil, traceFacts{}
 	}
 	reg.Counter("exp", "paths").Add(uint64(inAS))
 	f.batch = f.batch[:0]
@@ -270,30 +272,15 @@ func (f *fold) finish() (*ASResult, error) {
 }
 
 // DetectStream runs the Annotate and Detect stages as a one-pass fold over
-// archive bytes: peak live memory is bounded by the accumulated aggregates
-// (plus one analyze batch), never by the archive size. For a v2 archive the
+// archive bytes (v2 or v3): peak live memory is bounded by the accumulated
+// aggregates (plus one analyze batch), never by the archive size. The
 // trace-failure budget is applied the moment the degradation record
-// arrives. A v1 archive interleaves side data after the traces, so it
-// cannot be folded one-pass; it is materialized (O(input) memory, the old
-// behavior) and folded from the Data. Either way the result is deep-equal
-// to Detect over the materialized archive.
+// arrives, before any trace. The result is deep-equal to Detect over the
+// materialized archive.
 func DetectStream(ctx context.Context, r io.Reader, cfg Config) (*ASResult, error) {
 	ar, err := archive.NewReader(r)
 	if err != nil {
 		return nil, err
-	}
-	if ar.Version() < 2 {
-		data, err := archive.ReadFrom(ar)
-		if err != nil {
-			return nil, err
-		}
-		if err := cfg.ASBudgetErr(len(data.Traces())); err != nil {
-			return nil, err
-		}
-		if err := cfg.TraceBudgetErr(data); err != nil {
-			return nil, err
-		}
-		return Detect(ctx, data, cfg)
 	}
 	reg := cfg.Metrics
 	done := reg.Span("exp", "stage.detect").Start()
@@ -316,7 +303,7 @@ func DetectStreamFile(ctx context.Context, path string, cfg Config) (*ASResult, 
 }
 
 // foldData drives a fold from an in-memory archive.Data, emitting exactly
-// the record sequence WriteData would put in a v2 archive — meta, VPs, side
+// the record sequence WriteData would put in an archive — meta, VPs, side
 // data, traces — so Detect over a Data and DetectStream over its encoded
 // bytes produce identical results and identical instrumentation.
 func foldData(f *fold, d *archive.Data) error {

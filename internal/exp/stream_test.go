@@ -19,7 +19,7 @@ import (
 )
 
 // measureArchived measures one AS and returns both the in-memory campaign
-// and its v2 wire encoding, so tests can pin the materialized and streamed
+// and its wire encoding (v3), so tests can pin the materialized and streamed
 // Detect paths against each other.
 func measureArchived(t *testing.T, id int) (*archive.Data, []byte) {
 	t.Helper()
@@ -129,6 +129,46 @@ func TestDetectStreamInstrumentationMatchesDetect(t *testing.T) {
 			}
 		}
 		t.Error("deterministic snapshots diverge between Detect and DetectStream")
+	}
+}
+
+// TestDetectStreamV2MatchesV3 replays one campaign from its v2 and its v3
+// encoding: the results must be deep-equal and the deterministic metrics
+// identical at every analysis width, retained and compact — the trace
+// payload codec is invisible above the archive layer.
+func TestDetectStreamV2MatchesV3(t *testing.T) {
+	data, rawV3 := measureArchived(t, 46)
+	v2 := *data
+	v2.Meta.Format = archive.FormatV2
+	var buf bytes.Buffer
+	if err := archive.WriteData(&buf, &v2); err != nil {
+		t.Fatal(err)
+	}
+	rawV2 := buf.Bytes()
+	for _, aw := range []int{1, 4} {
+		for _, keep := range []bool{false, true} {
+			t.Run(fmt.Sprintf("analyze%d/keep%v", aw, keep), func(t *testing.T) {
+				replay := func(raw []byte) (*ASResult, obs.Snapshot) {
+					cfg := testCfg()
+					cfg.AnalyzeWorkers = aw
+					cfg.KeepPaths = keep
+					cfg.Metrics = obs.New()
+					res, err := DetectStream(context.Background(), bytes.NewReader(raw), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res, cfg.Metrics.Snapshot().Deterministic()
+				}
+				resV2, snapV2 := replay(rawV2)
+				resV3, snapV3 := replay(rawV3)
+				if !reflect.DeepEqual(resV2, resV3) {
+					t.Error("DetectStream over v2 != over v3")
+				}
+				if !reflect.DeepEqual(snapV2, snapV3) {
+					t.Error("deterministic metrics diverge between v2 and v3 replays")
+				}
+			})
+		}
 	}
 }
 
@@ -256,12 +296,12 @@ func TestRunShardedAnalyzeWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// syntheticArchive fabricates a large v2 shard without running a campaign:
+// syntheticArchive fabricates a large shard in format without running a campaign:
 // nTraces traces over a small address pool, every hop labeled, all owned by
 // the target AS. The pool keeps the true aggregate state tiny while the
 // wire form grows linearly, which is exactly the regime the memory-budget
 // gate needs.
-func syntheticArchive(t testing.TB, vps, nTraces, hops int) []byte {
+func syntheticArchive(t testing.TB, format string, vps, nTraces, hops int) []byte {
 	t.Helper()
 	rec, ok := asgen.ByID(46)
 	if !ok {
@@ -275,7 +315,7 @@ func syntheticArchive(t testing.TB, vps, nTraces, hops int) []byte {
 		borders[pool[i]] = rec.ASN
 	}
 	d := &archive.Data{
-		Meta:    archive.Meta{Format: archive.FormatV2, Record: rec, NumVPs: vps},
+		Meta:    archive.Meta{Format: format, Record: rec, NumVPs: vps},
 		Borders: borders,
 		SNMP:    map[netip.Addr]mpls.Vendor{pool[0]: mpls.VendorCisco},
 		TTL:     map[netip.Addr]mpls.Vendor{},
@@ -311,55 +351,65 @@ func syntheticArchive(t testing.TB, vps, nTraces, hops int) []byte {
 	return buf.Bytes()
 }
 
+// memoryBudgetPerTrace bounds the live heap a compact-mode DetectStream may
+// retain per folded trace. The fold keeps aggregates over a fixed address
+// pool, so the true cost is near zero per trace; materializing the traces
+// instead costs over a kilobyte each (a Trace, ten Hops and their stacks).
+// The budget is stated per trace, not per input byte, so the gate is
+// equally tight over the compact v3 encoding and the verbose v2 one.
+const memoryBudgetPerTrace = 64
+
 // TestDetectStreamMemoryBudget is the streaming-replay memory gate: folding
-// a multi-megabyte shard in compact mode must leave a live heap bounded by
-// the aggregates, not by the archive size. The materialized path holds
-// O(input); the fold must stay an order of magnitude under it.
+// an 8000-trace shard in compact mode must leave a live heap bounded by the
+// aggregates, not by the trace count, in both archive formats.
 func TestDetectStreamMemoryBudget(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("race instrumentation skews heap accounting")
 	}
-	raw := syntheticArchive(t, 4, 8000, 10)
-	if len(raw) < 2<<20 {
-		t.Fatalf("synthetic archive only %d bytes; too small to make the budget meaningful", len(raw))
-	}
-	cfg := testCfg()
-	cfg.KeepPaths = false
+	const nTraces = 8000
+	for _, format := range []string{archive.FormatV2, archive.FormatV3} {
+		t.Run(format, func(t *testing.T) {
+			raw := syntheticArchive(t, format, 4, nTraces, 10)
+			cfg := testCfg()
+			cfg.KeepPaths = false
 
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
+			runtime.GC()
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
 
-	res, err := DetectStream(context.Background(), bytes.NewReader(raw), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+			res, err := DetectStream(context.Background(), bytes.NewReader(raw), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(res)
+			runtime.GC()
+			var after runtime.MemStats
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(res)
+			runtime.KeepAlive(raw) // live across both readings, so the delta is the fold alone
 
-	delta := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	budget := int64(len(raw)) / 8
-	t.Logf("archive %d bytes, live-heap delta %d bytes (budget %d)", len(raw), delta, budget)
-	if delta > budget {
-		t.Errorf("live heap grew %d bytes over a %d-byte archive; streaming fold is retaining input (budget %d)",
-			delta, len(raw), budget)
-	}
-	if res.Agg.Traces != 8000 {
-		t.Errorf("folded %d traces, want 8000", res.Agg.Traces)
+			delta := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+			budget := int64(nTraces * memoryBudgetPerTrace)
+			t.Logf("archive %d bytes, live-heap delta %d bytes (budget %d)", len(raw), delta, budget)
+			if delta > budget {
+				t.Errorf("live heap grew %d bytes over %d traces; streaming fold is retaining input (budget %d B/trace)",
+					delta, nTraces, memoryBudgetPerTrace)
+			}
+			if res.Agg.Traces != nTraces {
+				t.Errorf("folded %d traces, want %d", res.Agg.Traces, nTraces)
+			}
+		})
 	}
 }
 
 // Analyze-throughput benchmarks: the streamed fold against the materialized
 // read-then-fold path, over the same synthetic shard bytes.
-func benchArchive(b *testing.B) []byte {
-	return syntheticArchive(b, 4, 2000, 10)
+func benchArchive(b *testing.B, format string) []byte {
+	return syntheticArchive(b, format, 4, 2000, 10)
 }
 
-func BenchmarkDetectStream(b *testing.B) {
-	raw := benchArchive(b)
+func benchDetectStream(b *testing.B, format string) {
+	raw := benchArchive(b, format)
 	cfg := testCfg()
 	cfg.KeepPaths = false
 	b.SetBytes(int64(len(raw)))
@@ -372,8 +422,11 @@ func BenchmarkDetectStream(b *testing.B) {
 	}
 }
 
+func BenchmarkDetectStream(b *testing.B)   { benchDetectStream(b, archive.FormatV2) }
+func BenchmarkDetectStreamV3(b *testing.B) { benchDetectStream(b, archive.FormatV3) }
+
 func BenchmarkDetectMaterialized(b *testing.B) {
-	raw := benchArchive(b)
+	raw := benchArchive(b, archive.FormatV2)
 	cfg := testCfg()
 	cfg.KeepPaths = false
 	b.SetBytes(int64(len(raw)))

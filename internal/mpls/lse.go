@@ -72,12 +72,24 @@ func (e LSE) Marshal() ([]byte, error) {
 	return b, nil
 }
 
-func (e LSE) putInto(b []byte) {
+// AppendMarshal appends the LSE's LSESize wire bytes to dst with the
+// entry's own S bit — unlike Stack.AppendMarshal, which forces it — so a
+// stored entry round-trips through UnmarshalLSE exactly.
+func (e LSE) AppendMarshal(dst []byte) ([]byte, error) {
+	if !e.Valid() {
+		return nil, fmt.Errorf("%w: label=%d tc=%d", ErrLabelRange, e.Label, e.TC)
+	}
+	return binary.BigEndian.AppendUint32(dst, e.word()), nil
+}
+
+func (e LSE) putInto(b []byte) { binary.BigEndian.PutUint32(b, e.word()) }
+
+func (e LSE) word() uint32 {
 	v := e.Label<<12 | uint32(e.TC)<<9 | uint32(e.TTL)
 	if e.S {
 		v |= 1 << 8
 	}
-	binary.BigEndian.PutUint32(b, v)
+	return v
 }
 
 // UnmarshalLSE decodes one LSE from the front of b.
