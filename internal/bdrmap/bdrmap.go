@@ -51,7 +51,10 @@ func Annotate(traces []*probe.Trace, rib Origins, aliases [][]netip.Addr) Annota
 	}
 
 	// Pass 2: alias correction. All interfaces of one router belong to one
-	// AS; the majority annotation wins and is applied to every member.
+	// AS; the majority annotation wins and is applied to every member. Only
+	// members of a set whose vote produced a winner count as aliased: a tie
+	// decided nothing, so it must not shield them from pass 3.
+	aliased := map[netip.Addr]bool{}
 	for _, set := range aliases {
 		votes := map[int]int{}
 		for _, a := range set {
@@ -62,21 +65,16 @@ func Annotate(traces []*probe.Trace, rib Origins, aliases [][]netip.Addr) Annota
 		if winner, ok := majority(votes); ok {
 			for _, a := range set {
 				ann[a] = winner
+				aliased[a] = true
 			}
 		}
 	}
 
-	// Pass 3: successor heuristic for unaliased far-side interfaces. An
-	// address always followed by hops of a single different AS — and never
-	// by its own prefix-AS — is the entry interface of that next AS,
-	// numbered from the neighbor's space.
+	// Pass 3: successor heuristic for far-side interfaces no alias vote
+	// placed. An address always followed by hops of a single different AS
+	// — and never by its own prefix-AS — is the entry interface of that
+	// next AS, numbered from the neighbor's space.
 	succ := successorASes(traces, prefixAnn)
-	aliased := map[netip.Addr]bool{}
-	for _, set := range aliases {
-		for _, a := range set {
-			aliased[a] = true
-		}
-	}
 	for addr := range ann {
 		if aliased[addr] {
 			continue // alias vote is stronger
