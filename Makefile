@@ -68,8 +68,10 @@ bench-json:
 experiments-output:
 	$(GO) run ./cmd/experiments > experiments_output.txt
 
-# Short deterministic fuzz pass over the archive codec seeds plus a minute
-# of mutation: the container reader, then the v3 trace payload codec.
+# Short deterministic fuzz pass over the seeds plus 30 s of mutation per
+# target: the archive container reader, the v3 trace payload codec, and
+# alias resolution over scripted IP-ID counters.
 fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz 'FuzzReadArchive$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz 'FuzzTraceRecord$$' -fuzztime 30s
+	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/alias -run xxx -fuzz 'FuzzResolve$$' -fuzztime 30s

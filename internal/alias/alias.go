@@ -1,13 +1,26 @@
 // Package alias resolves router aliases — which interface addresses belong
 // to the same physical router — with the two techniques the paper combines:
-// a MIDAR-style IP-ID monotonic bounds test over the router's shared IP-ID
+// MIDAR's IP-ID monotonic bounds test over the router's shared IP-ID
 // counter, pruned by an APPLE-style path-length estimation filter.
+//
+// Resolution follows MIDAR's three stages (Keys et al., "Internet-Scale
+// IPv4 Alias Resolution with MIDAR", ToN 2013):
+//
+//  1. Estimation samples every candidate in round-robin passes.
+//  2. Discovery runs the bounds test offline, over each APPLE-surviving
+//     pair's estimation samples, and sends no probes.
+//  3. Corroboration re-tests only the discovery survivors with dedicated
+//     interleaved samples.
+//
+// Probing is therefore linear in the candidates plus the (few) plausible
+// pairs, instead of quadratic in the candidates.
 package alias
 
 import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"arest/internal/obs"
@@ -24,7 +37,8 @@ type Prober interface {
 
 // Config tunes the resolution pipeline.
 type Config struct {
-	// Rounds is the number of interleaved samples per pair test.
+	// Rounds is the number of estimation passes over the candidates and
+	// the number of interleaved sample rounds per corroboration test.
 	Rounds int
 	// MaxStep is the largest credible IP-ID advance between consecutive
 	// samples of a shared counter (MIDAR's velocity bound).
@@ -37,10 +51,10 @@ type Config struct {
 	// sequential ones: see ConflictKey.
 	Workers int
 	// ConflictKey, when set, names the shared IP-ID counter behind an
-	// address (e.g. the simulated router's ID). Pair tests whose four
-	// sample streams touch disjoint counters run in parallel; tests
-	// sharing a counter are serialized in pair order, so every counter
-	// sees the same probe subsequence as a sequential run and the
+	// address (e.g. the simulated router's ID). Estimation samples and
+	// corroboration tests that touch disjoint counters run in parallel;
+	// those sharing a counter are serialized in schedule order, so every
+	// counter sees the same probe subsequence as a sequential run and the
 	// observed IP-ID sequences are identical. Addresses with ok=false —
 	// and all addresses when ConflictKey is nil — fall into one shared
 	// bucket and are serialized against each other (always correct,
@@ -58,21 +72,44 @@ func DefaultConfig() Config {
 	return Config{Rounds: 4, MaxStep: 2048, PathLenSlack: 1}
 }
 
+// minReplies is the fewest replies a counter must return — per candidate
+// in estimation, per side in corroboration — before the bounds test may
+// judge it: a single sample shows no counter motion at all.
+const minReplies = 2
+
+// sample is one answered IP-ID probe, placed by its sequence number.
+type sample struct {
+	seq uint32
+	id  uint16
+}
+
 type candidate struct {
 	addr    netip.Addr
+	key     uint64 // conflict key of the counter behind addr
 	pathLen int
+	// samples are the candidate's estimation replies in schedule order.
+	samples []sample
+}
+
+// estimate is one estimation probe's outcome.
+type estimate struct {
+	s   probe.IPIDSample
+	ok  bool
+	err error
 }
 
 // Resolve returns alias sets (routers) among the candidate addresses. Only
 // sets with two or more members are reported. The result is independent of
 // cfg.Workers: every probe's bytes are a pure function of (address, seq),
-// and the conflict-ordered schedule replays the sequential probe order on
+// and the conflict-ordered schedules replay the sequential probe order on
 // every shared counter.
 //
-// A transport error from the Prober is not a non-response: an errored
-// sample means the measurement channel failed, and treating it as "silent
-// router" would silently mispartition routers. Errored candidates and
-// pairs are recorded distinctly (alias.sample_errors / alias.pairs.errored
+// A non-response is a lost sample: it is skipped, and a candidate (or a
+// corroboration side) is judged once it has answered at least twice. A
+// transport error from the Prober is not a non-response: an errored sample
+// means the measurement channel failed, and treating it as "silent router"
+// would silently mispartition routers. Errored candidates and pairs are
+// recorded distinctly (alias.sample_errors / alias.pairs.errored
 // counters), excluded from the partition rather than folded into it, and
 // reported through the returned error — deterministically, as the first
 // error in index order — alongside the partition of the probes that did
@@ -87,59 +124,105 @@ func Resolve(ctx context.Context, addrs []netip.Addr, p Prober, cfg Config) ([][
 		cfg = DefaultConfig()
 	}
 	workers := par.Workers(cfg.Workers)
+	n := len(addrs)
 
-	// Estimation stage: keep responsive candidates and record their
-	// APPLE path-length estimate. Responsiveness and path length depend
-	// only on each probe's own bytes, never on counter values, so the
-	// fan-out needs no ordering.
-	ests := make([]*candidate, len(addrs))
-	estErrs := make([]error, len(addrs))
-	fanErr := par.ForEach(ctx, workers, len(addrs), func(i int) {
-		s, ok, err := p.SampleIPID(ctx, addrs[i], uint32(i))
-		if err != nil {
-			estErrs[i] = err
+	// keys[i] buckets addrs[i] by the shared counter behind it; bucket 0
+	// collects addresses the oracle cannot place (and everything, when
+	// there is no oracle).
+	keys := make([][]uint64, n)
+	for i, a := range addrs {
+		keys[i] = []uint64{0}
+		if cfg.ConflictKey != nil {
+			if k, ok := cfg.ConflictKey(a); ok {
+				keys[i][0] = k + 1
+			}
+		}
+	}
+	// queueDepth records the conflict-queue depth of a static schedule:
+	// its longest per-counter serialization chain. Both schedules are
+	// fixed before they run, so the gauge is deterministic at any worker
+	// count.
+	depth := cfg.Metrics.Gauge("alias", "conflict_queue.depth")
+	queueDepth := func(tasks int, keysOf func(t int) []uint64) {
+		if depth == nil {
 			return
 		}
-		if !ok {
-			return
+		perKey := map[uint64]uint64{}
+		for t := 0; t < tasks; t++ {
+			ks := keysOf(t)
+			for i, k := range ks {
+				if !slices.Contains(ks[:i], k) {
+					perKey[k]++
+				}
+			}
 		}
-		ests[i] = &candidate{addr: addrs[i],
-			pathLen: int(probe.InferInitialTTL(s.ReplyTTL)) - int(s.ReplyTTL)}
-	})
-	if fanErr != nil {
-		return nil, fanErr
+		for _, d := range perKey {
+			depth.SetMax(d)
+		}
+	}
+
+	// Stage 1, estimation: cfg.Rounds round-robin passes; task t samples
+	// addrs[t%n] with seq t, so round 0 is the classic one-probe
+	// estimation. Serializing per counter keeps every counter's probe
+	// order — and hence every observed IP-ID — sequential.
+	ests := make([]estimate, cfg.Rounds*n)
+	estKeys := func(t int) []uint64 { return keys[t%n] }
+	queueDepth(len(ests), estKeys)
+	if err := par.ConflictOrdered(ctx, workers, len(ests), estKeys,
+		func(t int) {
+			e := &ests[t]
+			e.s, e.ok, e.err = p.SampleIPID(ctx, addrs[t%n], uint32(t))
+		}); err != nil {
+		return nil, err
 	}
 	sampleErrs := uint64(0)
 	var firstErr error
-	for i, e := range estErrs {
-		if e == nil {
+	cands := make([]candidate, 0, n)
+	for i, a := range addrs {
+		c := candidate{addr: a, key: keys[i][0]}
+		var candErr error
+		for r := 0; r < cfg.Rounds; r++ {
+			t := r*n + i
+			e := ests[t]
+			switch {
+			case e.err != nil:
+				if candErr == nil {
+					candErr = e.err
+				}
+			case e.ok:
+				if len(c.samples) == 0 {
+					// APPLE: the first reply's TTL gives the return path
+					// length.
+					c.pathLen = int(probe.InferInitialTTL(e.s.ReplyTTL)) - int(e.s.ReplyTTL)
+				}
+				c.samples = append(c.samples, sample{seq: uint32(t), id: e.s.ID})
+			}
+		}
+		if candErr != nil {
+			sampleErrs++
+			if firstErr == nil {
+				firstErr = fmt.Errorf("estimate %s: %w", a, candErr)
+			}
 			continue
 		}
-		sampleErrs++
-		if firstErr == nil {
-			firstErr = fmt.Errorf("estimate %s: %w", addrs[i], e)
-		}
-	}
-	cands := make([]candidate, 0, len(addrs))
-	for _, c := range ests {
-		if c != nil {
-			cands = append(cands, *c)
+		if len(c.samples) >= minReplies {
+			cands = append(cands, c)
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].addr.Less(cands[j].addr) })
-	cfg.Metrics.Counter("alias", "candidates").Add(uint64(len(addrs)))
+	cfg.Metrics.Counter("alias", "candidates").Add(uint64(n))
 	cfg.Metrics.Counter("alias", "responsive").Add(uint64(len(cands)))
 	cfg.Metrics.Counter("alias", "sample_errors").Add(sampleErrs)
 
-	// Pair stage: the APPLE-pruned pair list is built up front, in
-	// lexicographic order, so the probing schedule is static. (The
-	// previous transitive early-skip — skip (i,j) once union-find links
-	// them — made the pair list depend on earlier outcomes; transitivity
-	// is now recovered from the union-find below instead.)
+	// Stage 2, discovery: every APPLE-surviving pair, in lexicographic
+	// order, gets the bounds test over its two candidates' estimation
+	// samples merged in schedule order. No probes are sent, and a pair
+	// that fails is never probed again.
 	type pairTest struct{ i, j int }
-	pairs := make([]pairTest, 0, len(cands)*(len(cands)-1)/2)
-	pruned := 0
-	for i := 0; i < len(cands); i++ {
+	var pairs []pairTest
+	pruned, rejected := uint64(0), uint64(0)
+	merged := make([]uint16, 0, 2*cfg.Rounds)
+	for i := range cands {
 		for j := i + 1; j < len(cands); j++ {
 			// APPLE pruning: interfaces of one router sit at (nearly) the
 			// same return distance.
@@ -151,65 +234,43 @@ func Resolve(ctx context.Context, addrs []netip.Addr, p Prober, cfg Config) ([][
 				pruned++
 				continue
 			}
+			merged = mergeIDs(merged[:0], cands[i].samples, cands[j].samples)
+			if !monotonic(merged, cfg.MaxStep) {
+				rejected++
+				continue
+			}
 			pairs = append(pairs, pairTest{i, j})
 		}
 	}
+	cfg.Metrics.Counter("alias", "pairs.apple_pruned").Add(pruned)
+	cfg.Metrics.Counter("alias", "pairs.mbt_rejected").Add(rejected)
 	cfg.Metrics.Counter("alias", "pairs.tested").Add(uint64(len(pairs)))
-	cfg.Metrics.Counter("alias", "pairs.apple_pruned").Add(uint64(pruned))
 
-	// counterKey buckets an address by the shared counter behind it;
-	// bucket 0 collects addresses the oracle cannot place (and everything,
-	// when there is no oracle).
-	counterKey := func(a netip.Addr) uint64 {
-		if cfg.ConflictKey != nil {
-			if k, ok := cfg.ConflictKey(a); ok {
-				return k + 1
-			}
-		}
-		return 0
-	}
-	// Each pair test consumes 2*Rounds sample sequence numbers; bases are
-	// disjoint from the estimation stage's [0, len(addrs)) range so no
-	// (addr, seq) coordinate repeats.
+	// Stage 3, corroboration: each discovery survivor gets its own
+	// interleaved test. Each test consumes 2*Rounds sequence numbers;
+	// bases start after the estimation range so no (addr, seq) coordinate
+	// repeats.
 	seqBase := func(pairIdx int) uint32 {
-		return uint32(len(addrs) + pairIdx*2*cfg.Rounds)
+		return uint32(len(ests) + pairIdx*2*cfg.Rounds)
 	}
-	// Conflict-queue depth: the longest per-counter serialization chain in
-	// the static pair list — how many pair tests contend for the busiest
-	// shared IP-ID counter. Computed from the pair list alone, so it is
-	// deterministic at any worker count.
-	if g := cfg.Metrics.Gauge("alias", "conflict_queue.depth"); g != nil {
-		perKey := map[uint64]uint64{}
-		for _, pt := range pairs {
-			ki, kj := counterKey(cands[pt.i].addr), counterKey(cands[pt.j].addr)
-			perKey[ki]++
-			if kj != ki {
-				perKey[kj]++
-			}
-		}
-		for _, depth := range perKey {
-			g.SetMax(depth)
-		}
+	pairKeys := func(t int) []uint64 {
+		return []uint64{cands[pairs[t].i].key, cands[pairs[t].j].key}
 	}
+	queueDepth(len(pairs), pairKeys)
 	aliased := make([]bool, len(pairs))
 	pairErrs := make([]error, len(pairs))
-	pairFanErr := par.ConflictOrdered(ctx, workers, len(pairs),
-		func(t int) []uint64 {
-			return []uint64{counterKey(cands[pairs[t].i].addr), counterKey(cands[pairs[t].j].addr)}
-		},
-		func(t int) {
-			ok, err := sharedCounter(ctx, cands[pairs[t].i].addr, cands[pairs[t].j].addr,
-				p, cfg, seqBase(t))
-			if err != nil {
-				// An errored pair is neither aliased nor refuted: it is
-				// excluded from the union-find and surfaced to the caller.
-				pairErrs[t] = err
-				return
-			}
-			aliased[t] = ok
-		})
-	if pairFanErr != nil {
-		return nil, pairFanErr
+	if err := par.ConflictOrdered(ctx, workers, len(pairs), pairKeys, func(t int) {
+		ok, err := sharedCounter(ctx, cands[pairs[t].i].addr, cands[pairs[t].j].addr,
+			p, cfg, seqBase(t))
+		if err != nil {
+			// An errored pair is neither aliased nor refuted: it is
+			// excluded from the union-find and surfaced to the caller.
+			pairErrs[t] = err
+			return
+		}
+		aliased[t] = ok
+	}); err != nil {
+		return nil, err
 	}
 	pairErrCount := uint64(0)
 	for t, e := range pairErrs {
@@ -224,14 +285,13 @@ func Resolve(ctx context.Context, addrs []netip.Addr, p Prober, cfg Config) ([][
 	}
 	cfg.Metrics.Counter("alias", "pairs.errored").Add(pairErrCount)
 
-	// Union-find over the recorded outcomes (order-independent: union is
+	// Union-find over the corroborated pairs (order-independent: union is
 	// commutative on the final partition).
 	parent := make([]int, len(cands))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -259,39 +319,71 @@ func Resolve(ctx context.Context, addrs []netip.Addr, p Prober, cfg Config) ([][
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0].Less(out[j][0]) })
-	if n := sampleErrs + pairErrCount; n > 0 {
-		return out, fmt.Errorf("alias: %d probe errors (first: %w)", n, firstErr)
+	if errs := sampleErrs + pairErrCount; errs > 0 {
+		return out, fmt.Errorf("alias: %d probe errors (first: %w)", errs, firstErr)
 	}
 	return out, nil
 }
 
-// sharedCounter runs the monotonic bounds test: interleave samples of the
-// two addresses; a shared counter yields a strictly increasing sequence
-// with small steps, while independent counters almost surely violate the
-// bound at some step. seqBase numbers the samples within the resolution
-// run's global sequence space. A transport error is returned as such: it
-// says nothing about whether the counters are shared.
+// mergeIDs appends the IP-IDs of two sample lists, each in schedule order,
+// to dst in merged schedule order.
+func mergeIDs(dst []uint16, a, b []sample) []uint16 {
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].seq < b[0].seq {
+			dst, a = append(dst, a[0].id), a[1:]
+		} else {
+			dst, b = append(dst, b[0].id), b[1:]
+		}
+	}
+	for _, s := range a {
+		dst = append(dst, s.id)
+	}
+	for _, s := range b {
+		dst = append(dst, s.id)
+	}
+	return dst
+}
+
+// monotonic is the monotonic bounds test over IP-IDs in probe order: a
+// shared counter yields a strictly increasing sequence with small steps,
+// while independent counters almost surely violate the bound at some step.
+// uint16 arithmetic handles wraparound.
+func monotonic(ids []uint16, maxStep uint16) bool {
+	for i := 1; i < len(ids); i++ {
+		step := ids[i] - ids[i-1]
+		if step == 0 || step > maxStep {
+			return false
+		}
+	}
+	return true
+}
+
+// sharedCounter is the corroboration test: cfg.Rounds rounds of
+// interleaved samples of the two addresses, judged by the monotonic bounds
+// test. Lost samples are skipped; a side with fewer than minReplies
+// replies cannot be judged and refutes nothing — it just doesn't alias.
+// seqBase numbers the samples within the resolution run's global sequence
+// space. A transport error is returned as such: it says nothing about
+// whether the counters are shared.
 func sharedCounter(ctx context.Context, a, b netip.Addr, p Prober, cfg Config, seqBase uint32) (bool, error) {
-	var seq []uint16
+	ids := make([]uint16, 0, 2*cfg.Rounds)
+	var replies [2]int
 	k := seqBase
 	for r := 0; r < cfg.Rounds; r++ {
-		for _, addr := range []netip.Addr{a, b} {
+		for side, addr := range [2]netip.Addr{a, b} {
 			s, ok, err := p.SampleIPID(ctx, addr, k)
 			k++
 			if err != nil {
 				return false, fmt.Errorf("sample %s: %w", addr, err)
 			}
-			if !ok {
-				return false, nil
+			if ok {
+				replies[side]++
+				ids = append(ids, s.ID)
 			}
-			seq = append(seq, s.ID)
 		}
 	}
-	for i := 1; i < len(seq); i++ {
-		step := seq[i] - seq[i-1] // uint16 arithmetic handles wraparound
-		if step == 0 || step > cfg.MaxStep {
-			return false, nil
-		}
+	if replies[0] < minReplies || replies[1] < minReplies {
+		return false, nil
 	}
-	return true, nil
+	return monotonic(ids, cfg.MaxStep), nil
 }

@@ -130,6 +130,16 @@ func (f *fakeProber) SampleIPID(ctx context.Context, dst netip.Addr, seq uint32)
 	return probe.IPIDSample{ID: *p, ReplyTTL: ttl}, true, nil
 }
 
+// sharedProber scripts addrs onto one counter starting at base, each
+// sample advancing it by 5.
+func sharedProber(base uint16, addrs ...netip.Addr) *fakeProber {
+	f := &fakeProber{ids: map[netip.Addr]*uint16{}, step: map[netip.Addr]uint16{}, ttl: map[netip.Addr]uint8{}}
+	for _, addr := range addrs {
+		f.ids[addr], f.step[addr] = &base, 5
+	}
+	return f
+}
+
 func TestSharedCounterWraparound(t *testing.T) {
 	// Two addresses sharing a counter that wraps around 0xffff must still
 	// be detected as aliases.

@@ -51,14 +51,16 @@ type Config struct {
 	MaxTargets int
 	// FlowsPerTarget probes each target under several Paris flow IDs.
 	FlowsPerTarget int
-	// AliasCandidateCap bounds the MIDAR candidate set per AS (quadratic
-	// pair testing); 0 disables alias resolution.
+	// AliasCandidateCap bounds the MIDAR candidate set per AS, keeping the
+	// lowest addresses. It is a resource bound: alias probing is linear in
+	// the candidates plus the pairs discovery keeps (DESIGN.md §7, item 3,
+	// has the cap curve). 0 disables alias resolution.
 	AliasCandidateCap int
 	// MaxRouters, when non-zero, clamps the per-AS topology size.
 	MaxRouters int
 	// Workers bounds the concurrency of every pipeline stage — the AS
-	// pool, per-AS trace sweeps, fingerprint echoes, alias pair probing,
-	// and detection (0 = GOMAXPROCS, 1 = fully sequential). Campaign
+	// pool, per-AS trace sweeps, fingerprint echoes, alias probing, and
+	// detection (0 = GOMAXPROCS, 1 = fully sequential). Campaign
 	// output is identical at every worker count: stages write into
 	// index-addressed slices and alias probing replays the sequential
 	// probe order on every shared IP-ID counter.
@@ -231,7 +233,7 @@ func (r *ASResult) Traces() []*probe.Trace {
 
 // MeasureAS runs the measurement stage for one catalogue record with its
 // derived deployment: the trace sweep, fingerprint echo probing, alias
-// pair probing, and bdrmap annotation, plus the ground-truth export. The
+// probing, and bdrmap annotation, plus the ground-truth export. The
 // returned archive.Data is everything downstream analysis ever sees.
 //
 // Cancelling ctx aborts the measurement at the next trace/TTL boundary and
@@ -408,7 +410,7 @@ func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Depl
 		acfg := alias.DefaultConfig()
 		acfg.Workers = workers
 		acfg.Metrics = reg
-		// Ground-truth conflict keys let pair tests on disjoint routers
+		// Ground-truth conflict keys let alias probes of disjoint routers
 		// run concurrently; the keys only order probing, never results.
 		acfg.ConflictKey = func(a netip.Addr) (uint64, bool) {
 			r, ok := w.Net.RouterByAddr(a)
