@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,25 +14,34 @@ import (
 	"arest/internal/asgen"
 	"arest/internal/exp"
 	"arest/internal/lifecycle"
+	"arest/internal/probe"
 )
 
-// writeArchive measures one small AS and persists it as a v2 archive for
+// writeArchive measures one small AS and persists it as an archive for
 // the analyzer to consume.
 func writeArchive(t *testing.T) string {
 	t.Helper()
-	rec, ok := asgen.ByID(2)
+	return measureArchive(t, 2, nil)
+}
+
+// measureArchive measures catalogue AS id at test scale — through wrap, the
+// fault-injection seam, when non-nil — and writes it with archive.WriteFile.
+func measureArchive(t *testing.T, id int, wrap func(asgen.Record, int, probe.Conn) probe.Conn) string {
+	t.Helper()
+	rec, ok := asgen.ByID(id)
 	if !ok {
-		t.Fatal("AS#2 missing from catalogue")
+		t.Fatalf("AS#%d missing from catalogue", id)
 	}
 	cfg := exp.DefaultConfig()
 	cfg.Seed = 101
 	cfg.NumVPs = 3
 	cfg.MaxTargets = 8
+	cfg.WrapConn = wrap
 	data, err := exp.MeasureAS(context.Background(), rec, cfg)
 	if err != nil {
 		t.Fatalf("MeasureAS: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "as2.arest")
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("as%d.arest", id))
 	if err := archive.WriteFile(path, data); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}

@@ -1,5 +1,6 @@
 // Command arestlint machine-checks the repository's contracts (DESIGN.md
-// §7/§8/§11/§13) with the stdlib-only analyzers of internal/lint/rules:
+// §7/§8/§11/§13/§14) with the eight stdlib-only analyzers of
+// internal/lint/rules:
 //
 //	nowallclock   no wall-clock reads in determinism-contract packages
 //	noglobalrand  no process-global math/rand, no wall-clock seeding
@@ -8,8 +9,9 @@
 //	noerrdrop     no discarded error returns in the measurement layers
 //	foldcomplete  //arest:mergeable structs fully folded by Merge
 //	hotpathalloc  no allocation-forcing constructs in //arest:hotpath scopes
-//	nolockcopy    no by-value copies of lock- or atomic-bearing types
-//	atomicmix     no plain access to variables owned by sync/atomic
+//	ctxplumb      pipeline entry points take a context; pool loops observe it
+//
+// By-value lock copies are left to go vet's copylocks check.
 //
 // Usage:
 //

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -236,24 +235,6 @@ func TestWriteFileAtomicAndReadFile(t *testing.T) {
 	}
 	if len(dir) != 0 {
 		t.Errorf("temp files left behind: %v", dir)
-	}
-}
-
-func TestSniff(t *testing.T) {
-	raw := encode(t, fixtureData())
-	if !Sniff(bufio.NewReader(bytes.NewReader(raw))) {
-		t.Error("archive not recognized")
-	}
-	br := bufio.NewReader(strings.NewReader("#{\"asn\":1}\n"))
-	if Sniff(br) {
-		t.Error("jsonl recognized as archive")
-	}
-	// Sniff must not consume: the jsonl header must still be readable.
-	if b, _ := br.ReadByte(); b != '#' {
-		t.Error("Sniff consumed input")
-	}
-	if Sniff(bufio.NewReader(strings.NewReader(""))) {
-		t.Error("empty input recognized as archive")
 	}
 }
 

@@ -341,14 +341,3 @@ func ReadFile(path string) (*Data, error) {
 	defer f.Close()
 	return ReadData(bufio.NewReader(f))
 }
-
-// Sniff reports whether br's next bytes are an archive (either version),
-// without consuming them. It lets cmd/arest accept both the binary format
-// and the legacy JSONL tracestore behind one flag.
-func Sniff(br *bufio.Reader) bool {
-	head, err := br.Peek(magicLen)
-	if err != nil {
-		return false
-	}
-	return string(head) == MagicV2 || string(head) == MagicV3
-}

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -186,17 +185,6 @@ func TestWriteDataRejectsUnknownFormat(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteData(&buf, d); err == nil {
 		t.Fatal("unknown Meta.Format accepted by WriteData")
-	}
-}
-
-func TestSniffV2(t *testing.T) {
-	raw := encode(t, fixtureDataV2())
-	br := bufio.NewReader(bytes.NewReader(raw))
-	if !Sniff(br) {
-		t.Error("v2 archive not recognized")
-	}
-	if b, _ := br.ReadByte(); b != 'a' {
-		t.Error("Sniff consumed input")
 	}
 }
 

@@ -84,9 +84,9 @@ type Config struct {
 	KeepPaths bool
 	// MaxTraceFailures is the per-AS budget of traces that may halt with
 	// probe.HaltError before the AS is quarantined: 0 (the default)
-	// tolerates none, a negative value tolerates any number. The budget is
-	// applied to the archived degradation record (TraceBudgetErr), so a
-	// replayed shard re-derives the live run's accept/quarantine decision.
+	// tolerates none, a negative value tolerates any number. The Detect fold
+	// applies it to the archived degradation record, so a replayed shard
+	// re-derives the live run's accept/quarantine decision.
 	MaxTraceFailures int
 	// WrapConn, when non-nil, wraps each vantage point's probe connection
 	// before measurement — the fault-injection seam. It receives the
@@ -458,16 +458,18 @@ func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Depl
 // vendor fingerprints and bdrmap owners are applied per hop, traces are
 // delimited to the target AS, and AReST analyzes each path. It is a pure
 // function of data (plus the Workers/Metrics knobs), shared verbatim by
-// live runs and archive replays.
+// live runs and archive replays. The trace-failure (MaxTraceFailures) and
+// plan (MaxASTraces) budgets are applied inside the fold, so a degraded or
+// over-plan Data fails with the StageMeasure-attributed budget error.
 //
 // It is a thin client of the streaming fold in stream.go: the in-memory
 // Data is replayed through the exact record sequence its encoding would
 // contain, so Detect here and DetectStream over the encoded bytes are
-// deep-equal by construction.
+// deep-equal by construction — verdicts included.
 func Detect(ctx context.Context, data *archive.Data, cfg Config) (*ASResult, error) {
 	done := cfg.Metrics.Span("exp", "stage.detect").Start()
 	defer done()
-	f := newFold(ctx, cfg, false)
+	f := newFold(ctx, cfg)
 	if err := foldData(f, data); err != nil {
 		return nil, err
 	}
@@ -475,8 +477,8 @@ func Detect(ctx context.Context, data *archive.Data, cfg Config) (*ASResult, err
 }
 
 // RunAS executes the full staged pipeline for one catalogue record:
-// Measure, then Annotate+Detect over the in-memory campaign data, with the
-// trace-failure budget applied in between. The archive stage is a
+// Measure, then Annotate+Detect over the in-memory campaign data (which
+// applies the trace-failure budget). The archive stage is a
 // pass-through here; writing the data out and replaying it through Detect
 // yields a deep-equal result (the roundtrip-equivalence test pins this).
 // Errors carry their pipeline stage (StageError); a cancelled ctx surfaces
@@ -485,9 +487,6 @@ func RunAS(ctx context.Context, rec asgen.Record, cfg Config) (*ASResult, error)
 	data, err := MeasureAS(ctx, rec, cfg)
 	if err != nil {
 		return nil, stageErr(StageMeasure, err)
-	}
-	if err := cfg.TraceBudgetErr(data); err != nil {
-		return nil, err
 	}
 	res, err := Detect(ctx, data, cfg)
 	if err != nil {
@@ -502,9 +501,6 @@ func runASWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Deploy
 	data, err := measureWithDeployment(ctx, rec, dep, cfg)
 	if err != nil {
 		return nil, stageErr(StageMeasure, err)
-	}
-	if err := cfg.TraceBudgetErr(data); err != nil {
-		return nil, err
 	}
 	res, err := Detect(ctx, data, cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -115,10 +116,6 @@ func TestToleratedFaultShardReplaysThroughDetect(t *testing.T) {
 			t.Fatalf("VP-1 trace not error-halted: halt=%v err=%q", tr.Halt, tr.Err)
 		}
 	}
-	if err := cfg.TraceBudgetErr(data); err != nil {
-		t.Fatalf("unlimited budget rejected the measurement: %v", err)
-	}
-
 	path := filepath.Join(t.TempDir(), "as-015.arest")
 	if err := archive.WriteFile(path, data); err != nil {
 		t.Fatal(err)
@@ -132,7 +129,7 @@ func TestToleratedFaultShardReplaysThroughDetect(t *testing.T) {
 	}
 	live, err := Detect(context.Background(), data, cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("unlimited budget rejected the measurement: %v", err)
 	}
 	replay, err := Detect(context.Background(), back, cfg)
 	if err != nil {
@@ -140,6 +137,63 @@ func TestToleratedFaultShardReplaysThroughDetect(t *testing.T) {
 	}
 	if !reflect.DeepEqual(live, replay) {
 		t.Error("replayed Detect diverged from live Detect on the degraded shard")
+	}
+}
+
+// TestDetectAppliesBudgets: both budgets live in the fold, so Detect over
+// in-memory data reaches the verdict DetectStream reaches over its encoded
+// bytes — the identical error. A degraded measurement over
+// MaxTraceFailures fails with a TraceBudgetError, an over-plan one with an
+// ASBudgetError, both attributed to StageMeasure.
+func TestDetectAppliesBudgets(t *testing.T) {
+	rec, ok := asgen.ByID(15)
+	if !ok {
+		t.Fatal("record 15 missing")
+	}
+	faulty := testCfg()
+	faulty.WrapConn = faultOneVP(15, 1)
+	degraded, err := MeasureAS(context.Background(), rec, faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := MeasureAS(context.Background(), rec, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	overPlan := testCfg()
+	overPlan.MaxASTraces = 1
+
+	var tbe *TraceBudgetError
+	var abe *ASBudgetError
+	for _, c := range []struct {
+		name   string
+		data   *archive.Data
+		cfg    Config
+		target any
+	}{
+		{"trace-failures", degraded, testCfg(), &tbe},
+		{"plan", clean, overPlan, &abe},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, derr := Detect(context.Background(), c.data, c.cfg)
+			if derr == nil {
+				t.Fatal("Detect accepted data over budget")
+			}
+			if !errors.As(derr, c.target) {
+				t.Errorf("Detect err = %v, want a %T", derr, c.target)
+			}
+			if FailureStage(derr) != StageMeasure {
+				t.Errorf("Detect err stage = %s, want measure", FailureStage(derr))
+			}
+			var buf bytes.Buffer
+			if err := archive.WriteData(&buf, c.data); err != nil {
+				t.Fatal(err)
+			}
+			_, serr := DetectStream(context.Background(), &buf, c.cfg)
+			if !reflect.DeepEqual(derr, serr) {
+				t.Errorf("Detect err = %v, DetectStream err = %v; want identical", derr, serr)
+			}
+		})
 	}
 }
 

@@ -42,10 +42,6 @@ type fold struct {
 	// ctx bounds the fold's lifetime: flush's fan-out aborts at the next
 	// trace boundary when it is cancelled, and the fold surfaces the cause.
 	ctx context.Context
-	// applyBudget: apply the trace-failure and plan budgets when their
-	// records arrive (DetectStream); the legacy Detect contract leaves the
-	// budgets to its callers.
-	applyBudget bool
 
 	res  *ASResult
 	agg  *Agg
@@ -71,21 +67,20 @@ type fold struct {
 	facts   []traceFacts   // per-trace classification slots, indexed like batch
 }
 
-func newFold(ctx context.Context, cfg Config, applyBudget bool) *fold {
+func newFold(ctx context.Context, cfg Config) *fold {
 	return &fold{
-		cfg:         cfg,
-		ctx:         ctx,
-		applyBudget: applyBudget,
-		res:         &ASResult{SREnabled: map[netip.Addr]bool{}},
-		agg:         NewAgg(),
-		det:         core.NewDetector(),
-		busy:        cfg.Metrics.Span("exp", "workers.busy"),
-		snmp:        map[netip.Addr]mpls.Vendor{},
-		ttl:         map[netip.Addr]mpls.Vendor{},
-		borders:     map[netip.Addr]int{},
-		batch:       make([]archive.TraceRecord, 0, analyzeBatch),
-		results:     make([]*core.Result, analyzeBatch),
-		facts:       make([]traceFacts, analyzeBatch),
+		cfg:     cfg,
+		ctx:     ctx,
+		res:     &ASResult{SREnabled: map[netip.Addr]bool{}},
+		agg:     NewAgg(),
+		det:     core.NewDetector(),
+		busy:    cfg.Metrics.Span("exp", "workers.busy"),
+		snmp:    map[netip.Addr]mpls.Vendor{},
+		ttl:     map[netip.Addr]mpls.Vendor{},
+		borders: map[netip.Addr]int{},
+		batch:   make([]archive.TraceRecord, 0, analyzeBatch),
+		results: make([]*core.Result, analyzeBatch),
+		facts:   make([]traceFacts, analyzeBatch),
 	}
 }
 
@@ -113,7 +108,7 @@ func (f *fold) sideRecord(kind string) error {
 // equal the live plan's job count, so a resumed shard re-derives the exact
 // verdict a fresh measurement would reach — before any trace is decoded.
 func (f *fold) planBudgetErr() error {
-	if !f.applyBudget || f.planChecked {
+	if f.planChecked {
 		return nil
 	}
 	f.planChecked = true
@@ -175,12 +170,9 @@ func (f *fold) Degraded(rec archive.Degraded) error {
 	if err := f.sideRecord("degraded"); err != nil {
 		return err
 	}
-	if f.applyBudget {
-		// Budget exceeded: abort before a single trace is decoded — in every
-		// archive the degradation summary precedes the trace run.
-		return f.cfg.degradedBudgetErr(&rec)
-	}
-	return nil
+	// Budget exceeded: abort before a single trace is decoded — in every
+	// archive the degradation summary precedes the trace run.
+	return f.cfg.degradedBudgetErr(&rec)
 }
 
 func (f *fold) Trace(rec archive.TraceRecord) error {
@@ -273,10 +265,10 @@ func (f *fold) finish() (*ASResult, error) {
 
 // DetectStream runs the Annotate and Detect stages as a one-pass fold over
 // archive bytes (v2 or v3): peak live memory is bounded by the accumulated
-// aggregates (plus one analyze batch), never by the archive size. The
-// trace-failure budget is applied the moment the degradation record
-// arrives, before any trace. The result is deep-equal to Detect over the
-// materialized archive.
+// aggregates (plus one analyze batch), never by the archive size. As in
+// Detect, the trace-failure budget is applied the moment the degradation
+// record arrives, before any trace. The result is deep-equal to Detect over
+// the materialized archive.
 func DetectStream(ctx context.Context, r io.Reader, cfg Config) (*ASResult, error) {
 	ar, err := archive.NewReader(r)
 	if err != nil {
@@ -285,7 +277,7 @@ func DetectStream(ctx context.Context, r io.Reader, cfg Config) (*ASResult, erro
 	reg := cfg.Metrics
 	done := reg.Span("exp", "stage.detect").Start()
 	defer done()
-	f := newFold(ctx, cfg, true)
+	f := newFold(ctx, cfg)
 	if err := archive.StreamRecords(ar, f); err != nil {
 		return nil, err
 	}

@@ -26,13 +26,13 @@
 //	              zero/reset path.
 //	hotpathalloc  §11 — no allocation-forcing constructs inside
 //	              //arest:hotpath scopes outside cold error paths.
-//	nolockcopy    §7 — no by-value copies of types containing sync.*
-//	              or sync/atomic values.
-//	atomicmix     §7 — a variable touched through sync/atomic is never
-//	              also accessed plainly in the same package.
 //	ctxplumb      §14 — exported Run*/Measure*/Detect* entry points in
 //	              internal/exp take context.Context first, and worker
 //	              claim loops in internal/par observe cancellation.
+//
+// By-value lock and atomic copies (§7) are go vet's copylocks check, which
+// make check and CI already run; TestNoLockCopy and
+// TestLockCopyInjectionCaught pin that it covers them.
 package rules
 
 import "arest/internal/lint"
@@ -80,8 +80,6 @@ func All() []*lint.Analyzer {
 		NoErrDrop(ErrAuditPackages),
 		FoldComplete(),
 		HotPathAlloc(),
-		NoLockCopy(),
-		AtomicMix(),
 		CtxPlumb(CtxEntryPackages, CtxPoolPackages),
 	}
 }

@@ -1,5 +1,6 @@
-// Package a exercises nolockcopy on a mutex-bearing value and a
-// new-style-atomic-bearing value: every by-value copy of either fires.
+// Package a pins go vet's copylocks check on a mutex-bearing value and a
+// new-style-atomic-bearing value: every by-value copy of either, marked
+// with a want comment, must draw a vet finding on its line.
 package a
 
 import (

@@ -21,12 +21,12 @@ func TestForEachCoversAllIndexes(t *testing.T) {
 	ctx := context.Background()
 	for _, workers := range []int{1, 2, 7, 64} {
 		n := 100
-		hits := make([]int32, n)
-		if err := ForEach(ctx, workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
+		hits := make([]atomic.Int32, n)
+		if err := ForEach(ctx, workers, n, func(i int) { hits[i].Add(1) }); err != nil {
 			t.Fatalf("workers=%d: ForEach: %v", workers, err)
 		}
 		for i := range hits {
-			if h := atomic.LoadInt32(&hits[i]); h != 1 {
+			if h := hits[i].Load(); h != 1 {
 				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
 			}
 		}
@@ -111,16 +111,16 @@ func TestConflictOrderedSerializesPerKey(t *testing.T) {
 func TestConflictOrderedRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		n := 200
-		hits := make([]int32, n)
+		hits := make([]atomic.Int32, n)
 		// All tasks share key 0 plus a private key: fully serialized.
 		err := ConflictOrdered(context.Background(), workers, n, func(i int) []uint64 {
 			return []uint64{0, uint64(1 + i)}
-		}, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		}, func(i int) { hits[i].Add(1) })
 		if err != nil {
 			t.Fatalf("workers=%d: ConflictOrdered: %v", workers, err)
 		}
 		for i := range hits {
-			if h := atomic.LoadInt32(&hits[i]); h != 1 {
+			if h := hits[i].Load(); h != 1 {
 				t.Fatalf("workers=%d: task %d ran %d times", workers, i, h)
 			}
 		}
@@ -146,18 +146,18 @@ func TestConflictOrderedSharedKeyPreservesTotalOrder(t *testing.T) {
 
 func TestConflictOrderedDuplicateAndEmptyKeys(t *testing.T) {
 	n := 20
-	hits := make([]int32, n)
+	hits := make([]atomic.Int32, n)
 	err := ConflictOrdered(context.Background(), 4, n, func(i int) []uint64 {
 		if i%3 == 0 {
 			return nil // keyless: unconstrained
 		}
 		return []uint64{7, 7} // duplicate key must not self-deadlock
-	}, func(i int) { atomic.AddInt32(&hits[i], 1) })
+	}, func(i int) { hits[i].Add(1) })
 	if err != nil {
 		t.Fatalf("ConflictOrdered: %v", err)
 	}
 	for i := range hits {
-		if h := atomic.LoadInt32(&hits[i]); h != 1 {
+		if h := hits[i].Load(); h != 1 {
 			t.Fatalf("task %d ran %d times", i, h)
 		}
 	}
