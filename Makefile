@@ -70,9 +70,11 @@ experiments-output:
 	$(GO) run ./cmd/experiments > experiments_output.txt
 
 # Short deterministic fuzz pass over the seeds plus 30 s of mutation per
-# target: the archive container reader, the v3 trace payload codec, and
-# alias resolution over scripted IP-ID counters.
+# target: the archive container reader, the v3 trace payload codec, alias
+# resolution over scripted IP-ID counters, and the AReST flag analysis
+# against its naive reference detector.
 fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz 'FuzzReadArchive$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz 'FuzzTraceRecord$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/alias -run xxx -fuzz 'FuzzResolve$$' -fuzztime 30s
+	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/core -run xxx -fuzz 'FuzzAnalyze$$' -fuzztime 30s
