@@ -37,11 +37,11 @@ lint: arestlint
 		echo "lint: govulncheck not installed, skipping"; \
 	fi
 
-# Machine-checked contracts: the eight analyzers of internal/lint/rules
-# (determinism, error accounting, mergeable folds, hot-path allocation,
-# context plumbing) over every package including _test.go files
-# (stdlib-only, exits non-zero on any finding or unjustified suppression).
-# Lock copies are go vet's copylocks check (the vet target).
+# Machine-checked contracts: the six analyzers of internal/lint/rules
+# (determinism, error accounting, hot-path allocation, context plumbing)
+# over every package including _test.go files (stdlib-only, exits non-zero
+# on any finding or unjustified suppression). Lock copies are go vet's
+# copylocks check (the vet target).
 arestlint:
 	$(GO) run ./cmd/arestlint -tests ./...
 

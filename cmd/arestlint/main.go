@@ -1,17 +1,17 @@
 // Command arestlint machine-checks the repository's contracts (DESIGN.md
-// §7/§8/§11/§13/§14) with the eight stdlib-only analyzers of
+// §7/§11/§12/§14) with the six stdlib-only analyzers of
 // internal/lint/rules:
 //
 //	nowallclock   no wall-clock reads in determinism-contract packages
 //	noglobalrand  no process-global math/rand, no wall-clock seeding
 //	maporder      no map iteration order reaching slices or output
-//	nilsafe       nil-receiver guards on every exported obs instrument method
 //	noerrdrop     no discarded error returns in the measurement layers
-//	foldcomplete  //arest:mergeable structs fully folded by Merge
 //	hotpathalloc  no allocation-forcing constructs in //arest:hotpath scopes
 //	ctxplumb      pipeline entry points take a context; pool loops observe it
 //
-// By-value lock copies are left to go vet's copylocks check.
+// By-value lock copies are left to go vet's copylocks check. Nil-safe obs
+// instruments and the completeness of the exp.Agg fold are runtime tests
+// (TestObsNilSafety, TestAggFoldComplete), not analyzers.
 //
 // Usage:
 //

@@ -36,9 +36,9 @@ type IfaceAgg struct {
 // so folding the same traces in any partition order and merging yields the
 // same value (Merge); the aggregate methods on ASResult are pure queries
 // over it. The zero value is not ready: use NewAgg, which initializes every
-// map non-nil so folded and merged aggregates compare with DeepEqual.
-//
-//arest:mergeable
+// map non-nil so folded and merged aggregates compare with DeepEqual. A new
+// field must be allocated by NewAgg and folded by Merge;
+// TestAggFoldComplete fails on any field that is not.
 type Agg struct {
 	// Traces counts every folded trace; PathsInAS counts those whose
 	// AS-restricted path was non-empty (the denominator of Fig. 10a).

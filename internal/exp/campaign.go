@@ -240,11 +240,17 @@ func (r *ASResult) Traces() []*probe.Trace {
 // returns the cause; an aborted measurement yields no Data at all, so
 // nothing cancellation-shaped can reach the archive.
 func MeasureAS(ctx context.Context, rec asgen.Record, cfg Config) (*archive.Data, error) {
-	dep := asgen.DeploymentFor(rec, cfg.Seed)
-	if cfg.MaxRouters > 0 && dep.Routers > cfg.MaxRouters {
-		dep.Routers = cfg.MaxRouters
+	return measureWithDeployment(ctx, rec, cfg.deployment(rec), cfg)
+}
+
+// deployment derives rec's deployment at the configured seed, with its
+// topology clamped to MaxRouters.
+func (c Config) deployment(rec asgen.Record) asgen.Deployment {
+	dep := asgen.DeploymentFor(rec, c.Seed)
+	if c.MaxRouters > 0 && dep.Routers > c.MaxRouters {
+		dep.Routers = c.MaxRouters
 	}
-	return measureWithDeployment(ctx, rec, dep, cfg)
+	return dep
 }
 
 // measureWithDeployment measures against an explicit deployment (used by
@@ -484,15 +490,7 @@ func Detect(ctx context.Context, data *archive.Data, cfg Config) (*ASResult, err
 // Errors carry their pipeline stage (StageError); a cancelled ctx surfaces
 // as its cause (see IsInterrupt), never as a stage fault.
 func RunAS(ctx context.Context, rec asgen.Record, cfg Config) (*ASResult, error) {
-	data, err := MeasureAS(ctx, rec, cfg)
-	if err != nil {
-		return nil, stageErr(StageMeasure, err)
-	}
-	res, err := Detect(ctx, data, cfg)
-	if err != nil {
-		return nil, stageErr(StageDetect, err)
-	}
-	return res, nil
+	return runASWithDeployment(ctx, rec, cfg.deployment(rec), cfg)
 }
 
 // runASWithDeployment runs measure+detect against an explicit deployment

@@ -33,10 +33,7 @@ func RunLongitudinal(ctx context.Context, rec asgen.Record, epochs int, cfg Conf
 		if err := ctx.Err(); err != nil {
 			return nil, context.Cause(ctx)
 		}
-		dep := asgen.DeploymentFor(rec, cfg.Seed)
-		if cfg.MaxRouters > 0 && dep.Routers > cfg.MaxRouters {
-			dep.Routers = cfg.MaxRouters
-		}
+		dep := cfg.deployment(rec)
 		dep.MPLS = true
 		dep.SRFrac = float64(e) / float64(epochs-1)
 		dep.Interworking = dep.SRFrac > 0 && dep.SRFrac < 1

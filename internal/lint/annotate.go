@@ -10,16 +10,9 @@ import (
 // Annotation directives mark code that carries an extra machine-checked
 // contract, beyond the file-level //arest:allow suppression grammar:
 //
-//	//arest:mergeable
-//	    In the doc comment of a struct type: the struct is a commutative
-//	    accumulator — every field must be folded by its Merge method and
-//	    every reference-typed field initialized on the zero/reset path
-//	    (checked by the foldcomplete analyzer).
-//
-//	//arest:hotpath             (in a function's doc comment)
 //	//arest:hotpath file        (anywhere in a file)
 //	//arest:hotpath package     (anywhere in the package)
-//	    The function / file / package is on the zero-allocation wire path:
+//	    The file / package is on the zero-allocation wire path:
 //	    allocation-forcing constructs are forbidden outside cold error
 //	    paths (checked by the hotpathalloc analyzer).
 //
@@ -30,21 +23,19 @@ import (
 //
 // Malformed directives are diagnostics: the Runner validates every
 // package's annotations (alongside //arest:allow) so a typo fails the
-// build instead of silently disabling a check; the consuming analyzers
-// re-parse and use only the well-formed results.
+// build instead of silently disabling a check; the consuming analyzer
+// re-parses and uses only the well-formed results.
 const (
-	mergeablePrefix = "//arest:mergeable"
-	hotpathPrefix   = "//arest:hotpath"
-	coldpathPrefix  = "//arest:coldpath"
+	hotpathPrefix  = "//arest:hotpath"
+	coldpathPrefix = "//arest:coldpath"
 )
 
 // knownDirectives is every //arest: verb the framework understands;
 // collectAllows reports any other //arest: comment as malformed.
 var knownDirectives = map[string]bool{
-	"allow":     true,
-	"mergeable": true,
-	"hotpath":   true,
-	"coldpath":  true,
+	"allow":    true,
+	"hotpath":  true,
+	"coldpath": true,
 }
 
 // directiveArg matches comment c against the one-word directive prefix and
@@ -68,31 +59,28 @@ type HotPaths struct {
 	Package bool
 	// Files holds filenames marked //arest:hotpath file.
 	Files map[string]bool
-	// Funcs holds function declarations marked hot directly.
-	Funcs map[*ast.FuncDecl]bool
 	// Cold holds functions opted out with //arest:coldpath, with the
 	// written reason (already validated non-empty).
 	Cold map[*ast.FuncDecl]string
 }
 
 // Hot reports whether fn (declared in file) is on the hot path under the
-// collected annotations: directly marked, or swept in by a file/package
-// scope and not opted out with //arest:coldpath.
+// collected annotations: swept in by a file/package scope and not opted
+// out with //arest:coldpath.
 func (h *HotPaths) Hot(fn *ast.FuncDecl, file string) bool {
 	if _, cold := h.Cold[fn]; cold {
 		return false
 	}
-	return h.Funcs[fn] || h.Files[file] || h.Package
+	return h.Files[file] || h.Package
 }
 
 // CollectHotPaths parses the hotpath/coldpath annotations of a package.
-// Malformed directives — a bare //arest:hotpath outside a function doc
-// comment, an unknown scope word, a //arest:coldpath without a reason or
-// outside any hotpath scope — come back as diagnostics.
+// Malformed directives — an //arest:hotpath whose scope is not 'file' or
+// 'package', a //arest:coldpath without a reason, outside a function doc
+// comment, or outside any hotpath scope — come back as diagnostics.
 func CollectHotPaths(fset *token.FileSet, files []*ast.File) (*HotPaths, []Diagnostic) {
 	h := &HotPaths{
 		Files: map[string]bool{},
-		Funcs: map[*ast.FuncDecl]bool{},
 		Cold:  map[*ast.FuncDecl]string{},
 	}
 	var coldDecls []*ast.FuncDecl // h.Cold keys in declaration order
@@ -106,9 +94,8 @@ func CollectHotPaths(fset *token.FileSet, files []*ast.File) (*HotPaths, []Diagn
 	}
 
 	for _, f := range files {
-		// Function-doc directives claim their comments first, so the
-		// file-scope sweep below can tell a bare function mark from a
-		// stray one.
+		// Coldpath marks in function doc comments are claimed first, so
+		// the sweep below can tell a stray one.
 		claimed := map[*ast.Comment]bool{}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -116,48 +103,32 @@ func CollectHotPaths(fset *token.FileSet, files []*ast.File) (*HotPaths, []Diagn
 				continue
 			}
 			for _, c := range fd.Doc.List {
-				if arg, ok := directiveArg(c, hotpathPrefix); ok {
-					claimed[c] = true
-					switch arg {
-					case "":
-						h.Funcs[fd] = true
-					case "file":
-						h.Files[fset.Position(c.Pos()).Filename] = true
-					case "package":
-						h.Package = true
-					default:
-						report(c.Pos(), "//arest:hotpath scope must be empty (this function), 'file', or 'package'; got %q", arg)
-					}
+				reason, ok := directiveArg(c, coldpathPrefix)
+				if !ok {
+					continue
 				}
-				if reason, ok := directiveArg(c, coldpathPrefix); ok {
-					claimed[c] = true
-					if reason == "" {
-						report(c.Pos(), "//arest:coldpath is missing its written reason: every hot-path exemption must justify itself")
-						continue
-					}
-					h.Cold[fd] = reason
-					coldDecls = append(coldDecls, fd)
+				claimed[c] = true
+				if reason == "" {
+					report(c.Pos(), "//arest:coldpath is missing its written reason: every hot-path exemption must justify itself")
+					continue
 				}
+				h.Cold[fd] = reason
+				coldDecls = append(coldDecls, fd)
 			}
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if claimed[c] {
-					continue
-				}
 				if arg, ok := directiveArg(c, hotpathPrefix); ok {
 					switch arg {
 					case "file":
 						h.Files[fset.Position(c.Pos()).Filename] = true
 					case "package":
 						h.Package = true
-					case "":
-						report(c.Pos(), "bare //arest:hotpath must sit in a function's doc comment; use '//arest:hotpath file' or '//arest:hotpath package' elsewhere")
 					default:
-						report(c.Pos(), "//arest:hotpath scope must be empty (this function), 'file', or 'package'; got %q", arg)
+						report(c.Pos(), "//arest:hotpath scope must be 'file' or 'package'; got %q", arg)
 					}
 				}
-				if _, ok := directiveArg(c, coldpathPrefix); ok {
+				if _, ok := directiveArg(c, coldpathPrefix); ok && !claimed[c] {
 					report(c.Pos(), "//arest:coldpath must sit in a function's doc comment")
 				}
 			}
@@ -167,78 +138,9 @@ func CollectHotPaths(fset *token.FileSet, files []*ast.File) (*HotPaths, []Diagn
 	// A coldpath mark outside any hot scope excuses nothing: stale, like
 	// an unused allow.
 	for _, fd := range coldDecls {
-		file := fset.Position(fd.Pos()).Filename
-		if !h.Funcs[fd] && !h.Files[file] && !h.Package {
+		if !h.Files[fset.Position(fd.Pos()).Filename] && !h.Package {
 			report(fd.Pos(), "//arest:coldpath on %s excuses nothing: no enclosing //arest:hotpath scope", fd.Name.Name)
 		}
 	}
 	return h, bad
-}
-
-// Mergeables returns the struct type specs marked //arest:mergeable in
-// declaration order, plus diagnostics for directives on declarations that
-// are not struct types. The directive may sit in the TypeSpec's own doc
-// or in the doc of its enclosing type declaration block.
-func Mergeables(fset *token.FileSet, files []*ast.File) ([]*ast.TypeSpec, []Diagnostic) {
-	var marked []*ast.TypeSpec
-	var bad []Diagnostic
-	hasDirective := func(doc *ast.CommentGroup) (token.Pos, bool) {
-		if doc == nil {
-			return token.NoPos, false
-		}
-		for _, c := range doc.List {
-			if _, ok := directiveArg(c, mergeablePrefix); ok {
-				return c.Pos(), true
-			}
-		}
-		return token.NoPos, false
-	}
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				if fd, isFn := decl.(*ast.FuncDecl); isFn {
-					if pos, has := hasDirective(fd.Doc); has {
-						bad = append(bad, Diagnostic{
-							Analyzer: DirectiveAnalyzerName,
-							Pos:      fset.Position(pos),
-							Message:  "//arest:mergeable marks struct types, not functions",
-						})
-					}
-				}
-				continue
-			}
-			declPos, declMark := hasDirective(gd.Doc)
-			for _, spec := range gd.Specs {
-				ts, isType := spec.(*ast.TypeSpec)
-				if !isType {
-					continue
-				}
-				pos, mark := hasDirective(ts.Doc)
-				if !mark && declMark && len(gd.Specs) == 1 {
-					pos, mark = declPos, true
-				}
-				if !mark {
-					continue
-				}
-				if _, isStruct := ts.Type.(*ast.StructType); !isStruct {
-					bad = append(bad, Diagnostic{
-						Analyzer: DirectiveAnalyzerName,
-						Pos:      fset.Position(pos),
-						Message:  fmt.Sprintf("//arest:mergeable on %s: only struct types can be mergeable accumulators", ts.Name.Name),
-					})
-					continue
-				}
-				marked = append(marked, ts)
-			}
-			if declMark && len(gd.Specs) != 1 {
-				bad = append(bad, Diagnostic{
-					Analyzer: DirectiveAnalyzerName,
-					Pos:      fset.Position(declPos),
-					Message:  "//arest:mergeable on a grouped declaration is ambiguous; mark the struct's own doc comment",
-				})
-			}
-		}
-	}
-	return marked, bad
 }

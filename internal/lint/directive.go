@@ -63,7 +63,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if verb, ok := unknownDirective(c.Text); ok {
-					report(c.Pos(), "unknown directive //arest:%s: the framework understands allow, mergeable, hotpath, coldpath", verb)
+					report(c.Pos(), "unknown directive //arest:%s: the framework understands allow, hotpath, coldpath", verb)
 					continue
 				}
 				if !strings.HasPrefix(c.Text, directivePrefix) {

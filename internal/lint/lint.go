@@ -108,13 +108,11 @@ func (r *Runner) Run(pkgs []*Package) ([]Diagnostic, error) {
 	for _, pkg := range pkgs {
 		allows, bad := collectAllows(pkg.Fset, pkg.Files, known)
 		diags = append(diags, bad...)
-		// Annotation directives (//arest:mergeable, hotpath, coldpath) are
-		// validated here, like allows, so a malformed annotation fails the
-		// build even when no analyzer consumes it.
+		// Annotation directives (//arest:hotpath, coldpath) are validated
+		// here, like allows, so a malformed annotation fails the build even
+		// when no analyzer consumes it.
 		_, hbad := CollectHotPaths(pkg.Fset, pkg.Files)
 		diags = append(diags, hbad...)
-		_, mbad := Mergeables(pkg.Fset, pkg.Files)
-		diags = append(diags, mbad...)
 		for _, a := range r.Analyzers {
 			pass := &Pass{
 				Analyzer: a,

@@ -199,13 +199,13 @@ func TestDirectiveCRLF(t *testing.T) {
 }
 
 func TestUnknownDirectiveVerb(t *testing.T) {
-	// A typo'd verb must fail the build, not silently check nothing.
-	diags := runOn(t, `package p
-
-//arest:alow flagbad oops
-`, &Runner{Analyzers: []*Analyzer{flagIdents()}})
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "unknown directive //arest:alow") {
-		t.Fatalf("unknown verb not reported: %v", diags)
+	// A typo'd or retired verb must fail the build, not silently check
+	// nothing.
+	for _, verb := range []string{"alow", "mergeable"} {
+		diags := runOn(t, "package p\n\n//arest:"+verb+" flagbad oops\n", &Runner{Analyzers: []*Analyzer{flagIdents()}})
+		if len(diags) != 1 || !strings.Contains(diags[0].Message, "unknown directive //arest:"+verb) {
+			t.Errorf("unknown verb %q not reported: %v", verb, diags)
+		}
 	}
 }
 
@@ -319,28 +319,18 @@ var bad = p.Answer()
 }
 
 // TestAnnotationValidationReported pins the framework-level validation of
-// the //arest:mergeable / hotpath / coldpath grammar: every malformed
-// placement is a build-failing diagnostic regardless of which analyzers
-// run.
+// the //arest:hotpath / coldpath grammar: every malformed placement is a
+// build-failing diagnostic regardless of which analyzers run.
 func TestAnnotationValidationReported(t *testing.T) {
 	cases := []struct {
 		name, src, want string
 	}{
-		{"mergeable on function",
-			"package p\n\n//arest:mergeable\nfunc F() {}\n",
-			"marks struct types, not functions"},
-		{"mergeable on non-struct",
-			"package p\n\n//arest:mergeable\ntype T int\n",
-			"only struct types can be mergeable"},
-		{"mergeable on grouped declaration",
-			"package p\n\n//arest:mergeable\ntype (\n\tA struct{ N int }\n\tB struct{ M int }\n)\n",
-			"grouped declaration is ambiguous"},
-		{"bare hotpath outside function doc",
-			"package p\n\n//arest:hotpath\n\nvar x = 1\n",
-			"must sit in a function's doc comment"},
+		{"bare hotpath",
+			"package p\n\n//arest:hotpath\nfunc F() {}\n",
+			"scope must be 'file' or 'package'; got \"\""},
 		{"hotpath unknown scope",
 			"package p\n\n//arest:hotpath galaxy\nfunc F() {}\n",
-			"scope must be empty (this function), 'file', or 'package'"},
+			"scope must be 'file' or 'package'; got \"galaxy\""},
 		{"coldpath missing reason",
 			"package p\n\n//arest:hotpath file\n\n//arest:coldpath\nfunc F() {}\n",
 			"missing its written reason"},

@@ -44,7 +44,7 @@ func HotPathAlloc() *lint.Analyzer {
 
 func runHotPathAlloc(pass *lint.Pass) error {
 	hot, _ := lint.CollectHotPaths(pass.Fset, pass.Files) // malformed directives reported by the Runner
-	if !hot.Package && len(hot.Files) == 0 && len(hot.Funcs) == 0 {
+	if !hot.Package && len(hot.Files) == 0 {
 		return nil
 	}
 	for _, f := range pass.Files {

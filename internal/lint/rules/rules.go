@@ -1,7 +1,7 @@
 // Package rules holds the repo-specific arestlint analyzers: machine
 // checks for the determinism contract of DESIGN.md §7 (schedule-
-// independent pipeline output) and §8 (nil-safe observability
-// instruments). The framework they run on is internal/lint; the CLI is
+// independent pipeline output) and the properties no single test run
+// reliably shows. The framework they run on is internal/lint; the CLI is
 // cmd/arestlint.
 //
 // The analyzers and the prose rule each one pins:
@@ -15,15 +15,9 @@
 //	maporder      §7.2 — no map iteration order may reach output:
 //	              ranges that append to slices or write to
 //	              writers/hashes/encoders must sort.
-//	nilsafe       §8 — every exported method on the obs instruments
-//	              starts with a nil-receiver guard, so a nil registry
-//	              stays a zero-cost no-op.
 //	noerrdrop     §12 — the probe and alias measurement layers never
 //	              discard an error return: a swallowed transport error
 //	              silently becomes a wrong measurement.
-//	foldcomplete  §13 — every field of an //arest:mergeable struct is
-//	              folded by Merge and map fields are initialized on the
-//	              zero/reset path.
 //	hotpathalloc  §11 — no allocation-forcing constructs inside
 //	              //arest:hotpath scopes outside cold error paths.
 //	ctxplumb      §14 — exported Run*/Measure*/Detect* entry points in
@@ -32,7 +26,10 @@
 //
 // By-value lock and atomic copies (§7) are go vet's copylocks check, which
 // make check and CI already run; TestNoLockCopy and
-// TestLockCopyInjectionCaught pin that it covers them.
+// TestLockCopyInjectionCaught pin that it covers them. Nil-safe obs
+// instruments (§8) and the completeness of the exp.Agg fold (§13) are
+// runtime properties, checked by TestObsNilSafety in internal/obs and
+// TestAggFoldComplete in internal/exp.
 package rules
 
 import "arest/internal/lint"
@@ -51,15 +48,6 @@ var ContractPackages = []string{
 	"arest/internal/archive",
 }
 
-// ObsPackage is the observability package whose instruments nilsafe
-// audits.
-const ObsPackage = "arest/internal/obs"
-
-// ObsInstrumentTypes are the obs types whose exported methods must be
-// nil-safe (DESIGN.md §8: "methods on a nil *Registry or nil instrument
-// are no-ops").
-var ObsInstrumentTypes = []string{"Registry", "Counter", "Gauge", "Histogram", "Span", "Watchdog", "Heartbeat"}
-
 // CtxEntryPackages are the pipeline entry-point packages (DESIGN.md §14):
 // their exported Run*/Measure*/Detect* functions are campaign lifecycle
 // boundaries and must accept the caller's context.
@@ -76,9 +64,7 @@ func All() []*lint.Analyzer {
 		NoWallClock(ContractPackages),
 		NoGlobalRand(),
 		MapOrder(),
-		NilSafe(ObsPackage, ObsInstrumentTypes),
 		NoErrDrop(ErrAuditPackages),
-		FoldComplete(),
 		HotPathAlloc(),
 		CtxPlumb(CtxEntryPackages, CtxPoolPackages),
 	}

@@ -2,14 +2,9 @@ package rules
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/printer"
-	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -89,16 +84,6 @@ func TestNoErrDropSuppressed(t *testing.T) {
 	const path = "arestlint.test/noerrdrop/suppressed"
 	an := NoErrDrop([]string{path})
 	lint.RunWantTest(t, newLoader(t), testdata(t, "noerrdrop", "suppressed"), path, an)
-}
-
-func TestNilSafe(t *testing.T) {
-	const path = "arestlint.test/nilsafe/a"
-	an := NilSafe(path, []string{"Counter", "Registry"})
-	lint.RunWantTest(t, newLoader(t), testdata(t, "nilsafe", "a"), path, an)
-}
-
-func TestFoldComplete(t *testing.T) {
-	lint.RunWantTest(t, newLoader(t), testdata(t, "foldcomplete", "a"), "arestlint.test/foldcomplete/a", FoldComplete())
 }
 
 func TestHotPathAlloc(t *testing.T) {
@@ -222,190 +207,6 @@ func TestRealTreeClean(t *testing.T) {
 	}
 }
 
-// TestNilGuardDeletionCaught mutates the real internal/obs package: for
-// every exported instrument method whose first receiver-using statement
-// is a nil guard, deleting (or unwrapping) that guard must produce a
-// nilsafe finding naming the method. This pins the acceptance criterion
-// that removing any one nil-guard in internal/obs fails the build.
-func TestNilGuardDeletionCaught(t *testing.T) {
-	root, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	obsDir := filepath.Join(root, "internal", "obs")
-	names := map[string]bool{}
-	for _, n := range ObsInstrumentTypes {
-		names[n] = true
-	}
-
-	// Parse the package once to enumerate mutation sites.
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, obsDir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obsPkg, ok := pkgs["obs"]
-	if !ok {
-		t.Fatalf("no obs package in %s", obsDir)
-	}
-
-	type site struct {
-		file   string
-		method string
-	}
-	fnames := make([]string, 0, len(obsPkg.Files))
-	for fname := range obsPkg.Files {
-		fnames = append(fnames, fname)
-	}
-	sort.Strings(fnames)
-	var sites []site
-	for _, fname := range fnames {
-		for _, decl := range obsPkg.Files[fname].Decls {
-			if m := guardedMethod(decl, names); m != "" {
-				sites = append(sites, site{fname, m})
-			}
-		}
-	}
-	if len(sites) < 10 {
-		t.Fatalf("found only %d guarded obs methods; expected the full instrument surface", len(sites))
-	}
-
-	for _, s := range sites {
-		s := s
-		t.Run(s.method, func(t *testing.T) {
-			dir := t.TempDir()
-			writeMutatedObs(t, obsDir, dir, s.file, s.method, names)
-			l := newLoader(t)
-			pkg, err := l.LoadDir(dir, ObsPackage)
-			if err != nil {
-				t.Fatalf("mutated obs no longer type-checks: %v", err)
-			}
-			runner := &lint.Runner{Analyzers: []*lint.Analyzer{NilSafe(ObsPackage, ObsInstrumentTypes)}}
-			diags, err := runner.Run([]*lint.Package{pkg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := false
-			for _, d := range diags {
-				if strings.Contains(d.Message, "."+s.method+" ") {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("deleting the nil guard of %s went undetected; got %d diagnostics: %v", s.method, len(diags), diags)
-			}
-		})
-	}
-}
-
-// guardedMethod returns the method name when decl is an exported
-// instrument method beginning with a nil guard, else "".
-func guardedMethod(decl ast.Decl, typeNames map[string]bool) string {
-	fd, ok := decl.(*ast.FuncDecl)
-	if !ok || fd.Recv == nil || !fd.Name.IsExported() || fd.Body == nil || len(fd.Body.List) == 0 {
-		return ""
-	}
-	star, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
-	if !ok {
-		return ""
-	}
-	base, ok := star.X.(*ast.Ident)
-	if !ok || !typeNames[base.Name] {
-		return ""
-	}
-	if findGuard(fd) < 0 {
-		return ""
-	}
-	return fd.Name.Name
-}
-
-// findGuard returns the index of the method's leading nil-guard if
-// statement (the first statement that is an if with a receiver-nil
-// comparison), or -1.
-func findGuard(fd *ast.FuncDecl) int {
-	if len(fd.Recv.List[0].Names) != 1 {
-		return -1
-	}
-	recv := fd.Recv.List[0].Names[0].Name
-	for i, stmt := range fd.Body.List {
-		ifs, ok := stmt.(*ast.IfStmt)
-		if !ok {
-			continue
-		}
-		if cond, ok := ifs.Cond.(*ast.BinaryExpr); ok {
-			if x, ok := cond.X.(*ast.Ident); ok && x.Name == recv {
-				if y, ok := cond.Y.(*ast.Ident); ok && y.Name == "nil" {
-					return i
-				}
-			}
-		}
-	}
-	return -1
-}
-
-// writeMutatedObs copies the obs package sources into dst, stripping the
-// nil guard from the named method in the named file: an `if recv == nil`
-// guard is deleted outright, an `if recv != nil` wrap is replaced by its
-// body.
-func writeMutatedObs(t *testing.T, srcDir, dst, mutFile, method string, typeNames map[string]bool) {
-	t.Helper()
-	entries, err := os.ReadDir(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutated := false
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		src := filepath.Join(srcDir, e.Name())
-		if src != mutFile {
-			data, err := os.ReadFile(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, src, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != method || guardedMethod(decl, typeNames) == "" {
-				continue
-			}
-			i := findGuard(fd)
-			ifs := fd.Body.List[i].(*ast.IfStmt)
-			cond := ifs.Cond.(*ast.BinaryExpr)
-			var repl []ast.Stmt
-			if cond.Op == token.NEQ {
-				repl = ifs.Body.List
-			}
-			fd.Body.List = append(append(append([]ast.Stmt{}, fd.Body.List[:i]...), repl...), fd.Body.List[i+1:]...)
-			mutated = true
-			break
-		}
-		out, err := os.Create(filepath.Join(dst, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := printer.Fprint(out, fset, f); err != nil {
-			t.Fatal(err)
-		}
-		out.Close()
-	}
-	if !mutated {
-		t.Fatalf("method %s not found (or not guarded) in %s", method, mutFile)
-	}
-}
-
 // copyGoFiles copies the non-test .go sources of the package in srcDir
 // into dst, so mutation tests can break a real package in isolation.
 func copyGoFiles(t *testing.T, srcDir, dst string) {
@@ -479,62 +280,6 @@ func wallClockDrift() time.Time { return time.Now() }
 	}
 	diags := runAllOnMutation(t, dir, "arest/internal/netsim")
 	requireFinding(t, diags, "nowallclock", "time.Now")
-}
-
-// TestMergeLineDeletionCaught mutates the real internal/exp package:
-// deleting one fold line from Agg.Merge must produce a foldcomplete
-// finding naming the dropped field. This pins the "add a field, forget
-// the fold" tripwire on the struct the annotation exists for.
-func TestMergeLineDeletionCaught(t *testing.T) {
-	root, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	copyGoFiles(t, filepath.Join(root, "internal", "exp"), dir)
-	agg := filepath.Join(dir, "agg.go")
-	data, err := os.ReadFile(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const foldLine = "\ta.Traces += o.Traces\n"
-	if !strings.Contains(string(data), foldLine) {
-		t.Fatalf("agg.go no longer contains %q; update the mutation target", foldLine)
-	}
-	mutated := strings.Replace(string(data), foldLine, "", 1)
-	if err := os.WriteFile(agg, []byte(mutated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags := runAllOnMutation(t, dir, "arest/internal/exp")
-	requireFinding(t, diags, "foldcomplete", "Agg.Traces is not folded by Merge")
-}
-
-// TestFieldInjectionCaught adds a map field to the real exp.Agg without
-// touching Merge or NewAgg: foldcomplete must report both the missing
-// fold and the missing zero-path initialization.
-func TestFieldInjectionCaught(t *testing.T) {
-	root, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	copyGoFiles(t, filepath.Join(root, "internal", "exp"), dir)
-	agg := filepath.Join(dir, "agg.go")
-	data, err := os.ReadFile(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const anchor = "type Agg struct {\n"
-	if !strings.Contains(string(data), anchor) {
-		t.Fatalf("agg.go no longer contains %q; update the mutation anchor", anchor)
-	}
-	mutated := strings.Replace(string(data), anchor, anchor+"\tZzHist map[string]uint64\n", 1)
-	if err := os.WriteFile(agg, []byte(mutated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags := runAllOnMutation(t, dir, "arest/internal/exp")
-	requireFinding(t, diags, "foldcomplete", "Agg.ZzHist is not folded by Merge")
-	requireFinding(t, diags, "foldcomplete", "Agg.ZzHist is never initialized on the zero/reset path")
 }
 
 // TestCtxEntryInjectionCaught injects a ctx-free exported entry point into

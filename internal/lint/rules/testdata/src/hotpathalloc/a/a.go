@@ -1,13 +1,13 @@
-// Package a exercises hotpathalloc with function-scope annotations: each
-// allocation-forcing construct fires inside a hot function and stays
-// legal outside one.
+// Package a exercises hotpathalloc: this file is a hot scope, so each
+// allocation-forcing construct fires here and stays legal in cold.go.
+//
+//arest:hotpath file
+
 package a
 
 import "fmt"
 
 // hotAll trips every allocation check, one per line.
-//
-//arest:hotpath
 func hotAll(n int, s string) string {
 	msg := fmt.Sprintf("n=%d", n) // want `fmt\.Sprintf on the hot path`
 	c := s + msg                  // want `string concatenation on the hot path`
@@ -25,12 +25,7 @@ func hotAll(n int, s string) string {
 	return c
 }
 
-// coldUnmarked carries no annotation: fmt stays legal here.
-func coldUnmarked(n int) string { return fmt.Sprintf("%d", n) }
-
 // hotErr's failure path returns an error and may allocate freely.
-//
-//arest:hotpath
 func hotErr(n int) (string, error) {
 	if n < 0 {
 		return "", fmt.Errorf("negative n %d", n)
@@ -39,8 +34,6 @@ func hotErr(n int) (string, error) {
 }
 
 // hotPanic's contract-violation path may allocate: it runs at most once.
-//
-//arest:hotpath
 func hotPanic(n int) int {
 	if n > 1<<20 {
 		panic(fmt.Sprintf("n out of range: %d", n))
@@ -49,13 +42,9 @@ func hotPanic(n int) int {
 }
 
 // hotConst concatenates constants only: folded at compile time, legal.
-//
-//arest:hotpath
 func hotConst() string { return "a" + "b" }
 
 // hotStack builds struct and array values: stack-allocatable, legal.
-//
-//arest:hotpath
 func hotStack(n int) int {
 	p := struct{ a, b int }{n, n}
 	var arr [4]int
@@ -65,8 +54,6 @@ func hotStack(n int) int {
 
 // hotLitNoCapture's literal reads only its own locals: no environment to
 // heap-allocate.
-//
-//arest:hotpath
 func hotLitNoCapture() int {
 	f := func(x int) int { return x + 1 }
 	return f(1)

@@ -6,11 +6,12 @@ import (
 	"time"
 )
 
-// TestObsNilSafety calls every exported method of every instrument type
-// on a nil receiver: none may panic, reads return zeros, and Time must
-// still run its function. This is the belt-and-suspenders behind the
-// nilsafe analyzer (internal/lint/rules), which proves the guards exist;
-// this test proves they behave.
+// TestObsNilSafety calls every exported method of every instrument type,
+// the watchdog and its heartbeats on a nil receiver: none may panic, reads
+// return zeros, and Time must still run its function. This is the §8
+// guarantee that lets library code record unconditionally;
+// TestNilGuardDeletionCaught shows it observes the loss of any one nil
+// guard.
 func TestObsNilSafety(t *testing.T) {
 	var r *Registry
 	r.SetClock(func() time.Time { return time.Unix(0, 0) })
@@ -63,15 +64,34 @@ func TestObsNilSafety(t *testing.T) {
 	done()
 	sp.AddDuration(time.Second)
 
-	// Reflection guard: if an instrument grows an exported method that
-	// this test does not exercise, fail loudly so the nil-call list above
-	// (and the nilsafe analyzer's assumptions) get revisited.
+	var w *Watchdog
+	if hb := w.Register("as.001", func() { t.Error("nil Watchdog fired onStall") }); hb != nil {
+		t.Errorf("nil Watchdog.Register = %v, want nil", hb)
+	}
+	if n := w.Scan(); n != 0 {
+		t.Errorf("nil Watchdog.Scan = %d, want 0", n)
+	}
+	stop := w.Start(time.Millisecond)
+	if stop == nil {
+		t.Fatal("nil Watchdog.Start returned nil stop func")
+	}
+	stop()
+
+	var hb *Heartbeat
+	hb.Beat()
+	hb.Done()
+
+	// Reflection guard: if a type grows an exported method that this test
+	// does not exercise, fail loudly so the nil-call list above gets
+	// revisited.
 	wantMethods := map[string]int{
 		"Registry":  7, // SetClock Counter Gauge Histogram Span Time Snapshot
 		"Counter":   3, // Add Inc Value
 		"Gauge":     2, // SetMax Value
 		"Histogram": 1, // Observe
 		"Span":      2, // Start AddDuration
+		"Watchdog":  3, // Register Scan Start
+		"Heartbeat": 2, // Beat Done
 	}
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(&Registry{}),
@@ -79,6 +99,8 @@ func TestObsNilSafety(t *testing.T) {
 		reflect.TypeOf(&Gauge{}),
 		reflect.TypeOf(&Histogram{}),
 		reflect.TypeOf(&Span{}),
+		reflect.TypeOf(&Watchdog{}),
+		reflect.TypeOf(&Heartbeat{}),
 	} {
 		name := typ.Elem().Name()
 		if got := typ.NumMethod(); got != wantMethods[name] {

@@ -248,10 +248,6 @@ func (r *Registry) Span(stage, reason string) *Span {
 // Time runs fn inside the span stage.reason (convenience wrapper). On a
 // nil registry fn still runs, untimed.
 func (r *Registry) Time(stage, reason string, fn func()) {
-	if r == nil {
-		fn()
-		return
-	}
 	done := r.Span(stage, reason).Start()
 	fn()
 	done()
