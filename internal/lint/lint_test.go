@@ -318,6 +318,45 @@ var bad = p.Answer()
 	}
 }
 
+// TestLoadXTestThroughDependent pins go test's resolution rule: inside an
+// external test package, a module package that imports the package under
+// test is re-checked against its test-augmented variant, so a value it
+// returns can be passed to an export_test.go accessor.
+func TestLoadXTestThroughDependent(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":              "module lt\n\ngo 1.22\n",
+		"base/base.go":        "package base\n\ntype T struct{ n int }\n\nfunc New() *T { return &T{n: 1} }\n",
+		"base/export_test.go": "package base\n\nfunc N(t *T) int { return t.n }\n",
+		"base/base_x_test.go": "package base_test\n\nimport (\n\t\"lt/base\"\n\t\"lt/dep\"\n)\n\nvar _ = base.N(dep.Make())\n",
+		"dep/dep.go":          "package dep\n\nimport \"lt/base\"\n\nfunc Make() *base.T { return base.New() }\n",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.IncludeTests = true
+	pkgs, err := l.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if want := "[lt/base lt/base_test lt/dep]"; fmt.Sprint(paths) != want {
+		t.Errorf("loaded %v, want %s", paths, want)
+	}
+}
+
 // TestAnnotationValidationReported pins the framework-level validation of
 // the //arest:hotpath / coldpath grammar: every malformed placement is a
 // build-failing diagnostic regardless of which analyzers run.

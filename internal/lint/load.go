@@ -43,10 +43,14 @@ type Loader struct {
 	// IncludeTests widens loading to _test.go files. In-package test
 	// files are type-checked together with the package they test (as a
 	// separate cached variant), and external test files (package foo_test)
-	// load as their own package. Imports BETWEEN packages always resolve
-	// to the unaugmented variant: in-package test files cannot add API
-	// that other packages consume, and resolving them unaugmented keeps
-	// test-only imports from creating spurious cycles.
+	// load as their own package. Imports BETWEEN packages resolve to the
+	// unaugmented variant: in-package test files cannot add API that
+	// other packages consume, and resolving them unaugmented keeps
+	// test-only imports from creating spurious cycles. The one exception
+	// mirrors go test: inside an external test package, foo and every
+	// module package that imports it resolve against foo's augmented
+	// variant, so a value from such a package can be passed to an
+	// export_test.go accessor.
 	IncludeTests bool
 
 	fset  *token.FileSet
@@ -195,6 +199,12 @@ func (l *Loader) loadMode(importPath, dir string, withTests bool) (*Package, err
 	if withTests {
 		key += " [tests]"
 	}
+	return l.loadVariant(key, importPath, dir, withTests, (*loaderImporter)(l))
+}
+
+// loadVariant is loadMode with the cache key and the importer for the
+// package's own imports made explicit.
+func (l *Loader) loadVariant(key, importPath, dir string, withTests bool, imp types.Importer) (*Package, error) {
 	if p, ok := l.cache[key]; ok {
 		return p, nil
 	}
@@ -216,7 +226,7 @@ func (l *Loader) loadMode(importPath, dir string, withTests bool) (*Package, err
 		return nil, err
 	}
 	info := newInfo()
-	conf := types.Config{Importer: (*loaderImporter)(l)}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(importPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", importPath, err)
@@ -291,24 +301,32 @@ type loaderImporter Loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
 	l := (*Loader)(li)
-	if path == l.Module || strings.HasPrefix(path, l.Module+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.Module), "/")
-		dir := l.Root
-		if rel != "" {
-			dir = filepath.Join(l.Root, filepath.FromSlash(rel))
-		}
-		pkg, err := l.load(path, dir)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
+	dir, ok := l.moduleDir(path)
+	if !ok {
+		return l.std.Import(path)
 	}
-	return l.std.Import(path)
+	pkg, err := l.load(path, dir)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
 }
 
-// xtestImporter resolves imports for an external test package: the package
-// under test maps to its test-augmented variant, everything else goes
-// through the normal (unaugmented) resolution.
+// moduleDir maps a module-local import path to its directory; ok is false
+// for any other path (the stdlib).
+func (l *Loader) moduleDir(path string) (dir string, ok bool) {
+	if path != l.Module && !strings.HasPrefix(path, l.Module+"/") {
+		return "", false
+	}
+	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.Module), "/")
+	return filepath.Join(l.Root, filepath.FromSlash(rel)), true
+}
+
+// xtestImporter resolves imports for an external test package as go test
+// does: the package under test maps to its test-augmented variant, module
+// packages that import it (directly or transitively) are re-checked
+// against that variant, and everything else goes through the normal
+// (unaugmented) resolution.
 type xtestImporter struct {
 	l       *Loader
 	base    string
@@ -323,5 +341,30 @@ func (xi *xtestImporter) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	return (*loaderImporter)(xi.l).Import(path)
+	plain, err := (*loaderImporter)(xi.l).Import(path)
+	dir, local := xi.l.moduleDir(path)
+	if err != nil || !local || !importsPath(plain, xi.base, map[*types.Package]bool{}) {
+		return plain, err
+	}
+	pkg, err := xi.l.loadVariant(path+" ["+xi.base+".test]", path, dir, false, xi)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
+}
+
+// importsPath reports whether pkg imports path, directly or transitively.
+func importsPath(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == path {
+			return true
+		}
+		if !seen[imp] {
+			seen[imp] = true
+			if importsPath(imp, path, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }

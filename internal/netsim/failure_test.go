@@ -39,11 +39,11 @@ func resilienceNet(t *testing.T) (*Network, netip.Addr, netip.Addr, *Router, *Ro
 
 func pathOfProbe(t *testing.T, n *Network, vp, tgt netip.Addr) []RouterID {
 	t.Helper()
-	del, err := n.Send(vp, udpProbe(vp, tgt, 32, 33434))
-	if err != nil {
+	var path []RouterID
+	if _, err := n.send(vp, udpProbe(vp, tgt, 32, 33434), &path); err != nil {
 		t.Fatal(err)
 	}
-	return del.Path
+	return path
 }
 
 func TestLinkFailureReconvergence(t *testing.T) {
@@ -109,15 +109,16 @@ func TestProtectionPolicyRestoresDelivery(t *testing.T) {
 		return SegmentList{{Node: rb.ID}, {Node: d.ID}}
 	}
 	n.Compute()
-	del, err := n.Send(vp, udpProbe(vp, tgt, 32, 33434))
+	var path []RouterID
+	del, err := n.send(vp, udpProbe(vp, tgt, 32, 33434), &path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if del.Reply == nil {
 		t.Fatal("protection policy did not restore delivery")
 	}
-	if !containsID(del.Path, rb.ID) {
-		t.Errorf("protected path %v does not use b", del.Path)
+	if !containsID(path, rb.ID) {
+		t.Errorf("protected path %v does not use b", path)
 	}
 }
 

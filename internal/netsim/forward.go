@@ -45,11 +45,10 @@ type Delivery struct {
 	// Reply holds the serialized IPv4 reply observed at the probing host,
 	// nil when no reply was generated (silent router, drop, or no route).
 	Reply []byte
-	// Path lists the routers the probe traversed, in order, including the
-	// router that answered or dropped it.
-	Path []RouterID
 	// FwdHops and RetHops are the forward and return hop counts, used by
-	// the prober to synthesize RTTs.
+	// the prober to synthesize RTTs. FwdHops counts the routers the probe
+	// traversed, including the one that answered or dropped it; it is 0
+	// when the destination has no route or forwarding looped.
 	FwdHops, RetHops int
 }
 
@@ -61,9 +60,6 @@ var (
 
 const maxSteps = 1024
 
-// pathHint pre-sizes Delivery.Path for the common intra-AS diameter.
-const pathHint = 16
-
 // Send injects the serialized IPv4 probe wire from the attached host with
 // source address src and simulates its journey. The reply (if any) is the
 // serialized IPv4 packet the host would capture; it is freshly allocated
@@ -71,12 +67,20 @@ const pathHint = 16
 // not retain it.
 //
 // Send is safe for concurrent use after Compute (which establishes the
-// happens-before edge for all control-plane state); see the package
-// comment for the full concurrency model. All transient state (decoded
-// probe, label stacks, quote/reply buffers) comes from a sync.Pool and is
-// fully overwritten before use, so pooling never leaks one probe's bytes
-// into another's reply.
+// happens-before edge for all control-plane state) and mutates nothing but
+// the replying router's IP-ID counter; see the package comment for the
+// full concurrency model. All transient state (decoded probe, label
+// stacks, quote/reply buffers) comes from a sync.Pool and is fully
+// overwritten before use, so pooling never leaks one probe's bytes into
+// another's reply.
 func (n *Network) Send(src netip.Addr, wire []byte) (*Delivery, error) {
+	return n.send(src, wire, nil)
+}
+
+// send is Send that, when path is non-nil, also appends every router the
+// probe traverses to *path, in order, including the one that answered or
+// dropped it. Only tests ask for the path; Send counts hops instead.
+func (n *Network) send(src netip.Addr, wire []byte, path *[]RouterID) (*Delivery, error) {
 	if !n.computed {
 		return nil, ErrNotComputed
 	}
@@ -107,23 +111,21 @@ func (n *Network) Send(src netip.Addr, wire []byte) (*Delivery, error) {
 
 	f := &s.frame
 	*f = frame{ip: &s.ip}
-	d := &Delivery{Path: make([]RouterID, 0, pathHint)}
 	cur := host.Gateway
 	prev := RouterID(-1)
-	for step := 0; step < maxSteps; step++ {
-		d.Path = append(d.Path, cur)
+	for step := 1; step <= maxSteps; step++ {
+		if path != nil {
+			*path = append(*path, cur)
+		}
 		next, reply, done := c.process(n.routers[cur], prev, f)
 		if done {
-			d.Reply = reply
-			d.FwdHops = len(d.Path)
-			d.RetHops = c.lastRetDist
-			return d, nil
+			return &Delivery{Reply: reply, FwdHops: step, RetHops: c.lastRetDist}, nil
 		}
 		n.met.forwarded.Inc()
 		prev, cur = cur, next
 	}
 	n.met.dropLoop.Inc()
-	return d, nil // forwarding loop: treated as loss
+	return &Delivery{}, nil // forwarding loop: treated as loss
 }
 
 // flowHash derives the Paris-stable flow identifier from the probe's

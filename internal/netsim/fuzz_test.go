@@ -73,12 +73,12 @@ func TestForwardingNeverLoops(t *testing.T) {
 		n.AddHost(tgt, routers[11].ID)
 		n.Compute()
 		for ttl := 1; ttl <= 40; ttl++ {
-			d, err := n.Send(vp, udpProbe(vp, tgt, uint8(ttl), uint16(33434+ttl%4)))
-			if err != nil {
+			var path []RouterID
+			if _, err := n.send(vp, udpProbe(vp, tgt, uint8(ttl), uint16(33434+ttl%4)), &path); err != nil {
 				t.Fatal(err)
 			}
-			if len(d.Path) >= maxSteps {
-				t.Fatalf("iter %d ttl %d: forwarding loop, path len %d", iter, ttl, len(d.Path))
+			if len(path) >= maxSteps {
+				t.Fatalf("iter %d ttl %d: forwarding loop, path len %d", iter, ttl, len(path))
 			}
 		}
 	}

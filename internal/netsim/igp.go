@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"container/heap"
-	"sort"
-)
+import "math/bits"
 
 // computeSPF runs Dijkstra from every router, recording IGP distances and
 // the set of equal-cost first hops toward every destination. ECMP next hops
@@ -14,108 +11,179 @@ import (
 // concurrent Sends.
 func (n *Network) computeSPF() {
 	nr := len(n.routers)
+	s := newSPFScratch(nr)
+	for id, nbs := range n.adj {
+		if len(n.downLinks) > 0 {
+			up := make([]neighbor, 0, len(nbs))
+			for _, nb := range nbs {
+				if !n.linkDown(id, nb.id) {
+					up = append(up, nb)
+				}
+			}
+			nbs = up
+		}
+		s.adj[id] = nbs
+	}
 	n.nexthops = make([][][]RouterID, nr)
 	n.dist = make([][]int, nr)
+	dist := make([]int, nr*nr)
+	first := make([][]RouterID, nr*nr)
 	for _, r := range n.routers {
-		dist, first := n.dijkstra(r.ID)
-		n.dist[r.ID] = dist
-		n.nexthops[r.ID] = first
+		lo, hi := int(r.ID)*nr, int(r.ID+1)*nr
+		n.dist[r.ID], n.nexthops[r.ID] = dist[lo:hi:hi], first[lo:hi:hi]
+		n.dijkstra(r.ID, s, n.dist[r.ID], n.nexthops[r.ID])
 	}
 }
 
-type pqItem struct {
-	id   RouterID
+// spfItem is one priority-queue entry: a tentative cost for a router.
+type spfItem struct {
 	cost int
+	id   RouterID
 }
 
-type pq []pqItem
-
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
-	return q[i].cost < q[j].cost || (q[i].cost == q[j].cost && q[i].id < q[j].id)
-}
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	it := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return it
+// before orders queue entries by cost, then by router ID.
+func (a spfItem) before(b spfItem) bool {
+	return a.cost < b.cost || (a.cost == b.cost && a.id < b.id)
 }
 
-// dijkstra returns the cost slice from src and, per destination, the ECMP
-// set of first-hop router IDs on shortest paths; both are indexed by
-// RouterID, with dist -1 for unreachable destinations.
-func (n *Network) dijkstra(src RouterID) ([]int, [][]RouterID) {
+// spfHeap is a binary min-heap of spfItems ordered by before.
+type spfHeap []spfItem
+
+func (h *spfHeap) push(it spfItem) {
+	q := append(*h, it)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+func (h *spfHeap) pop() spfItem {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < last && q[l].before(q[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < last && q[r].before(q[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
+}
+
+// spfScratch is dijkstra's working state, reused across the sources of one
+// computeSPF. adj lists each router's links that are up, so relaxation
+// touches no map. first holds one bitset row of ⌈n/64⌉ words per router:
+// row v is the set of equal-cost first hops (as RouterID bits) toward v.
+type spfScratch struct {
+	adj   [][]neighbor
+	words int
+	first []uint64
+	done  []bool
+	q     spfHeap
+}
+
+func newSPFScratch(nr int) *spfScratch {
+	words := (nr + 63) / 64
+	return &spfScratch{
+		adj:   make([][]neighbor, nr),
+		words: words,
+		first: make([]uint64, nr*words),
+		done:  make([]bool, nr),
+	}
+}
+
+func (s *spfScratch) row(id RouterID) []uint64 {
+	return s.first[int(id)*s.words : int(id+1)*s.words]
+}
+
+// dijkstra fills cost with the IGP distances from src and first with, per
+// destination, the ECMP set of first-hop router IDs on shortest paths in
+// ascending order; both are indexed by RouterID, with cost -1 for
+// unreachable destinations. Each relaxation either replaces the
+// neighbour's first-hop set (a strictly cheaper path) or unions into it
+// (an equal-cost one), so zero-weight links behave exactly as under a
+// set-per-node formulation.
+func (n *Network) dijkstra(src RouterID, s *spfScratch, cost []int, first [][]RouterID) {
 	const inf = int(^uint(0) >> 2)
-	nr := len(n.routers)
-	cost := make([]int, nr)
-	firstSet := make([]map[RouterID]bool, nr)
 	for i := range cost {
 		cost[i] = inf
 	}
 	cost[src] = 0
-	q := &pq{{src, 0}}
-	done := make([]bool, nr)
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if done[it.id] {
+	clear(s.first)
+	clear(s.done)
+	s.q = append(s.q[:0], spfItem{0, src})
+	for len(s.q) > 0 {
+		it := s.q.pop()
+		if s.done[it.id] {
 			continue
 		}
-		done[it.id] = true
-		for _, nb := range n.adj[it.id] {
-			if n.linkDown(it.id, nb.id) {
-				continue
-			}
+		s.done[it.id] = true
+		from := s.row(it.id)
+		for _, nb := range s.adj[it.id] {
 			c := it.cost + nb.weight
+			to := s.row(nb.id)
 			switch {
 			case c < cost[nb.id]:
 				cost[nb.id] = c
-				fs := make(map[RouterID]bool)
 				if it.id == src {
-					fs[nb.id] = true
+					clear(to)
+					to[nb.id/64] = 1 << (nb.id % 64)
 				} else {
-					for f := range firstSet[it.id] {
-						fs[f] = true
-					}
+					copy(to, from)
 				}
-				firstSet[nb.id] = fs
-				heap.Push(q, pqItem{nb.id, c})
+				s.q.push(spfItem{c, nb.id})
 			case c == cost[nb.id] && c < inf:
-				fs := firstSet[nb.id]
-				if fs == nil {
-					fs = make(map[RouterID]bool)
-					firstSet[nb.id] = fs
-				}
 				if it.id == src {
-					fs[nb.id] = true
+					to[nb.id/64] |= 1 << (nb.id % 64)
 				} else {
-					for f := range firstSet[it.id] {
-						fs[f] = true
+					for w, bitsw := range from {
+						to[w] |= bitsw
 					}
 				}
 			}
 		}
 	}
-	dist := make([]int, nr)
-	first := make([][]RouterID, nr)
-	for _, r := range n.routers {
-		if cost[r.ID] >= inf {
-			dist[r.ID] = -1
-			continue
+	total := 0
+	for id := range cost {
+		if cost[id] < inf && RouterID(id) != src {
+			for _, w := range s.row(RouterID(id)) {
+				total += bits.OnesCount64(w)
+			}
 		}
-		dist[r.ID] = cost[r.ID]
-		if r.ID == src {
-			continue
-		}
-		fs := make([]RouterID, 0, len(firstSet[r.ID]))
-		for f := range firstSet[r.ID] {
-			fs = append(fs, f)
-		}
-		sort.Slice(fs, func(i, j int) bool { return fs[i] < fs[j] })
-		first[r.ID] = fs
 	}
-	return dist, first
+	slab := make([]RouterID, 0, total)
+	for id := range cost {
+		if cost[id] >= inf {
+			cost[id] = -1
+			continue
+		}
+		if RouterID(id) == src {
+			continue
+		}
+		start := len(slab)
+		for w, bitsw := range s.row(RouterID(id)) {
+			for ; bitsw != 0; bitsw &= bitsw - 1 {
+				slab = append(slab, RouterID(w*64+bits.TrailingZeros64(bitsw)))
+			}
+		}
+		first[id] = slab[start:len(slab):len(slab)]
+	}
 }
 
 // NextHop picks the next hop from src toward dst for a given flow hash,
@@ -133,44 +201,22 @@ func (n *Network) NextHop(src, dst RouterID, flow uint64) (RouterID, bool) {
 	return hops[h%uint64(len(hops))], true
 }
 
-// pathKey identifies one memoized PathLen walk.
-type pathKey struct {
-	src, dst RouterID
-	flow     uint64
-}
-
 // PathLen returns the number of router hops on the flow's path from src to
-// dst (0 when src == dst, -1 when unreachable). Results are memoized per
-// (src, dst, flow) until the next Compute; every probe of a sweep replays
-// the same return path, so the hop-by-hop walk runs once per flow.
+// dst (0 when src == dst, -1 when unreachable). It walks the next-hop
+// tables; the walk is at most a few dozen slice loads, cheaper than any
+// memo lookup, so nothing is cached.
 func (n *Network) PathLen(src, dst RouterID, flow uint64) int {
-	if src == dst {
-		return 0
-	}
-	cache := n.pathCache
-	k := pathKey{src, dst, flow}
-	if cache != nil {
-		if v, ok := cache.Load(k); ok {
-			return v.(int)
-		}
-	}
 	hops := 0
-	cur := src
-	for cur != dst {
+	for cur := src; cur != dst; {
 		nxt, ok := n.NextHop(cur, dst, flow)
 		if !ok {
-			hops = -1
-			break
+			return -1
 		}
 		cur = nxt
 		hops++
 		if hops > len(n.routers) {
-			hops = -1
-			break
+			return -1
 		}
-	}
-	if cache != nil {
-		cache.Store(k, hops)
 	}
 	return hops
 }

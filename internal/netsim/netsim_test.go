@@ -506,18 +506,18 @@ func TestAdjacencySIDSteering(t *testing.T) {
 	}
 	n.Compute()
 
-	del, err := n.Send(vp, udpProbe(vp, tgt, 32, 33434))
-	if err != nil {
+	var path []RouterID
+	if _, err := n.send(vp, udpProbe(vp, tgt, 32, 33434), &path); err != nil {
 		t.Fatal(err)
 	}
 	// Path must go s -> a -> d, not via b.
 	want := []RouterID{s.ID, ra.ID, d.ID}
-	if len(del.Path) != len(want) {
-		t.Fatalf("path = %v, want %v", del.Path, want)
+	if len(path) != len(want) {
+		t.Fatalf("path = %v, want %v", path, want)
 	}
 	for i := range want {
-		if del.Path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", del.Path, want)
+		if path[i] != want[i] {
+			t.Fatalf("path = %v, want %v", path, want)
 		}
 	}
 	// Adjacency SID came from the Cisco SRLB.
@@ -800,22 +800,18 @@ func TestICMPLossAndRetries(t *testing.T) {
 }
 
 func TestOwnerCacheConsistency(t *testing.T) {
-	// The memoized Owner must agree with a fresh scan and survive Compute.
+	// Owner must follow a re-advertisement once Compute has run: attach
+	// the target's address behind a different router and re-resolve.
 	c := buildChain(t)
 	dst := c.target
-	id1, ok1 := c.net.Owner(dst)
-	id2, ok2 := c.net.Owner(dst) // cached path
-	if id1 != id2 || ok1 != ok2 {
-		t.Fatalf("cache diverged: %v,%v vs %v,%v", id1, ok1, id2, ok2)
+	if id, ok := c.net.Owner(dst); !ok || id != c.pe2.ID {
+		t.Fatalf("owner = %v,%v, want %v", id, ok, c.pe2.ID)
 	}
-	// A topology change plus Compute invalidates the cache: attach the
-	// same address behind a different router and re-resolve.
 	other := c.ps[0]
 	c.net.AdvertisePrefix(other.ID, netip.PrefixFrom(dst, 32))
 	c.net.Compute()
-	id3, _ := c.net.Owner(dst)
-	if id3 != other.ID {
-		t.Errorf("stale owner after Compute: got %v want %v", id3, other.ID)
+	if id, _ := c.net.Owner(dst); id != other.ID {
+		t.Errorf("stale owner after Compute: got %v want %v", id, other.ID)
 	}
 }
 

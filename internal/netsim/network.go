@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
 
 	"arest/internal/mpls"
 )
@@ -17,8 +16,11 @@ type Network struct {
 	adj     map[RouterID][]neighbor
 	hosts   map[netip.Addr]*Host
 
-	// prefixes maps advertised prefixes to their owner router.
+	// prefixes maps advertised prefixes, masked, to their owner router.
 	prefixes map[netip.Prefix]RouterID
+	// prefixLens lists the distinct lengths in prefixes, longest first;
+	// recorded by Compute for Owner's exact-match lookups.
+	prefixLens []int
 
 	// asIndex assigns a small stable index per ASN for address allocation.
 	asIndex map[int]int
@@ -51,13 +53,6 @@ type Network struct {
 
 	// addrOwner maps exact interface/loopback addresses to their router.
 	addrOwner map[netip.Addr]RouterID
-	// ownerCache memoizes longest-prefix-match results per destination;
-	// reset by Compute. A sync.Map so concurrent Sends can share it.
-	ownerCache *sync.Map
-	// pathCache memoizes PathLen walks per (src, dst, flow); reset by
-	// Compute. Campaigns replay the same return paths for every probe of
-	// a sweep, so the hop-by-hop walk runs once per flow.
-	pathCache *sync.Map
 	// downLinks holds administratively/operationally down links (both
 	// orientations), for failure and fast-reroute studies.
 	downLinks map[[2]RouterID]bool
@@ -236,9 +231,11 @@ func (n *Network) Neighbors(id RouterID) []RouterID {
 
 // AdvertisePrefix attaches a routed prefix to a router (e.g. a customer
 // prefix behind an edge router). Probes to any address inside it are
-// delivered at that router.
+// delivered at that router. The prefix is stored masked, so two spellings
+// of one prefix (100.1.2.0/24, 100.1.2.7/24) are one entry and the later
+// advertisement wins. An invalid prefix never matches.
 func (n *Network) AdvertisePrefix(id RouterID, p netip.Prefix) {
-	n.prefixes[p] = id
+	n.prefixes[p.Masked()] = id
 }
 
 // AddHost attaches an end host (vantage point or target) to a gateway
@@ -250,36 +247,24 @@ func (n *Network) AddHost(a netip.Addr, gw RouterID) *Host {
 	return h
 }
 
-type ownerEntry struct {
-	id RouterID
-	ok bool
-}
-
-// Owner resolves the router owning the longest matching prefix for a,
-// with ok=false when no prefix covers it. Results are memoized per
-// destination until the next Compute: campaigns probe the same targets
-// from many vantage points, so the linear prefix scan runs once per
-// destination instead of once per probe.
+// Owner resolves the router owning the longest advertised prefix that
+// covers a, with ok=false when no prefix does. It makes one exact-match
+// lookup per advertised prefix length, longest first, so it is defined
+// only after Compute, which records those lengths.
 func (n *Network) Owner(a netip.Addr) (RouterID, bool) {
-	cache := n.ownerCache
-	if cache != nil {
-		if e, hit := cache.Load(a); hit {
-			ent := e.(ownerEntry)
-			return ent.id, ent.ok
+	if !a.IsValid() {
+		return 0, false
+	}
+	for _, bits := range n.prefixLens {
+		p, err := a.Prefix(bits)
+		if err != nil {
+			continue // a prefix of the other address family
+		}
+		if id, ok := n.prefixes[p]; ok {
+			return id, true
 		}
 	}
-	best := -1
-	var owner RouterID
-	for p, id := range n.prefixes {
-		if p.Contains(a) && p.Bits() > best {
-			best = p.Bits()
-			owner = id
-		}
-	}
-	if cache != nil {
-		cache.Store(a, ownerEntry{owner, best >= 0})
-	}
-	return owner, best >= 0
+	return 0, false
 }
 
 // RouterByAddr returns the router owning a as one of its own interface or
@@ -304,8 +289,18 @@ func (n *Network) Compute() {
 }
 
 func (n *Network) buildAddrIndex() {
-	n.ownerCache = new(sync.Map)
-	n.pathCache = new(sync.Map)
+	var present [129]bool // indexed by prefix length; invalid prefixes (-1) never match
+	for p := range n.prefixes {
+		if b := p.Bits(); b >= 0 {
+			present[b] = true
+		}
+	}
+	n.prefixLens = nil
+	for b := len(present) - 1; b >= 0; b-- {
+		if present[b] {
+			n.prefixLens = append(n.prefixLens, b)
+		}
+	}
 	n.addrOwner = make(map[netip.Addr]RouterID)
 	for _, r := range n.routers {
 		n.addrOwner[r.Loopback] = r.ID

@@ -15,15 +15,15 @@
 // A Network has two phases. During construction (AddRouter, Connect,
 // AddHost, Compute, policy assignment) it must be confined to one
 // goroutine. After Compute returns, the control-plane state is read-only
-// and Send may be called from any number of goroutines concurrently:
-// the only mutable per-packet state is each router's IP-ID counter, an
-// atomic packet count whose increments commute, so the counter state
-// after any set of probes is independent of their interleaving, and the
-// route/owner caches are sync.Maps. Policy callbacks (SRPolicy,
-// LDPStackPolicy, EntropyPolicy) must be pure functions of their
-// arguments for concurrent Sends to stay deterministic. Topology
-// mutation (SetLinkState, AdvertisePrefix, ...) must not race with Send;
-// re-run Compute afterwards.
+// and Send may be called from any number of goroutines concurrently: the
+// Network holds no caches, and its only mutable per-packet state is each
+// router's IP-ID counter, an atomic packet count whose increments commute,
+// so the counter state after any set of probes is independent of their
+// interleaving. Policy callbacks (SRPolicy, LDPStackPolicy,
+// EntropyPolicy) must be pure functions of their arguments for concurrent
+// Sends to stay deterministic. Topology mutation (SetLinkState,
+// AdvertisePrefix, ...) must not race with Send; re-run Compute
+// afterwards.
 package netsim
 
 import (

@@ -10,12 +10,13 @@ import (
 
 // Allocation budget for the probe-send path: one full Paris traceroute
 // through an SR tunnel, revelation on, every hop answering with an RFC
-// 4950 quote. The steady-state cost is the result itself (Trace, its hop
-// slice, the loop-detection map, one decoded label stack per labeled hop)
-// plus the per-Send reply wires from netsim; probe construction, encoding,
-// and reply decoding must contribute nothing. The budget carries headroom
-// for GC-cleared pools but sits far below the pre-scratch cost (~400
-// allocs per trace), so a fallback to per-probe buffers trips it at once.
+// 4950 quote. The steady-state cost, 24, is the result itself (Trace, its
+// hop slice, the loop-detection map, one decoded label stack per labeled
+// hop) plus the Delivery and reply wire of each netsim Send; probe
+// construction, encoding, and reply decoding must contribute nothing. The
+// budget carries headroom for GC-cleared pools but sits far below the
+// pre-scratch cost (~400 allocs per trace), so a fallback to per-probe
+// buffers or path recording trips it at once.
 func TestAllocBudgetTrace(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("allocation counts are meaningless under -race instrumentation")
@@ -31,7 +32,7 @@ func TestAllocBudgetTrace(t *testing.T) {
 			t.Fatalf("halt = %v", res.Halt)
 		}
 	})
-	const budget = 60
+	const budget = 40
 	if got > budget {
 		t.Errorf("Trace: %.1f allocs/op, budget %d", got, budget)
 	}
