@@ -43,25 +43,34 @@ type Path struct {
 
 // BuildPath annotates a trace with vendor fingerprints and AS ownership.
 // asOf may be nil when AS annotation is unavailable (0 is recorded).
+// The path owns its memory: one Hops slice and one LSE slab holding a
+// copy of every kept hop's stack (nil stacks stay nil, empty ones empty).
 func BuildPath(tr *probe.Trace, ann *fingerprint.Annotator, asOf func(netip.Addr) int) *Path {
 	p := &Path{VP: tr.VP, Dst: tr.Dst}
-	n := 0
+	n, lses := 0, 0
 	for i := range tr.Hops {
 		if tr.Hops[i].Responded() {
 			n++
+			lses += len(tr.Hops[i].Stack)
 		}
 	}
 	if n > 0 {
 		p.Hops = make([]Hop, 0, n) // one allocation per path, not one per doubling
 	}
+	slab := make(mpls.Stack, lses) // non-nil even when empty, so empty clones stay empty
 	for i := range tr.Hops {
 		th := &tr.Hops[i]
 		if !th.Responded() {
 			continue
 		}
+		var st mpls.Stack
+		if th.Stack != nil {
+			k := copy(slab, th.Stack)
+			st, slab = slab[:k:k], slab[k:]
+		}
 		h := Hop{
 			Addr:     th.Addr,
-			Stack:    th.Stack.Clone(),
+			Stack:    st,
 			Revealed: th.Revealed,
 			QTTL:     th.QTTL,
 			Terminal: th.ICMPType == 3, // destination unreachable
@@ -81,7 +90,10 @@ func BuildPath(tr *probe.Trace, ann *fingerprint.Annotator, asOf func(netip.Addr
 // RestrictToAS returns the sub-path of hops annotated with the given ASN,
 // mirroring the paper's bdrmapIT-based delimitation of the AS of interest.
 // Contiguity is preserved: only the first maximal run inside the AS is
-// returned (paths normally enter and leave an AS once).
+// returned (paths normally enter and leave an AS once). The result shares
+// the receiver's hops instead of copying them: a write to one hop shows
+// in both paths, while appending to the result never overwrites the
+// receiver's later hops (its capacity ends at the run).
 func (p *Path) RestrictToAS(asn int) *Path {
 	out := &Path{VP: p.VP, Dst: p.Dst}
 	start, end := -1, len(p.Hops)
@@ -96,7 +108,7 @@ func (p *Path) RestrictToAS(asn int) *Path {
 		}
 	}
 	if start >= 0 {
-		out.Hops = append([]Hop(nil), p.Hops[start:end]...)
+		out.Hops = p.Hops[start:end:end]
 	}
 	return out
 }

@@ -158,20 +158,27 @@ func (s Stack) AppendMarshal(dst []byte) ([]byte, error) {
 // UnmarshalStack decodes entries until the bottom-of-stack flag is set.
 // It returns the stack and the number of bytes consumed.
 func UnmarshalStack(b []byte) (Stack, int, error) {
-	var s Stack
+	return AppendUnmarshalStack(nil, b)
+}
+
+// AppendUnmarshalStack is UnmarshalStack appending the decoded entries
+// onto dst, allocating only when dst lacks capacity. On error it returns
+// dst with its original length.
+func AppendUnmarshalStack(dst Stack, b []byte) (Stack, int, error) {
+	s := dst
 	off := 0
 	for {
 		e, err := UnmarshalLSE(b[off:])
 		if err != nil {
-			return nil, off, err
+			return dst, off, err
 		}
 		s = append(s, e)
 		off += LSESize
 		if e.S {
 			return s, off, nil
 		}
-		if len(s) > MaxStackDepth {
-			return nil, off, fmt.Errorf("mpls: stack exceeds %d entries without bottom flag", MaxStackDepth)
+		if len(s)-len(dst) > MaxStackDepth {
+			return dst, off, fmt.Errorf("mpls: stack exceeds %d entries without bottom flag", MaxStackDepth)
 		}
 	}
 }

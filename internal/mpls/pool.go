@@ -14,20 +14,19 @@ import (
 // given seed, so campaigns are reproducible and false-positive probabilities
 // can be measured.
 type Pool struct {
-	rng   *rand.Rand
+	seed  int64
+	rng   *rand.Rand // nil until the first Allocate
 	rng2  LabelRange
 	used  map[uint32]bool
 	bound map[string]uint32 // FEC key -> label
 }
 
 // NewPool creates a dynamic label pool over r, seeded deterministically.
+// The random source is built on the first Allocate, from the same seed:
+// many routers never draw a label, and a math/rand source costs ~4.9 KB
+// and its seeding.
 func NewPool(r LabelRange, seed int64) *Pool {
-	return &Pool{
-		rng:   rand.New(rand.NewSource(seed)),
-		rng2:  r,
-		used:  make(map[uint32]bool),
-		bound: make(map[string]uint32),
-	}
+	return &Pool{seed: seed, rng2: r}
 }
 
 // Range returns the pool's label range.
@@ -44,6 +43,11 @@ func (p *Pool) Allocate(fec string) uint32 {
 	size := p.rng2.Size()
 	if uint32(len(p.used)) >= size {
 		panic(fmt.Sprintf("mpls: label pool %v exhausted", p.rng2))
+	}
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.seed))
+		p.used = make(map[uint32]bool)
+		p.bound = make(map[string]uint32)
 	}
 	for {
 		l := p.rng2.Lo + uint32(p.rng.Int63n(int64(size)))

@@ -14,3 +14,9 @@ func NextHops(n *Network, src, dst RouterID) []RouterID { return n.nexthops[src]
 
 // Prefixes returns the advertised prefix table.
 func Prefixes(n *Network) map[netip.Prefix]RouterID { return n.prefixes }
+
+// Resolve returns the destination record Send resolves for a.
+func Resolve(n *Network, a netip.Addr) (owner, router RouterID, host *Host, eligible bool) {
+	d := n.resolve(a)
+	return d.owner, d.router, d.host, d.eligible
+}

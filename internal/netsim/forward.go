@@ -40,7 +40,8 @@ func (f *frame) popStack() {
 	}
 }
 
-// Delivery is the outcome of injecting one probe.
+// Delivery is the outcome of injecting one probe. Send returns it by
+// value: only Reply lives on the heap.
 type Delivery struct {
 	// Reply holds the serialized IPv4 reply observed at the probing host,
 	// nil when no reply was generated (silent router, drop, or no route).
@@ -63,8 +64,14 @@ const maxSteps = 1024
 // Send injects the serialized IPv4 probe wire from the attached host with
 // source address src and simulates its journey. The reply (if any) is the
 // serialized IPv4 packet the host would capture; it is freshly allocated
-// and owned by the caller. wire is only read during the call — Send does
-// not retain it.
+// and owned by the caller, and it is the only allocation a Send makes.
+// wire is only read during the call — Send does not retain it.
+//
+// Send resolves the probe's destination once, from the exact-address
+// index Compute builds (falling back to a longest-prefix match for
+// routed prefixes without an attached host): its owner, the router whose
+// own address it is, its tunnel eligibility and its attached host. The
+// per-hop loop then reads that record instead of probing maps.
 //
 // Send is safe for concurrent use after Compute (which establishes the
 // happens-before edge for all control-plane state) and mutates nothing but
@@ -72,42 +79,42 @@ const maxSteps = 1024
 // full concurrency model. All transient state (decoded probe, label
 // stacks, quote/reply buffers) comes from a sync.Pool and is fully
 // overwritten before use, so pooling never leaks one probe's bytes into
-// another's reply.
-func (n *Network) Send(src netip.Addr, wire []byte) (*Delivery, error) {
+// another's reply. Any topology change, hosts and advertised prefixes
+// included, makes Send return ErrNotComputed until Compute runs again.
+func (n *Network) Send(src netip.Addr, wire []byte) (Delivery, error) {
 	return n.send(src, wire, nil)
 }
 
 // send is Send that, when path is non-nil, also appends every router the
 // probe traverses to *path, in order, including the one that answered or
 // dropped it. Only tests ask for the path; Send counts hops instead.
-func (n *Network) send(src netip.Addr, wire []byte, path *[]RouterID) (*Delivery, error) {
+func (n *Network) send(src netip.Addr, wire []byte, path *[]RouterID) (Delivery, error) {
 	if !n.computed {
-		return nil, ErrNotComputed
+		return Delivery{}, ErrNotComputed
 	}
 	host, ok := n.hosts[src]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownHost, src)
+		return Delivery{}, fmt.Errorf("%w: %s", ErrUnknownHost, src)
 	}
 	s := sendScratchPool.Get().(*sendScratch)
 	defer sendScratchPool.Put(s)
 	if err := pkt.UnmarshalIPv4Into(&s.ip, wire); err != nil {
 		n.met.dropParse.Inc()
-		return nil, fmt.Errorf("netsim: bad probe: %w", err)
+		return Delivery{}, fmt.Errorf("netsim: bad probe: %w", err)
 	}
 	c := &s.ctx
 	*c = sendCtx{
 		n:         n,
 		flow:      flowHash(&s.ip),
+		dst:       n.resolve(s.ip.Dst),
 		vpGateway: host.Gateway,
 		probeSrc:  src,
 		scr:       s,
 	}
-	owner, ok := n.Owner(s.ip.Dst)
-	if !ok {
+	if c.dst.owner < 0 {
 		n.met.dropNoRoute.Inc()
-		return &Delivery{}, nil // no route: probe vanishes
+		return Delivery{}, nil // no route: probe vanishes
 	}
-	c.dstOwner = owner
 
 	f := &s.frame
 	*f = frame{ip: &s.ip}
@@ -119,13 +126,13 @@ func (n *Network) send(src netip.Addr, wire []byte, path *[]RouterID) (*Delivery
 		}
 		next, reply, done := c.process(n.routers[cur], prev, f)
 		if done {
-			return &Delivery{Reply: reply, FwdHops: step, RetHops: c.lastRetDist}, nil
+			return Delivery{Reply: reply, FwdHops: step, RetHops: c.lastRetDist}, nil
 		}
 		n.met.forwarded.Inc()
 		prev, cur = cur, next
 	}
 	n.met.dropLoop.Inc()
-	return &Delivery{}, nil // forwarding loop: treated as loss
+	return Delivery{}, nil // forwarding loop: treated as loss
 }
 
 // flowHash derives the Paris-stable flow identifier from the probe's
@@ -156,7 +163,7 @@ func mixFlow(h, v uint64) uint64 { return h*0x100000001b3 ^ v }
 type sendCtx struct {
 	n           *Network
 	flow        uint64
-	dstOwner    RouterID
+	dst         dstInfo // the probe's destination, resolved once per Send
 	vpGateway   RouterID
 	probeSrc    netip.Addr
 	lastRetDist int
@@ -172,14 +179,13 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 	received := append(c.scr.received[:0], f.stack...)
 	c.scr.received = received
 	rcvIPTTL := f.ip.TTL
-	inIface := c.inIface(r, prev)
 
 	ttlDone := false
 	if len(f.stack) > 0 {
 		// MPLS stage: one LSE-TTL decrement per router.
 		if f.stack[0].TTL <= 1 {
 			c.n.met.ttlExpired.Inc()
-			return 0, c.timeExceeded(r, inIface, f, received, rcvIPTTL), true
+			return 0, c.timeExceeded(r, c.inIface(r, prev), f, received, rcvIPTTL), true
 		}
 		f.stack[0].TTL--
 		for len(f.stack) > 0 {
@@ -315,26 +321,22 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 	// is delivered without a TTL check; packets for attached hosts or
 	// routed prefixes are still forwarded (one more TTL consumed), so the
 	// destination appears one traceroute hop beyond its gateway.
-	selfAddr := false
-	if id, ok := c.n.addrOwner[f.ip.Dst]; ok && id == r.ID {
-		selfAddr = true
-	}
-	if r.ID == c.dstOwner && selfAddr {
+	if r.ID == c.dst.owner && r.ID == c.dst.router {
 		return 0, c.deliver(r, f, received, rcvIPTTL), true
 	}
 	if !ttlDone {
 		if f.ip.TTL <= 1 {
 			c.n.met.ttlExpired.Inc()
-			return 0, c.timeExceeded(r, inIface, f, received, rcvIPTTL), true
+			return 0, c.timeExceeded(r, c.inIface(r, prev), f, received, rcvIPTTL), true
 		}
 		f.ip.TTL--
 	}
-	if r.ID == c.dstOwner {
+	if r.ID == c.dst.owner {
 		return 0, c.deliver(r, f, received, rcvIPTTL), true
 	}
 
-	ownerR := c.n.routers[c.dstOwner]
-	nh, ok := c.n.fibNextHop(r.ID, c.dstOwner, c.flow)
+	ownerR := c.n.routers[c.dst.owner]
+	nh, ok := c.n.fibNextHop(r.ID, c.dst.owner, c.flow)
 	if !ok {
 		c.n.met.dropNoRoute.Inc()
 		return 0, nil, true
@@ -342,8 +344,7 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 
 	// Ingress LER decision: label-push transit traffic toward an egress in
 	// the same AS, for tunnel-eligible FECs only.
-	if len(f.stack) == 0 && r.Mode != ModeIP && ownerR.ASN == r.ASN &&
-		c.n.TunnelEligible(f.ip.Dst) {
+	if len(f.stack) == 0 && r.Mode != ModeIP && ownerR.ASN == r.ASN && c.dst.eligible {
 		pushed, newNh := c.push(r, ownerR, f, nh)
 		if pushed {
 			return newNh, nil, false
@@ -630,8 +631,8 @@ func (c *sendCtx) icmpError(r *Router, src netip.Addr, typ, code uint8, f *frame
 // deliver handles a probe that reached the router owning its destination:
 // either a directly attached host answers, or the router itself does.
 func (c *sendCtx) deliver(r *Router, f *frame, received mpls.Stack, rcvTTL uint8) []byte {
-	if h, ok := c.n.hosts[f.ip.Dst]; ok {
-		return c.hostReply(h, r, f)
+	if c.dst.host != nil {
+		return c.hostReply(c.dst.host, r, f)
 	}
 	// Addressed to the router itself (loopback or interface) or to a
 	// routed prefix with no attached host; the router answers either way,
@@ -647,7 +648,7 @@ func (c *sendCtx) deliver(r *Router, f *frame, received mpls.Stack, rcvTTL uint8
 			return nil
 		}
 		src := f.ip.Dst
-		if _, ok := c.n.addrOwner[src]; !ok {
+		if c.dst.router < 0 {
 			src = r.Loopback
 		}
 		return c.icmpError(r, src, pkt.ICMPDestUnreachable, pkt.CodePortUnreachable, f, received, rcvTTL)
@@ -681,7 +682,7 @@ func (c *sendCtx) echoReply(r *Router, f *frame) []byte {
 		outTTL = 1
 	}
 	src := f.ip.Dst
-	if _, ok := c.n.addrOwner[src]; !ok {
+	if c.dst.router < 0 {
 		src = r.Loopback
 	}
 	s.out = pkt.IPv4{

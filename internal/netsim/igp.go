@@ -191,8 +191,11 @@ func (n *Network) dijkstra(src RouterID, s *spfScratch, cost []int, first [][]Ro
 // is unreachable.
 func (n *Network) NextHop(src, dst RouterID, flow uint64) (RouterID, bool) {
 	hops := n.nexthops[src][dst]
-	if len(hops) == 0 {
+	switch len(hops) {
+	case 0:
 		return 0, false
+	case 1:
+		return hops[0], true // no ECMP choice to hash for
 	}
 	// Mix the router ID in so different routers spread flows differently,
 	// as per-router ECMP hashing does.

@@ -154,9 +154,6 @@ func (n *Network) buildSRStack(dst mpls.Stack, ingress *Router, segs SegmentList
 // TNT's DPR/BRPR reveal invisible tunnel interiors by tracing toward
 // interface addresses.
 func (n *Network) TunnelEligible(dst netip.Addr) bool {
-	id, ok := n.addrOwner[dst]
-	if !ok {
-		return true // routed prefix or host: label-switched
-	}
-	return n.routers[id].Loopback == dst
+	d, ok := n.indexed(dst)
+	return !ok || d.eligible // routed prefixes and hosts are label-switched
 }

@@ -577,6 +577,41 @@ func TestSendErrors(t *testing.T) {
 	}
 }
 
+// Hosts and advertised prefixes join forwarding at the next Compute, as
+// routers, links and link states do: until then Send refuses with
+// ErrNotComputed rather than forward on a stale index, where a prefix of
+// a length Compute never saw would be dropped as unrouted.
+func TestAdvertiseAfterComputeNeedsCompute(t *testing.T) {
+	c := buildChain(t)
+	dst := a("100.2.17.9")
+	c.net.AdvertisePrefix(c.pe2.ID, netip.MustParsePrefix("100.2.16.0/20"))
+	if _, err := c.net.Send(c.vp, udpProbe(c.vp, dst, 32, 33434)); err != ErrNotComputed {
+		t.Fatalf("Send into a /20 advertised after Compute: err = %v, want ErrNotComputed", err)
+	}
+	c.net.Compute()
+	d, err := c.net.Send(c.vp, udpProbe(c.vp, dst, 32, 33434))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := parseReply(t, d.Reply); h == nil || h.icmpType != pkt.ICMPDestUnreachable || h.from != c.pe2.Loopback {
+		t.Fatalf("reply from the /20 = %+v, want port unreachable from pe2's loopback %v", h, c.pe2.Loopback)
+	}
+
+	host := a("100.2.17.10")
+	c.net.AddHost(host, c.pe2.ID)
+	if _, err := c.net.Send(c.vp, udpProbe(c.vp, host, 32, 33434)); err != ErrNotComputed {
+		t.Fatalf("Send to a host added after Compute: err = %v, want ErrNotComputed", err)
+	}
+	c.net.Compute()
+	d, err = c.net.Send(c.vp, udpProbe(c.vp, host, 32, 33434))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := parseReply(t, d.Reply); h == nil || h.icmpType != pkt.ICMPDestUnreachable || h.from != host {
+		t.Fatalf("reply from the new host = %+v, want port unreachable from %v", h, host)
+	}
+}
+
 func TestIPIDMonotone(t *testing.T) {
 	c := buildChain(t)
 	p2Iface, _ := c.ps[1].InterfaceTo(c.ps[0].ID)

@@ -51,8 +51,11 @@ type Network struct {
 
 	seed int64
 
-	// addrOwner maps exact interface/loopback addresses to their router.
-	addrOwner map[netip.Addr]RouterID
+	// addrs is the exact-address index Compute builds: every router
+	// loopback and interface address and every IPv4 host address, keyed
+	// by its 32-bit value, with everything Send needs to know about it as
+	// a destination.
+	addrs map[uint32]dstInfo
 	// downLinks holds administratively/operationally down links (both
 	// orientations), for failure and fast-reroute studies.
 	downLinks map[[2]RouterID]bool
@@ -233,17 +236,21 @@ func (n *Network) Neighbors(id RouterID) []RouterID {
 // prefix behind an edge router). Probes to any address inside it are
 // delivered at that router. The prefix is stored masked, so two spellings
 // of one prefix (100.1.2.0/24, 100.1.2.7/24) are one entry and the later
-// advertisement wins. An invalid prefix never matches.
+// advertisement wins. An invalid prefix never matches. The prefix takes
+// effect at the next Compute.
 func (n *Network) AdvertisePrefix(id RouterID, p netip.Prefix) {
 	n.prefixes[p.Masked()] = id
+	n.computed = false
 }
 
 // AddHost attaches an end host (vantage point or target) to a gateway
-// router and routes its /32 there.
+// router and routes its /32 there. The host is reachable after the next
+// Compute.
 func (n *Network) AddHost(a netip.Addr, gw RouterID) *Host {
 	h := &Host{Addr: a, Gateway: gw}
 	n.hosts[a] = h
 	n.prefixes[netip.PrefixFrom(a, 32)] = gw
+	n.computed = false
 	return h
 }
 
@@ -270,11 +277,55 @@ func (n *Network) Owner(a netip.Addr) (RouterID, bool) {
 // RouterByAddr returns the router owning a as one of its own interface or
 // loopback addresses (not merely a routed prefix).
 func (n *Network) RouterByAddr(a netip.Addr) (*Router, bool) {
-	id, ok := n.addrOwner[a]
-	if !ok {
-		return nil, false
+	if d, ok := n.indexed(a); ok && d.router >= 0 {
+		return n.routers[d.router], true
 	}
-	return n.routers[id], true
+	return nil, false
+}
+
+// dstInfo is what forwarding needs to know about a destination address.
+// Send resolves it once per probe, so neither the per-hop loop, the
+// ingress push decision nor reply construction probes a map for it.
+type dstInfo struct {
+	owner  RouterID // owner of the longest covering prefix (Owner); -1: no route
+	router RouterID // router whose own interface or loopback it is; -1: none
+	host   *Host    // attached host with this address; nil: none
+	// eligible reports that the address is a label-switched FEC
+	// (TunnelEligible).
+	eligible bool
+}
+
+func addrKey(a netip.Addr) uint32 {
+	b := a.As4()
+	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+}
+
+// indexed returns a's record in the exact-address index, if it has one.
+func (n *Network) indexed(a netip.Addr) (dstInfo, bool) {
+	if !a.Is4() {
+		return dstInfo{}, false
+	}
+	d, ok := n.addrs[addrKey(a)]
+	return d, ok
+}
+
+// resolve looks a up in the exact-address index and falls back to
+// Owner's longest-prefix match for addresses the index does not hold
+// (routed prefixes without an attached host). Like Owner, it is defined
+// only after Compute.
+func (n *Network) resolve(a netip.Addr) dstInfo {
+	if d, ok := n.indexed(a); ok {
+		return d
+	}
+	return dstInfo{owner: n.routeOwner(a), router: -1, eligible: true}
+}
+
+// routeOwner is Owner with -1 for an address no prefix covers.
+func (n *Network) routeOwner(a netip.Addr) RouterID {
+	if id, ok := n.Owner(a); ok {
+		return id
+	}
+	return -1
 }
 
 // Compute runs the control planes: IGP SPF, SR SID allocation, and LDP
@@ -288,6 +339,8 @@ func (n *Network) Compute() {
 	n.computed = true
 }
 
+// buildAddrIndex records the advertised prefix lengths for Owner and
+// builds the exact-address index resolve reads.
 func (n *Network) buildAddrIndex() {
 	var present [129]bool // indexed by prefix length; invalid prefixes (-1) never match
 	for p := range n.prefixes {
@@ -301,13 +354,31 @@ func (n *Network) buildAddrIndex() {
 			n.prefixLens = append(n.prefixLens, b)
 		}
 	}
-	n.addrOwner = make(map[netip.Addr]RouterID)
+	addrs := make(map[uint32]dstInfo, len(n.routers)+2*len(n.adj)+len(n.hosts))
 	for _, r := range n.routers {
-		n.addrOwner[r.Loopback] = r.ID
+		addrs[addrKey(r.Loopback)] = dstInfo{router: r.ID}
 		for _, a := range r.ifaces {
-			n.addrOwner[a] = r.ID
+			addrs[addrKey(a)] = dstInfo{router: r.ID}
 		}
 	}
+	for a, h := range n.hosts {
+		if !a.Is4() {
+			continue
+		}
+		d, ok := addrs[addrKey(a)]
+		if !ok {
+			d.router = -1
+		}
+		d.host = h
+		addrs[addrKey(a)] = d
+	}
+	for k, d := range addrs {
+		a := u32ToAddr(k)
+		d.owner = n.routeOwner(a)
+		d.eligible = d.router < 0 || n.routers[d.router].Loopback == a
+		addrs[k] = d
+	}
+	n.addrs = addrs
 }
 
 // assignSIDs gives every SR-enabled router a node-SID index and allocates
@@ -356,6 +427,7 @@ func (n *Network) assignSIDs() {
 // downstream-unsolicited LDP. SR border routers also generate LDP bindings
 // that mirror the node SIDs they learned (LDP→SR interworking).
 func (n *Network) distributeLDP() {
+	fec := make([]string, len(n.routers)) // FEC keys, formatted on first use
 	for _, r := range n.routers {
 		if !r.LDPEnabled && !r.SREnabled {
 			continue
@@ -382,7 +454,10 @@ func (n *Network) distributeLDP() {
 			if n.dist[r.ID][e.ID] < 0 {
 				continue
 			}
-			l := r.pool.Allocate("fec-" + e.Loopback.String())
+			if fec[e.ID] == "" {
+				fec[e.ID] = "fec-" + e.Loopback.String()
+			}
+			l := r.pool.Allocate(fec[e.ID])
 			r.ldpIn[l] = e.ID
 			r.ldpOut[e.ID] = l
 		}

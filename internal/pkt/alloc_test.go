@@ -99,9 +99,15 @@ func TestAllocBudgetDecoders(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	plain, err := (&ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded, Body: quote}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	var rip IPv4
 	var rm ICMP
 	var qip IPv4
+	lses := make(mpls.Stack, 0, 4)
 	// Warm up so rm.Extensions has capacity to reuse, as it does in a
 	// recycled scratch.
 	if err := UnmarshalIPv4Into(&rip, wire); err != nil {
@@ -111,6 +117,11 @@ func TestAllocBudgetDecoders(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireAllocs(t, "ICMP decode chain", 0, func() {
+		// A reply without extensions in between must not cost the next
+		// extended reply its Extensions capacity.
+		if err := UnmarshalICMPInto(&rm, plain); err != nil || len(rm.Extensions) != 0 {
+			t.Fatalf("plain reply: ext=%d err=%v", len(rm.Extensions), err)
+		}
 		if err := UnmarshalIPv4Into(&rip, wire); err != nil {
 			t.Fatal(err)
 		}
@@ -120,9 +131,13 @@ func TestAllocBudgetDecoders(t *testing.T) {
 		if err := UnmarshalIPv4QuotedInto(&qip, rm.Body); err != nil {
 			t.Fatal(err)
 		}
+		var ok bool
+		if lses, ok = rm.AppendMPLSStack(lses[:0]); !ok {
+			t.Fatal("no label stack")
+		}
 	})
-	if len(rm.Extensions) != 1 || qip.TTL != 1 {
-		t.Fatalf("decode chain lost content: ext=%d qttl=%d", len(rm.Extensions), qip.TTL)
+	if len(rm.Extensions) != 1 || qip.TTL != 1 || len(lses) != 1 || lses[0].Label != 16004 {
+		t.Fatalf("decode chain lost content: ext=%d qttl=%d stack=%v", len(rm.Extensions), qip.TTL, lses)
 	}
 }
 

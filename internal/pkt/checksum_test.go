@@ -95,6 +95,27 @@ func TestChecksumSelfVerifies(t *testing.T) {
 	}
 }
 
+// FuzzChecksum checks the word-wise accumulator against the byte-pair
+// reference for any bytes, whole and chained across an even split (the
+// pseudo-header chaining of udpChecksum and icmp6Checksum).
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0xff}, uint16(1))
+	f.Add([]byte{0x12, 0x34, 0x56}, uint16(2))
+	f.Add([]byte{0x45, 0x00, 0x00, 0x1c, 0xbe, 0xef, 0x40, 0x00, 0x40, 0x11}, uint16(6))
+	f.Add(bytes.Repeat([]byte{0xff}, 1031), uint16(514))
+	f.Fuzz(func(t *testing.T, b []byte, split uint16) {
+		want := referenceChecksum(b)
+		if got := Checksum(b); got != want {
+			t.Fatalf("Checksum(%x) = %#x, want %#x", b, got, want)
+		}
+		k := int(split) % (len(b) + 1) &^ 1
+		if got := finish(sum(b[k:], sum(b[:k], 0))); got != want {
+			t.Fatalf("split at %d of %x: %#x, want %#x", k, b, got, want)
+		}
+	})
+}
+
 func BenchmarkChecksum(b *testing.B) {
 	for _, size := range []int{20, 128, 1500} {
 		buf := make([]byte, size)

@@ -157,8 +157,11 @@ func UnmarshalICMPInto(m *ICMP, b []byte) error {
 	if Checksum(b) != 0 {
 		return ErrBadChecksum
 	}
-	ext := m.Extensions[:0]
-	*m = ICMP{Type: b[0], Code: b[1]}
+	// Extensions keeps its capacity (at length 0) through messages that
+	// carry none, so alternating plain and extended replies never
+	// reallocate it.
+	*m = ICMP{Type: b[0], Code: b[1], Extensions: m.Extensions[:0]}
+	ext := m.Extensions
 	switch {
 	case m.Type == ICMPEchoRequest || m.Type == ICMPEchoReply:
 		m.ID = binary.BigEndian.Uint16(b[4:])
@@ -237,16 +240,20 @@ func NewMPLSExtension(s mpls.Stack) (ExtensionObject, error) {
 // MPLSStack extracts the quoted MPLS label stack from the message's
 // RFC 4950 extension object, if present.
 func (m *ICMP) MPLSStack() (mpls.Stack, bool) {
+	return m.AppendMPLSStack(nil)
+}
+
+// AppendMPLSStack is MPLSStack appending the quoted entries onto dst,
+// allocating only when dst lacks capacity; when there is no stack to
+// decode it returns dst unchanged and false.
+func (m *ICMP) AppendMPLSStack(dst mpls.Stack) (mpls.Stack, bool) {
 	for _, o := range m.Extensions {
 		if o.Class == ClassMPLSLabelStack && o.CType == CTypeIncomingStack {
-			s, _, err := mpls.UnmarshalStack(o.Payload)
-			if err != nil {
-				return nil, false
-			}
-			return s, true
+			s, _, err := mpls.AppendUnmarshalStack(dst, o.Payload)
+			return s, err == nil
 		}
 	}
-	return nil, false
+	return dst, false
 }
 
 // QuotedIPv4 parses the quoted original datagram of an error message,

@@ -132,6 +132,39 @@ func TestICMPMPLSObjectNotFirst(t *testing.T) {
 	}
 }
 
+// TestAppendMPLSStack pins the appending decoder the prober uses: the
+// quoted entries land after dst's, and an undecodable stack (no bottom
+// flag before the object ends) leaves dst as it was.
+func TestAppendMPLSStack(t *testing.T) {
+	stack := mpls.Stack{{Label: 16010, TTL: 252}, {Label: 100, TTL: 252, S: true}}
+	obj, err := NewMPLSExtension(stack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := UnmarshalICMP(marshalWithExt(t, []ExtensionObject{obj}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := mpls.Stack{{Label: 24001, TTL: 9, S: true}}
+	got, ok := out.AppendMPLSStack(prefix[:1:1])
+	if !ok || !got[:1].Equal(prefix) || !got[1:].Equal(stack) {
+		t.Fatalf("AppendMPLSStack = %v, %v; want %v then %v", got, ok, prefix, stack)
+	}
+
+	bad := ExtensionObject{Class: ClassMPLSLabelStack, CType: CTypeIncomingStack,
+		Payload: []byte{0x01, 0x00, 0x00, 0xff}} // S bit clear, then nothing
+	out, err = UnmarshalICMP(marshalWithExt(t, []ExtensionObject{bad}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := out.AppendMPLSStack(prefix); ok || !got.Equal(prefix) {
+		t.Fatalf("undecodable stack: got %v, %v; want %v, false", got, ok, prefix)
+	}
+	if got, ok := out.MPLSStack(); ok || got != nil {
+		t.Fatalf("undecodable stack: MPLSStack = %v, %v; want nil, false", got, ok)
+	}
+}
+
 // TestICMPObjectLengthExactlyHeader exercises the smallest legal object: a
 // length field of exactly objectHeaderLen (4), i.e. an empty payload. It
 // must parse as a zero-byte object, and one byte less must be rejected.

@@ -10,13 +10,14 @@ import (
 
 // Allocation budget for the probe-send path: one full Paris traceroute
 // through an SR tunnel, revelation on, every hop answering with an RFC
-// 4950 quote. The steady-state cost, 24, is the result itself (Trace, its
-// hop slice, the loop-detection map, one decoded label stack per labeled
-// hop) plus the Delivery and reply wire of each netsim Send; probe
-// construction, encoding, and reply decoding must contribute nothing. The
-// budget carries headroom for GC-cleared pools but sits far below the
-// pre-scratch cost (~400 allocs per trace), so a fallback to per-probe
-// buffers or path recording trips it at once.
+// 4950 quote. The steady-state cost, 10, is the result itself (the
+// Trace, its exact Hops slice and one LSE slab every hop's stack slices)
+// plus the reply wire of each of the 7 netsim exchanges; hops, stacks and
+// loop detection are built in the pooled scratch, and probe construction,
+// encoding and reply decoding contribute nothing. The budget is that
+// steady state: AllocsPerRun rounds the mean down, so a scratch the pool
+// fails to recycle during a GC stays inside it, while a per-trace map, a
+// per-hop stack or a heap Delivery trips it at once.
 func TestAllocBudgetTrace(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("allocation counts are meaningless under -race instrumentation")
@@ -32,7 +33,7 @@ func TestAllocBudgetTrace(t *testing.T) {
 			t.Fatalf("halt = %v", res.Halt)
 		}
 	})
-	const budget = 40
+	const budget = 10
 	if got > budget {
 		t.Errorf("Trace: %.1f allocs/op, budget %d", got, budget)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 )
 
 // opaqueTTLFloor is the quoted-LSE TTL above which a label quote can only
@@ -24,26 +25,22 @@ const opaqueTTLFloor = 200
 // TTLs stay strictly increasing and consistent with hop indexes across the
 // augmented trace.
 //
-// A failed auxiliary trace does not fail the main one: the failure is
-// recorded in tr.RevealErrs (and counted) and revelation moves on, so a
-// trace with a broken DPR path still carries its measured hops — merely
-// flagged that hidden content may remain unrevealed. Cancellation is the
-// exception: once ctx is done, reveal stops and returns the cause, and the
-// caller discards the whole trace — a partially revealed trace must never
-// be recorded as if it were complete.
-func (t *Tracer) reveal(ctx context.Context, tr *Trace) error {
-	visible := make(map[netip.Addr]bool)
-	for i := range tr.Hops {
-		if tr.Hops[i].Responded() {
-			visible[tr.Hops[i].Addr] = true
-		}
-	}
+// reveal works on the trace under construction in s, splicing revealed
+// hops into s.hops. A failed auxiliary trace does not fail the main one:
+// the failure is returned as one RevealErrs entry (and counted) and
+// revelation moves on, so a trace with a broken DPR path still carries its
+// measured hops — merely flagged that hidden content may remain
+// unrevealed. Cancellation is the exception: once ctx is done, reveal
+// stops and returns the cause, and the caller discards the whole trace — a
+// partially revealed trace must never be recorded as if it were complete.
+func (t *Tracer) reveal(ctx context.Context, s *probeScratch) ([]string, error) {
+	var errs []string
 	// Walk hop pairs; splice in revealed hops as we find them.
-	for i := 0; i < len(tr.Hops)-1; i++ {
+	for i := 0; i < len(s.hops)-1; i++ {
 		if ctx.Err() != nil {
-			return context.Cause(ctx)
+			return nil, context.Cause(ctx)
 		}
-		a, b := &tr.Hops[i], &tr.Hops[i+1]
+		a, b := &s.hops[i], &s.hops[i+1]
 		if !a.Responded() || !b.Responded() || b.Revealed {
 			continue
 		}
@@ -59,84 +56,92 @@ func (t *Tracer) reveal(ctx context.Context, tr *Trace) error {
 		if suspected == 0 {
 			continue
 		}
-		hidden, err := t.directPathRevelation(ctx, b.Addr, visible)
+		trigger := b.Addr
+		n, err := t.directPathRevelation(ctx, s, i+1)
 		if err != nil && ctx.Err() != nil {
 			// The aux trace died because the campaign is shutting down, not
 			// because the DPR path is broken; abort rather than record it.
-			return context.Cause(ctx)
+			return nil, context.Cause(ctx)
 		}
-		t.Metrics.countReveal(true, len(hidden))
+		t.Metrics.countReveal(true, n)
 		if err != nil {
 			t.Metrics.countRevealError()
-			tr.RevealErrs = append(tr.RevealErrs, fmt.Sprintf("dpr %s: %v", b.Addr, err))
+			errs = append(errs, fmt.Sprintf("dpr %s: %v", trigger, err))
 			continue
 		}
-		if len(hidden) == 0 {
-			continue
-		}
-		for j := range hidden {
-			hidden[j].Revealed = true
-			hidden[j].TTL = a.TTL + 1 + j // fills the gap between a and b
-			visible[hidden[j].Addr] = true
-		}
-		spliced := make([]Hop, 0, len(tr.Hops)+len(hidden))
-		spliced = append(spliced, tr.Hops[:i+1]...)
-		spliced = append(spliced, hidden...)
-		spliced = append(spliced, tr.Hops[i+1:]...)
-		// Shift the tail past the splice so TTLs stay strictly increasing.
-		for k := i + 1 + len(hidden); k < len(spliced); k++ {
-			spliced[k].TTL += len(hidden)
-		}
-		tr.Hops = spliced
-		i += len(hidden) // continue after the spliced region
+		i += n // continue after the spliced region
 	}
-	return nil
+	return errs, nil
 }
 
-// directPathRevelation traces toward the trigger address and returns the
-// responding hops that precede it and are not already visible in the main
-// trace: the hidden tunnel interior. A transport failure of the auxiliary
+// directPathRevelation traces toward the trigger hop s.hops[at] and
+// splices the hidden tunnel interior in front of it: the responding hops
+// that precede the trigger on the auxiliary trace and are not already
+// visible in the main one. Revealed hops are renumbered into the gap
+// (s.hops[at-1].TTL+1, …) and every later hop is shifted past them. It
+// returns how many hops it spliced. A transport failure of the auxiliary
 // trace is returned as an error — distinct from "the path holds no new
-// hops" (nil, nil) — so the caller can record that revelation was disabled
+// hops" (0, nil) — so the caller can record that revelation was disabled
 // rather than silently classifying on an unrevealed trace.
-func (t *Tracer) directPathRevelation(ctx context.Context, trigger netip.Addr, visible map[netip.Addr]bool) ([]Hop, error) {
+func (t *Tracer) directPathRevelation(ctx context.Context, s *probeScratch, at int) (int, error) {
+	trigger := s.hops[at].Addr
 	// The auxiliary tracer deliberately keeps Retries at zero, as the
 	// original DPR implementation did: giving aux traces a retry budget
 	// would change fault-free probe sequences (each retry draws a fresh
 	// rate-limiter coin) and with them every pinned campaign result.
 	// Transport errors in the aux sweep therefore surface immediately.
-	aux := &Tracer{Conn: t.Conn, VP: t.VP, MaxTTL: t.MaxTTL, MaxGaps: t.MaxGaps,
-		BasePort: t.BasePort, Reveal: false, Metrics: t.Metrics}
-	tr, err := aux.Trace(ctx, trigger, 0)
+	aux := Tracer{Conn: t.Conn, VP: t.VP, MaxTTL: t.MaxTTL, MaxGaps: t.MaxGaps,
+		BasePort: t.BasePort, Metrics: t.Metrics}
+	as := probeScratchPool.Get().(*probeScratch)
+	defer probeScratchPool.Put(as)
+	halt, errText, err := aux.sweep(ctx, as, trigger, aux.flowPort(0))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if tr.Failed() {
-		return nil, fmt.Errorf("aux trace: %s", tr.Err)
+	if halt == HaltError {
+		return 0, fmt.Errorf("aux trace: %s", errText)
 	}
-	if !tr.Reached() {
-		return nil, nil
+	if halt != HaltReached {
+		return 0, nil
 	}
 	// Locate the trigger in the auxiliary trace, then collect the
 	// contiguous run of new hops immediately before it.
 	end := -1
-	for i := range tr.Hops {
-		if tr.Hops[i].Addr == trigger {
+	for i := range as.hops {
+		if as.hops[i].Addr == trigger {
 			end = i
 			break
 		}
 	}
 	if end <= 0 {
-		return nil, nil
+		return 0, nil
 	}
 	start := end
-	for start > 0 && tr.Hops[start-1].Responded() && !visible[tr.Hops[start-1].Addr] {
+	for start > 0 && as.hops[start-1].Responded() && !visible(s.hops, as.hops[start-1].Addr) {
 		start--
 	}
-	if start == end {
-		return nil, nil
+	hidden := as.hops[start:end]
+	base := s.hops[at-1].TTL
+	for j := range hidden {
+		h := &hidden[j]
+		h.Revealed = true
+		h.TTL = base + 1 + j // fills the gap between s.hops[at-1] and the trigger
+		h.Stack = s.stash(h.Stack)
 	}
-	out := make([]Hop, end-start)
-	copy(out, tr.Hops[start:end])
-	return out, nil
+	s.hops = slices.Insert(s.hops, at, hidden...)
+	// Shift the tail past the splice so TTLs stay strictly increasing.
+	for k := at + len(hidden); k < len(s.hops); k++ {
+		s.hops[k].TTL += len(hidden)
+	}
+	return len(hidden), nil
+}
+
+// visible reports whether addr answered among hops.
+func visible(hops []Hop, addr netip.Addr) bool {
+	for i := range hops {
+		if hops[i].Addr == addr {
+			return true
+		}
+	}
+	return false
 }

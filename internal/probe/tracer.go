@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"sync"
 
+	"arest/internal/mpls"
 	"arest/internal/netsim"
 	"arest/internal/pkt"
 )
@@ -76,24 +77,75 @@ var (
 )
 
 // probeScratch bundles the per-call transient state of one trace, ping, or
-// IP-ID sample: packets under construction, their wire buffers, and decoded
-// replies. It lives in a package-level pool rather than on the Tracer so a
-// single Tracer stays safe for concurrent use (the alias resolver shares
-// one across its workers).
+// IP-ID sample: packets under construction, their wire buffers, decoded
+// replies, and the trace under construction. It lives in a package-level
+// pool rather than on the Tracer so a single Tracer stays safe for
+// concurrent use (the alias resolver shares one across its workers).
 //
 // The pool sits outside the determinism contract (DESIGN.md §11): every
 // field is fully overwritten before it is read — whole-struct assignments,
 // [:0] reslices before appends — so probe bytes depend only on the probe's
-// coordinates, never on which scratch the pool returns.
+// coordinates, never on which scratch the pool returns. Nothing a caller
+// keeps points into it: Trace copies its hops out before the scratch goes
+// back to the pool.
 type probeScratch struct {
-	payload []byte   // serialized probe payload (UDP datagram or ICMP echo)
-	wire    []byte   // serialized probe IP packet
-	ip      pkt.IPv4 // probe under construction
-	echo    pkt.ICMP // echo request under construction
-	udp     pkt.UDP  // UDP datagram under construction
-	rip     pkt.IPv4 // decoded reply IP header (payload aliases the reply)
-	rm      pkt.ICMP // decoded reply ICMP (body/extensions alias the reply)
-	qip     pkt.IPv4 // decoded quoted original datagram
+	payload []byte     // serialized probe payload (UDP datagram or ICMP echo)
+	wire    []byte     // serialized probe IP packet
+	ip      pkt.IPv4   // probe under construction
+	echo    pkt.ICMP   // echo request under construction
+	udp     pkt.UDP    // UDP datagram under construction
+	rip     pkt.IPv4   // decoded reply IP header (payload aliases the reply)
+	rm      pkt.ICMP   // decoded reply ICMP (body/extensions alias the reply)
+	qip     pkt.IPv4   // decoded quoted original datagram
+	stack   mpls.Stack // label stack of the last decoded reply
+
+	// hops is the trace under construction; each hop's stack is a
+	// sub-slice of lses, which only grows during one trace (a hop whose
+	// stack predates a regrowth keeps the old, unchanged array).
+	hops []Hop
+	lses mpls.Stack
+}
+
+// keep appends hop to the trace under construction, moving its stack
+// into lses.
+func (s *probeScratch) keep(hop Hop) {
+	hop.Stack = s.stash(hop.Stack)
+	s.hops = append(s.hops, hop)
+}
+
+// stash copies st to the end of lses and returns the copy; an empty
+// stack becomes nil.
+func (s *probeScratch) stash(st mpls.Stack) mpls.Stack {
+	if len(st) == 0 {
+		return nil
+	}
+	n := len(s.lses)
+	s.lses = append(s.lses, st...)
+	return s.lses[n:len(s.lses):len(s.lses)]
+}
+
+// ownedHops copies the trace under construction out of the scratch: one
+// exact Hops slice, and one exact LSE slab that every hop's stack slices
+// with a full slice expression (the layout the v3 archive decoder
+// returns). It returns nil when no hop was kept.
+func (s *probeScratch) ownedHops() []Hop {
+	if len(s.hops) == 0 {
+		return nil
+	}
+	hops := make([]Hop, len(s.hops))
+	copy(hops, s.hops)
+	n := 0
+	for i := range hops {
+		n += len(hops[i].Stack)
+	}
+	slab := make(mpls.Stack, n)
+	for i := range hops {
+		if st := hops[i].Stack; st != nil {
+			k := copy(slab, st)
+			hops[i].Stack, slab = slab[:k:k], slab[k:]
+		}
+	}
+	return hops
 }
 
 var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
@@ -194,24 +246,48 @@ const loopRunLen = 3
 // degraded — so archived bytes stay independent of when a cancel landed.
 // For probe-level failures callers decide whether a degraded trace is
 // acceptable via Trace.Failed.
+//
+// The sweep and revelation build the trace in pooled scratch; the
+// returned Trace owns its memory: one Hops slice and one LSE slab that
+// the hops' stacks share, allocated at their exact sizes.
 func (t *Tracer) Trace(ctx context.Context, dst netip.Addr, flowID uint16) (*Trace, error) {
 	s := probeScratchPool.Get().(*probeScratch)
 	defer probeScratchPool.Put(s)
-	tr := &Trace{VP: t.VP, Dst: dst, FlowID: flowID, Halt: HaltMaxTTL}
-	dport := t.flowPort(flowID)
+	halt, errText, err := t.sweep(ctx, s, dst, t.flowPort(flowID))
+	if err != nil {
+		return nil, err
+	}
+	var revealErrs []string
+	// A trace halted by a transport error skips revelation: its Conn just
+	// failed repeatedly, so auxiliary traces would only burn more probes.
+	if t.Reveal && halt != HaltError {
+		if revealErrs, err = t.reveal(ctx, s); err != nil {
+			return nil, err
+		}
+	}
+	return &Trace{VP: t.VP, Dst: dst, FlowID: flowID, Hops: s.ownedHops(), Halt: halt,
+		Err: errText, RevealErrs: revealErrs}, nil
+}
+
+// sweep runs the TTL sweep toward dst on UDP destination port dport (the
+// ICMP identifier under MethodICMP) into s.hops, and returns why it
+// halted, with the transport error's text when that is HaltError. Its
+// error return is cancellation only, as Trace's is.
+func (t *Tracer) sweep(ctx context.Context, s *probeScratch, dst netip.Addr, dport uint16) (HaltReason, string, error) {
+	s.hops, s.lses = s.hops[:0], s.lses[:0]
+	halt, errText := HaltMaxTTL, ""
 	gaps := 0
-	seen := make(map[netip.Addr]int)
 	var lastAddr netip.Addr
 	run := 0
 sweep:
 	for ttl := 1; ttl <= t.MaxTTL; ttl++ {
 		if ctx.Err() != nil {
-			return nil, context.Cause(ctx)
+			return 0, "", context.Cause(ctx)
 		}
 		hop, err := t.probeOnce(ctx, s, dst, uint8(ttl), dport, 0)
 		for retry := 0; (err != nil || !hop.Responded()) && retry < t.Retries; retry++ {
 			if ctx.Err() != nil {
-				return nil, context.Cause(ctx)
+				return 0, "", context.Cause(ctx)
 			}
 			t.Metrics.countRetry()
 			hop, err = t.probeOnce(ctx, s, dst, uint8(ttl), dport, retry+1)
@@ -221,19 +297,18 @@ sweep:
 				// A cancelled exchange is an abort, not a transport fault:
 				// mapping it to HaltError would archive timing-dependent
 				// bytes.
-				return nil, context.Cause(ctx)
+				return 0, "", context.Cause(ctx)
 			}
-			tr.Halt = HaltError
-			tr.Err = err.Error()
+			halt, errText = HaltError, err.Error()
 			break sweep
 		}
-		tr.Hops = append(tr.Hops, hop)
+		s.keep(hop)
 		if !hop.Responded() {
 			t.Metrics.countGap()
 			gaps++
 			run = 0
 			if gaps >= t.MaxGaps {
-				tr.Halt = HaltGaps
+				halt = HaltGaps
 				break sweep
 			}
 			continue
@@ -247,38 +322,38 @@ sweep:
 		} else {
 			lastAddr, run = hop.Addr, 1
 		}
-		if run >= loopRunLen {
-			tr.Halt = HaltLoop
+		if run >= loopRunLen || revisits(s.hops[:len(s.hops)-1], hop.Addr, ttl) {
+			halt = HaltLoop
 			break sweep
 		}
-		if prev, dup := seen[hop.Addr]; dup && ttl-prev > 1 {
-			tr.Halt = HaltLoop
-			break sweep
-		}
-		seen[hop.Addr] = ttl
 		if !hop.DecodeError &&
 			(hop.ICMPType == pkt.ICMPDestUnreachable ||
 				(t.Method == MethodICMP && hop.ICMPType == pkt.ICMPEchoReply)) {
-			tr.Halt = HaltReached
+			halt = HaltReached
 			break sweep
 		}
 	}
-	t.Metrics.countHalt(tr.Halt)
-	// A trace halted by a transport error skips revelation: its Conn just
-	// failed repeatedly, so auxiliary traces would only burn more probes.
-	if t.Reveal && tr.Halt != HaltError {
-		if err := t.reveal(ctx, tr); err != nil {
-			return nil, err
+	t.Metrics.countHalt(halt)
+	return halt, errText, nil
+}
+
+// revisits reports whether addr, answering at ttl, last answered among
+// hops more than one TTL earlier: a forwarding loop of period > 1. The
+// hops are few, so a backward scan beats any per-trace map.
+func revisits(hops []Hop, addr netip.Addr, ttl int) bool {
+	for i := len(hops) - 1; i >= 0; i-- {
+		if hops[i].Addr == addr {
+			return ttl-hops[i].TTL > 1
 		}
 	}
-	return tr, nil
+	return false
 }
 
 // probeOnce sends a single probe (UDP or ICMP echo, per Method) and parses
 // the reply into a Hop. attempt distinguishes retries of the same hop so
 // each retry carries a distinct IP-ID. All construction and decoding goes
-// through s; the returned Hop owns nothing that aliases s (Hop.Stack is
-// decoded fresh from the reply).
+// through s; the returned Hop's Stack aliases s.stack, valid until the
+// next probeOnce on s.
 func (t *Tracer) probeOnce(ctx context.Context, s *probeScratch, dst netip.Addr, ttl uint8, dport uint16, attempt int) (Hop, error) {
 	var err error
 	proto := uint8(pkt.ProtoUDP)
@@ -336,8 +411,9 @@ func (t *Tracer) probeOnce(ctx context.Context, s *probeScratch, dst netip.Addr,
 	}
 	hop.ICMPType = s.rm.Type
 	hop.ICMPCode = s.rm.Code
-	if st, ok := s.rm.MPLSStack(); ok {
-		hop.Stack = st
+	var ok bool
+	if s.stack, ok = s.rm.AppendMPLSStack(s.stack[:0]); ok {
+		hop.Stack = s.stack
 	}
 	if s.rm.IsError() {
 		if err := pkt.UnmarshalIPv4QuotedInto(&s.qip, s.rm.Body); err == nil {
