@@ -72,13 +72,15 @@ experiments-output:
 # Short deterministic fuzz pass over the seeds plus 30 s of mutation per
 # target: the archive container reader, the v3 trace payload codec, alias
 # resolution over scripted IP-ID counters, the AReST flag analysis
-# against its naive reference detector, the simulator's SPF against
-# its map-based reference, and the Internet checksum against RFC 1071's
+# against its naive reference detector, the streaming Detect fold against
+# Detect over the decoded archive, the simulator's SPF against its
+# map-based reference, and the Internet checksum against RFC 1071's
 # byte-pair reference.
 fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz 'FuzzReadArchive$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz 'FuzzTraceRecord$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/alias -run xxx -fuzz 'FuzzResolve$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/core -run xxx -fuzz 'FuzzAnalyze$$' -fuzztime 30s
+	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/exp -run xxx -fuzz 'FuzzDetectStream$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/netsim -run xxx -fuzz 'FuzzSPF$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/pkt -run xxx -fuzz 'FuzzChecksum$$' -fuzztime 30s

@@ -267,8 +267,10 @@ func (v *dataVisitor) VP(rec VPRecord) error {
 	return nil
 }
 
+// Trace keeps a copy of the lent trace: one Trace, one exact Hops slice
+// and one LSE slab.
 func (v *dataVisitor) Trace(rec TraceRecord) error {
-	v.d.PerVP[rec.VPIndex] = append(v.d.PerVP[rec.VPIndex], rec.Trace)
+	v.d.PerVP[rec.VPIndex] = append(v.d.PerVP[rec.VPIndex], rec.Trace.Clone())
 	return nil
 }
 

@@ -18,6 +18,12 @@ import (
 // method is called, so implementations fold payloads without re-checking
 // the container. A non-nil error from any method aborts the stream and is
 // returned from Stream unchanged, so sentinel errors survive errors.Is/As.
+//
+// Traces are lent, not given: the *probe.Trace a TraceRecord carries, with
+// its hops and label stacks, is valid only until Trace returns, because
+// the next trace record is decoded into the same memory. A visitor that
+// keeps a trace copies it (probe.Trace.Clone, or CopyInto its own
+// storage). Every other record is the visitor's to keep.
 type Visitor interface {
 	Meta(Meta) error
 	VP(VPRecord) error
@@ -44,13 +50,16 @@ func Stream(r io.Reader, v Visitor) error {
 // ErrTruncated/ErrCorrupt on container damage, or the visitor's own error
 // verbatim. Unknown record types are skipped, not fatal: a reader of this
 // vintage can cross archives produced by a writer with additive
-// extensions. Payloads are read through one reused buffer: every decoder
-// copies the fields it keeps, so no visited value aliases it.
+// extensions. Payloads are read through one reused buffer that no visited
+// value aliases. Every v3 trace payload is decoded into one reused trace,
+// which is lent to v.Trace under the Visitor contract; v2 trace payloads
+// decode into fresh memory, and are lent on the same terms.
 func StreamRecords(ar *Reader, v Visitor) error {
 	sawMeta := false
 	sawDegraded := false
 	numVPs := 0
 	var buf []byte
+	var lent lentTrace
 	for {
 		t, body, err := ar.next(buf)
 		buf = body
@@ -97,9 +106,12 @@ func StreamRecords(ar *Reader, v Visitor) error {
 		case TypeTrace:
 			var rec TraceRecord
 			if ar.Version() >= 3 {
-				err = UnmarshalTraceRecordInto(&rec, body)
+				rec.Trace = &lent.tr
+				rec.VPIndex, err = lent.decode(body)
 			} else {
-				err = decode(body, &rec)
+				var v2 TraceRecord // escapes through encoding/json; rec stays off the heap
+				err = decode(body, &v2)
+				rec = v2
 			}
 			if err != nil {
 				return err

@@ -3,8 +3,10 @@
 // v2. Every other record type keeps its v2 JSON schema. A replay decodes
 // one trace record per probe sweep, so this file holds the wire-path
 // contract (DESIGN.md §11): encoding appends into a caller-held buffer
-// without allocating, and decoding allocates only the Trace, its Hops and
-// one LSE slab shared by every hop's stack (plus the text of failure
+// without allocating; StreamRecords decodes into one reused trace that it
+// lends to its visitor, so a warmed decode allocates nothing, and
+// UnmarshalTraceRecordInto allocates only the Trace, its Hops and one LSE
+// slab shared by every hop's stack (both allocate the text of failure
 // fields and address zones, when present).
 //
 // Layout (varint: zigzag binary.AppendVarint; uvarint: binary.AppendUvarint):
@@ -139,11 +141,36 @@ func appendAddr(dst []byte, a netip.Addr) []byte {
 // decoded field is copied out of b, so the caller may reuse b at once.
 // Every count is checked against the bytes that remain before anything is
 // allocated for it, so a forged count cannot drive an allocation larger
-// than a small multiple of len(b).
+// than a small multiple of len(b). The decoded trace owns its memory: the
+// Trace, its Hops and one LSE slab.
 func UnmarshalTraceRecordInto(rec *TraceRecord, b []byte) error {
+	var l lentTrace
+	vpIndex, err := l.decode(b)
+	if err != nil {
+		return err
+	}
+	*rec = TraceRecord{VPIndex: vpIndex, Trace: new(probe.Trace)}
+	*rec.Trace = l.tr
+	return nil
+}
+
+// lentTrace is the one trace StreamRecords decodes every v3 trace payload
+// into and lends to its visitor: the Trace, its Hops and the LSE slab the
+// hops' stacks slice keep their capacity from one payload to the next, so
+// a warmed decode allocates nothing but the text of failure fields and
+// address zones.
+type lentTrace struct {
+	tr   probe.Trace
+	slab mpls.Stack
+}
+
+// decode decodes one v3 trace payload into l.tr, overwriting every field
+// the previous payload set, and returns its VP index. On error l.tr holds
+// no valid trace.
+func (l *lentTrace) decode(b []byte) (vpIndex int, err error) {
 	d := decoder{b: b}
-	vpIndex := d.int()
-	tr := &probe.Trace{}
+	vpIndex = d.int()
+	tr := &l.tr
 	tr.VP = d.addr()
 	tr.Dst = d.addr()
 	flow := d.uvarint()
@@ -153,32 +180,39 @@ func UnmarshalTraceRecordInto(rec *TraceRecord, b []byte) error {
 	tr.FlowID = uint16(flow)
 	tr.Halt = probe.HaltReason(d.int())
 	tr.Err = d.str()
+	tr.RevealErrs = nil
 	if n := d.count(1); n > 0 {
 		tr.RevealErrs = make([]string, n)
 		for i := range tr.RevealErrs {
 			tr.RevealErrs[i] = d.str()
 		}
 	}
+	hops := tr.Hops[:0]
+	tr.Hops = nil
 	if n := d.uvarint(); n > 0 {
 		n--
-		if n > uint64(len(d.b)/minHopSize) {
+		switch {
+		case n > uint64(len(d.b)/minHopSize):
 			d.bad = true
-		} else {
+		case n <= uint64(cap(hops)) && hops != nil:
+			tr.Hops = hops[:n]
+		default:
 			tr.Hops = make([]probe.Hop, n)
 		}
 	}
 	var slab mpls.Stack
 	if n := d.count(mpls.LSESize); n > 0 {
-		slab = make(mpls.Stack, n)
+		if n > cap(l.slab) {
+			l.slab = make(mpls.Stack, n)
+		}
+		slab = l.slab[:n]
 	}
 	for i := range tr.Hops {
 		if d.bad {
 			break
 		}
 		h := &tr.Hops[i]
-		h.TTL = d.int()
-		h.Addr = d.addr()
-		h.RTT = math.Float64frombits(d.uint64())
+		*h = probe.Hop{TTL: d.int(), Addr: d.addr(), RTT: math.Float64frombits(d.uint64())}
 		fixed := d.take(5)
 		if fixed == nil {
 			break
@@ -210,10 +244,9 @@ func UnmarshalTraceRecordInto(rec *TraceRecord, b []byte) error {
 		}
 	}
 	if d.bad || len(slab) != 0 || len(d.b) != 0 {
-		return fmt.Errorf("%w: malformed v3 trace payload (%d bytes)", ErrCorrupt, len(b))
+		return 0, fmt.Errorf("%w: malformed v3 trace payload (%d bytes)", ErrCorrupt, len(b))
 	}
-	*rec = TraceRecord{VPIndex: vpIndex, Trace: tr}
-	return nil
+	return vpIndex, nil
 }
 
 // decoder is a forward-only cursor over one payload. The first malformed

@@ -195,6 +195,55 @@ func TestAllocBudgetTraceCodec(t *testing.T) {
 	if !reflect.DeepEqual(out, rec) {
 		t.Errorf("decode diverged:\n got %+v\nwant %+v", out.Trace, rec.Trace)
 	}
+
+	// StreamRecords' lent trace: once it has decoded the trace, decoding it
+	// again reuses every slice.
+	var lent lentTrace
+	if _, err := lent.decode(payload); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := lent.decode(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("v3 lent trace decode: %.1f allocs/op, budget 0", got)
+	}
+}
+
+// TestLentTraceOverwritesEveryField decodes every edge-case trace into a
+// lent trace that last held each of the others: the result must equal a
+// fresh decode, so no field, hop or stack of the previous trace survives.
+func TestLentTraceOverwritesEveryField(t *testing.T) {
+	cases := edgeCases()
+	cases = append(cases, edgeCase{name: "bench", in: benchData().PerVP[3][7]})
+	payloads := make([][]byte, len(cases))
+	for i, c := range cases {
+		p, err := TraceRecord{VPIndex: i, Trace: c.in}.AppendMarshal(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads[i] = p
+	}
+	for i := range cases {
+		for j := range cases {
+			var lent lentTrace
+			if _, err := lent.decode(payloads[i]); err != nil {
+				t.Fatal(err)
+			}
+			vp, err := lent.decode(payloads[j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fresh TraceRecord
+			if err := UnmarshalTraceRecordInto(&fresh, payloads[j]); err != nil {
+				t.Fatal(err)
+			}
+			if got := (TraceRecord{VPIndex: vp, Trace: &lent.tr}); !reflect.DeepEqual(got, fresh) {
+				t.Errorf("%s after %s:\n got %+v\nwant %+v", cases[j].name, cases[i].name, got.Trace, fresh.Trace)
+			}
+		}
+	}
 }
 
 // forgedPayload hand-assembles a v3 trace payload whose counts claim far

@@ -115,23 +115,33 @@ func vendorRangeHit(h *Hop) bool {
 // stack-based flags (LSVR/LVR/LSO). Hops with a single LSE and no vendor
 // range evidence stay unflagged (classic MPLS).
 func (d *Detector) Analyze(p *Path) *Result {
-	res := &Result{Path: p, Areas: make([]Area, len(p.Hops))}
+	res := new(Result)
+	var a Arena
+	d.AnalyzeInto(res, &a, p)
+	return res
+}
+
+// AnalyzeInto is Analyze writing the result into dst, with its segments,
+// stack depths and areas appended to a. Segments is nil when no hop is
+// flagged; Areas is never nil.
+func (d *Detector) AnalyzeInto(dst *Result, a *Arena, p *Path) {
+	hops := p.Hops
 	minRun := d.MinRun
 	if minRun < 2 {
 		minRun = 2
 	}
-	inSeq := make([]bool, len(p.Hops))
+	segBase := len(a.segs)
 
 	// Pass 1: CVR / CO maximal runs over transit hops (terminal replies
 	// are the destination re-quoting what the previous hop already showed).
-	for i := 0; i < len(p.Hops); i++ {
-		if !sequenceEligible(&p.Hops[i]) {
+	for i := 0; i < len(hops); i++ {
+		if !sequenceEligible(&hops[i]) {
 			continue
 		}
 		j := i
 		anySuffix := false
-		for j+1 < len(p.Hops) && sequenceEligible(&p.Hops[j+1]) {
-			m, sfx := d.sameSegmentLabel(p.Hops[j].Stack.Top().Label, p.Hops[j+1].Stack.Top().Label)
+		for j+1 < len(hops) && sequenceEligible(&hops[j+1]) {
+			m, sfx := d.sameSegmentLabel(hops[j].Stack.Top().Label, hops[j+1].Stack.Top().Label)
 			if !m {
 				break
 			}
@@ -140,23 +150,31 @@ func (d *Detector) Analyze(p *Path) *Result {
 		}
 		if j-i+1 >= minRun {
 			seg := Segment{Start: i, End: j, Flag: FlagCO,
-				Label: p.Hops[i].Stack.Top().Label, SuffixMatch: anySuffix}
+				Label: hops[i].Stack.Top().Label, SuffixMatch: anySuffix}
+			k0 := len(a.depths)
 			for k := i; k <= j; k++ {
-				inSeq[k] = true
-				seg.StackDepths = append(seg.StackDepths, p.Hops[k].Stack.Depth())
-				if vendorRangeHit(&p.Hops[k]) {
+				a.depths = append(a.depths, hops[k].Stack.Depth())
+				if vendorRangeHit(&hops[k]) {
 					seg.Flag = FlagCVR
 				}
 			}
-			res.Segments = append(res.Segments, seg)
+			seg.StackDepths = tail(a.depths, k0)
+			a.segs = append(a.segs, seg)
 			i = j
 		}
 	}
+	seqEnd := len(a.segs)
 
-	// Pass 2: stack-based flags on the remaining stacked transit hops.
-	for i := 0; i < len(p.Hops); i++ {
-		h := &p.Hops[i]
-		if inSeq[i] || !sequenceEligible(h) {
+	// Pass 2: stack-based flags on the remaining stacked transit hops. The
+	// pass-1 runs are disjoint and in hop order, so one cursor tells
+	// whether hop i lies inside one.
+	run := segBase
+	for i := 0; i < len(hops); i++ {
+		for run < seqEnd && a.segs[run].End < i {
+			run++
+		}
+		h := &hops[i]
+		if run < seqEnd && a.segs[run].Start <= i || !sequenceEligible(h) {
 			continue
 		}
 		var flag Flag
@@ -170,36 +188,46 @@ func (d *Detector) Analyze(p *Path) *Result {
 		default:
 			continue // single label, no evidence: classic MPLS
 		}
-		res.Segments = append(res.Segments, Segment{
+		k0 := len(a.depths)
+		a.depths = append(a.depths, h.Stack.Depth())
+		a.segs = append(a.segs, Segment{
 			Start: i, End: i, Flag: flag,
 			Label:       h.Stack.Top().Label,
-			StackDepths: []int{h.Stack.Depth()},
+			StackDepths: tail(a.depths, k0),
 		})
 	}
-	sortSegments(res.Segments)
+	var segs []Segment
+	if len(a.segs) > segBase {
+		segs = tail(a.segs, segBase)
+		sortSegments(segs)
+	}
 
 	// Area partition: strong-flag hops are SR; other hops with MPLS
 	// evidence (any LSE, revelation, or the implicit-tunnel qTTL
 	// signature) are MPLS; the rest are IP. This is the conservative
 	// partition of Sec. 7.1 (LSO counts as MPLS, not SR).
-	for _, seg := range res.Segments {
+	a.areas = reserve(a.areas, len(hops))
+	areaBase := len(a.areas)
+	a.areas = append(a.areas, make([]Area, len(hops))...)
+	areas := tail(a.areas, areaBase)
+	for _, seg := range segs {
 		if !seg.Flag.Strong() {
 			continue
 		}
 		for k := seg.Start; k <= seg.End; k++ {
-			res.Areas[k] = AreaSR
+			areas[k] = AreaSR
 		}
 	}
-	for i := range p.Hops {
-		if res.Areas[i] == AreaSR {
+	for i := range hops {
+		if areas[i] == AreaSR {
 			continue
 		}
-		h := &p.Hops[i]
+		h := &hops[i]
 		if h.HasStack() || h.Revealed || h.QTTL > 1 {
-			res.Areas[i] = AreaMPLS
+			areas[i] = AreaMPLS
 		}
 	}
-	return res
+	*dst = Result{Path: p, Segments: segs, Areas: areas}
 }
 
 func sortSegments(segs []Segment) {

@@ -51,72 +51,80 @@ func (t *TunnelAnalysis) Interworking() bool {
 // when a strong flag covers it, and to the LDP cloud otherwise — single
 // labels outside vendor SR ranges are exactly what classic LDP exposes.
 func (r *Result) Tunnels() []TunnelAnalysis {
-	strong := make([]bool, len(r.Path.Hops))
-	for _, s := range r.Segments {
-		if !s.Flag.Strong() {
-			continue
-		}
-		for k := s.Start; k <= s.End; k++ {
-			strong[k] = true
-		}
-	}
-	var out []TunnelAnalysis
-	for i := 0; i < len(r.Path.Hops); i++ {
-		if !r.Path.Hops[i].HasStack() || r.Path.Hops[i].Terminal {
+	var a Arena
+	return r.TunnelsInto(&a)
+}
+
+// TunnelsInto is Tunnels with the analyses and their clouds appended to a.
+// It returns nil when the path carries no tunnel.
+func (r *Result) TunnelsInto(a *Arena) []TunnelAnalysis {
+	hops := r.Path.Hops
+	base := len(a.tunnels)
+	for i := 0; i < len(hops); i++ {
+		if !hops[i].HasStack() || hops[i].Terminal {
 			continue
 		}
 		j := i
-		for j+1 < len(r.Path.Hops) && r.Path.Hops[j+1].HasStack() && !r.Path.Hops[j+1].Terminal {
+		for j+1 < len(hops) && hops[j+1].HasStack() && !hops[j+1].Terminal {
 			j++
 		}
-		ta := TunnelAnalysis{Start: i, End: j}
+		c0 := len(a.clouds)
 		for k := i; k <= j; k++ {
 			kind := CloudLDP
-			if strong[k] {
+			if r.strongAt(k) {
 				kind = CloudSR
 			}
-			if n := len(ta.Clouds); n > 0 && ta.Clouds[n-1].Kind == kind {
-				ta.Clouds[n-1].Len++
+			if n := len(a.clouds); n > c0 && a.clouds[n-1].Kind == kind {
+				a.clouds[n-1].Len++
 			} else {
-				ta.Clouds = append(ta.Clouds, Cloud{Kind: kind, Len: 1})
+				a.clouds = append(a.clouds, Cloud{Kind: kind, Len: 1})
 			}
 		}
-		ta.Pattern = classifyPattern(ta.Clouds)
-		out = append(out, ta)
+		clouds := tail(a.clouds, c0)
+		a.tunnels = append(a.tunnels, TunnelAnalysis{Start: i, End: j, Clouds: clouds, Pattern: classifyPattern(clouds)})
 		i = j
 	}
-	return out
+	if len(a.tunnels) == base {
+		return nil
+	}
+	return tail(a.tunnels, base)
+}
+
+// strongAt reports whether a strong-flag segment covers hop k.
+func (r *Result) strongAt(k int) bool {
+	for i := range r.Segments {
+		if s := &r.Segments[i]; s.Flag.Strong() && s.Start <= k && k <= s.End {
+			return true
+		}
+	}
+	return false
 }
 
 func classifyPattern(clouds []Cloud) Pattern {
-	kinds := make([]CloudKind, len(clouds))
-	for i, c := range clouds {
-		kinds[i] = c.Kind
-	}
 	switch {
-	case matchKinds(kinds, CloudSR):
+	case matchKinds(clouds, CloudSR):
 		return PatternFullSR
-	case matchKinds(kinds, CloudLDP):
+	case matchKinds(clouds, CloudLDP):
 		return PatternFullLDP
-	case matchKinds(kinds, CloudSR, CloudLDP):
+	case matchKinds(clouds, CloudSR, CloudLDP):
 		return PatternSRLDP
-	case matchKinds(kinds, CloudLDP, CloudSR):
+	case matchKinds(clouds, CloudLDP, CloudSR):
 		return PatternLDPSR
-	case matchKinds(kinds, CloudLDP, CloudSR, CloudLDP):
+	case matchKinds(clouds, CloudLDP, CloudSR, CloudLDP):
 		return PatternLDPSRLDP
-	case matchKinds(kinds, CloudSR, CloudLDP, CloudSR):
+	case matchKinds(clouds, CloudSR, CloudLDP, CloudSR):
 		return PatternSRLDPSR
 	default:
 		return PatternOther
 	}
 }
 
-func matchKinds(got []CloudKind, want ...CloudKind) bool {
+func matchKinds(got []Cloud, want ...CloudKind) bool {
 	if len(got) != len(want) {
 		return false
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if got[i].Kind != want[i] {
 			return false
 		}
 	}

@@ -46,7 +46,15 @@ type Path struct {
 // The path owns its memory: one Hops slice and one LSE slab holding a
 // copy of every kept hop's stack (nil stacks stay nil, empty ones empty).
 func BuildPath(tr *probe.Trace, ann *fingerprint.Annotator, asOf func(netip.Addr) int) *Path {
-	p := &Path{VP: tr.VP, Dst: tr.Dst}
+	p := new(Path)
+	var a Arena
+	BuildPathInto(p, &a, tr, ann, asOf)
+	return p
+}
+
+// BuildPathInto is BuildPath writing the path into dst, with its hops and
+// stacks appended to a. Hops is nil when no hop responded.
+func BuildPathInto(dst *Path, a *Arena, tr *probe.Trace, ann *fingerprint.Annotator, asOf func(netip.Addr) int) {
 	n, lses := 0, 0
 	for i := range tr.Hops {
 		if tr.Hops[i].Responded() {
@@ -54,10 +62,9 @@ func BuildPath(tr *probe.Trace, ann *fingerprint.Annotator, asOf func(netip.Addr
 			lses += len(tr.Hops[i].Stack)
 		}
 	}
-	if n > 0 {
-		p.Hops = make([]Hop, 0, n) // one allocation per path, not one per doubling
-	}
-	slab := make(mpls.Stack, lses) // non-nil even when empty, so empty clones stay empty
+	a.hops = reserve(a.hops, n) // one allocation per path, not one per doubling
+	a.lses = reserve(a.lses, lses)
+	base := len(a.hops)
 	for i := range tr.Hops {
 		th := &tr.Hops[i]
 		if !th.Responded() {
@@ -65,8 +72,9 @@ func BuildPath(tr *probe.Trace, ann *fingerprint.Annotator, asOf func(netip.Addr
 		}
 		var st mpls.Stack
 		if th.Stack != nil {
-			k := copy(slab, th.Stack)
-			st, slab = slab[:k:k], slab[k:]
+			k := len(a.lses)
+			a.lses = append(a.lses, th.Stack...)
+			st = tail(a.lses, k)
 		}
 		h := Hop{
 			Addr:     th.Addr,
@@ -82,9 +90,12 @@ func BuildPath(tr *probe.Trace, ann *fingerprint.Annotator, asOf func(netip.Addr
 		if asOf != nil {
 			h.ASN = asOf(th.Addr)
 		}
-		p.Hops = append(p.Hops, h)
+		a.hops = append(a.hops, h)
 	}
-	return p
+	*dst = Path{VP: tr.VP, Dst: tr.Dst}
+	if n > 0 {
+		dst.Hops = tail(a.hops, base)
+	}
 }
 
 // RestrictToAS returns the sub-path of hops annotated with the given ASN,
@@ -95,7 +106,14 @@ func BuildPath(tr *probe.Trace, ann *fingerprint.Annotator, asOf func(netip.Addr
 // in both paths, while appending to the result never overwrites the
 // receiver's later hops (its capacity ends at the run).
 func (p *Path) RestrictToAS(asn int) *Path {
-	out := &Path{VP: p.VP, Dst: p.Dst}
+	out := new(Path)
+	p.RestrictToASInto(out, asn)
+	return out
+}
+
+// RestrictToASInto is RestrictToAS writing the sub-path into dst, which
+// may be p itself.
+func (p *Path) RestrictToASInto(dst *Path, asn int) {
 	start, end := -1, len(p.Hops)
 	for i := range p.Hops {
 		if p.Hops[i].ASN == asn {
@@ -107,10 +125,11 @@ func (p *Path) RestrictToAS(asn int) *Path {
 			break
 		}
 	}
+	var hops []Hop
 	if start >= 0 {
-		out.Hops = p.Hops[start:end:end]
+		hops = p.Hops[start:end:end]
 	}
-	return out
+	*dst = Path{VP: p.VP, Dst: p.Dst, Hops: hops}
 }
 
 // DistinctAddrs returns the set of distinct hop addresses on the path.

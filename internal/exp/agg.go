@@ -120,19 +120,12 @@ type traceFacts struct {
 	analyses []core.TunnelAnalysis // interworking analysis; nil without a result
 }
 
-func newTraceFacts(tr *probe.Trace, res *core.Result) traceFacts {
-	f := traceFacts{tunnels: probe.ClassifyTunnels(tr)}
-	if res != nil {
-		f.analyses = res.Tunnels()
-	}
-	return f
-}
-
 // addTrace folds one trace: the raw trace always contributes (tunnel
 // classes, responder accumulation); res is the analysis of its AS-restricted
-// path and is nil when the restriction was empty; facts is
-// newTraceFacts(tr, res). sr is the archived ground-truth set, sealed
-// before the first trace arrives.
+// path and is nil when the restriction was empty; facts holds
+// probe.ClassifyTunnels(tr) and, with a result, res.Tunnels(). sr is the
+// archived ground-truth set, sealed before the first trace arrives. It
+// allocates only when a map gains a key.
 func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts traceFacts, sr map[netip.Addr]bool) {
 	a.Traces++
 	explicit := false
@@ -158,8 +151,6 @@ func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts trace
 	a.PathsInAS++
 
 	hops := res.Path.Hops
-	inStrong := make([]bool, len(hops))
-	flagged := make([]bool, len(hops))
 	for _, s := range res.Segments {
 		a.Flags[s.Flag]++
 		if s.Flag == core.FlagCVR || s.Flag == core.FlagCO {
@@ -170,12 +161,10 @@ func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts trace
 		}
 		allSR := true
 		for k := s.Start; k <= s.End; k++ {
-			flagged[k] = true
 			if !sr[hops[k].Addr] {
 				allSR = false
 			}
 			if s.Flag.Strong() {
-				inStrong[k] = true
 				a.StrongHops++
 				if hops[k].Fingerprinted() {
 					a.StrongHopsFP++
@@ -199,8 +188,9 @@ func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts trace
 
 	for i := range hops {
 		h := &hops[i]
+		flagged, inStrong := segmentsAt(res.Segments, i)
 		if h.HasStack() {
-			if inStrong[i] {
+			if inStrong {
 				a.StackStrong[h.Stack.Depth()]++
 			} else {
 				a.StackOther[h.Stack.Depth()]++
@@ -222,7 +212,7 @@ func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts trace
 		if area := res.Areas[i]; area > ifc.Area {
 			ifc.Area = area
 		}
-		if flagged[i] {
+		if flagged {
 			ifc.Flagged = true
 		}
 		if h.HasStack() && !h.Terminal {
@@ -244,6 +234,18 @@ func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts trace
 			}
 		}
 	}
+}
+
+// segmentsAt reports whether any segment covers hop i, and whether a
+// strong-flag one does.
+func segmentsAt(segs []core.Segment, i int) (flagged, strong bool) {
+	for k := range segs {
+		if s := &segs[k]; s.Start <= i && i <= s.End {
+			flagged = true
+			strong = strong || s.Flag.Strong()
+		}
+	}
+	return flagged, strong
 }
 
 // Merge folds o into a. Every reduction is commutative and associative —

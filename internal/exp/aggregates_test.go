@@ -87,6 +87,15 @@ func fixtureTrace2() (*probe.Trace, *core.Result) {
 	return tr, res
 }
 
+// newTraceFacts derives one trace's facts through the allocating API.
+func newTraceFacts(tr *probe.Trace, res *core.Result) traceFacts {
+	f := traceFacts{tunnels: probe.ClassifyTunnels(tr)}
+	if res != nil {
+		f.analyses = res.Tunnels()
+	}
+	return f
+}
+
 // fixtureResult folds the two fixture traces into a queryable ASResult.
 func fixtureResult() *ASResult {
 	agg := NewAgg()

@@ -473,9 +473,14 @@ func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Depl
 // contain, so Detect here and DetectStream over the encoded bytes are
 // deep-equal by construction — verdicts included.
 func Detect(ctx context.Context, data *archive.Data, cfg Config) (*ASResult, error) {
+	return detect(ctx, data, cfg, new(foldStore))
+}
+
+// detect is Detect building its batches in store.
+func detect(ctx context.Context, data *archive.Data, cfg Config, store *foldStore) (*ASResult, error) {
 	done := cfg.Metrics.Span("exp", "stage.detect").Start()
 	defer done()
-	f := newFold(ctx, cfg)
+	f := newFold(ctx, cfg, store)
 	if err := foldData(f, data); err != nil {
 		return nil, err
 	}
@@ -490,17 +495,17 @@ func Detect(ctx context.Context, data *archive.Data, cfg Config) (*ASResult, err
 // Errors carry their pipeline stage (StageError); a cancelled ctx surfaces
 // as its cause (see IsInterrupt), never as a stage fault.
 func RunAS(ctx context.Context, rec asgen.Record, cfg Config) (*ASResult, error) {
-	return runASWithDeployment(ctx, rec, cfg.deployment(rec), cfg)
+	return runASWithDeployment(ctx, rec, cfg.deployment(rec), cfg, new(foldStore))
 }
 
 // runASWithDeployment runs measure+detect against an explicit deployment
-// (longitudinal extension).
-func runASWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Deployment, cfg Config) (*ASResult, error) {
+// (longitudinal extension), folding in store.
+func runASWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Deployment, cfg Config, store *foldStore) (*ASResult, error) {
 	data, err := measureWithDeployment(ctx, rec, dep, cfg)
 	if err != nil {
 		return nil, stageErr(StageMeasure, err)
 	}
-	res, err := Detect(ctx, data, cfg)
+	res, err := detect(ctx, data, cfg, store)
 	if err != nil {
 		return nil, stageErr(StageDetect, err)
 	}
@@ -541,10 +546,11 @@ func Run(ctx context.Context, records []asgen.Record, cfg Config) (*Campaign, er
 	errs := make([]error, len(kept))
 	wd, stopWD := cfg.startWatchdog()
 	defer stopWD()
-	fanErr := par.ForEach(ctx, cfg.workers(), len(kept), func(i int) {
+	stores := make([]foldStore, cfg.workers()) // one per AS worker, handed from AS to AS
+	fanErr := par.ForEachWorker(ctx, cfg.workers(), len(kept), func(w, i int) {
 		asCtx, asCfg, finish := cfg.supervised(ctx, wd, kept[i])
 		defer finish()
-		results[i], errs[i] = RunAS(asCtx, kept[i], asCfg)
+		results[i], errs[i] = runASWithDeployment(asCtx, kept[i], asCfg.deployment(kept[i]), asCfg, &stores[w])
 	})
 
 	c := &Campaign{Cfg: cfg}

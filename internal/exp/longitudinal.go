@@ -29,6 +29,7 @@ type EpochStat struct {
 // mapping server once both planes coexist.
 func RunLongitudinal(ctx context.Context, rec asgen.Record, epochs int, cfg Config) ([]EpochStat, error) {
 	var out []EpochStat
+	var store foldStore // handed from one epoch's fold to the next
 	for e := 0; e < epochs; e++ {
 		if err := ctx.Err(); err != nil {
 			return nil, context.Cause(ctx)
@@ -42,7 +43,7 @@ func RunLongitudinal(ctx context.Context, rec asgen.Record, epochs int, cfg Conf
 		dep.PropagateProb = 1
 		dep.RFC4950Prob = 1
 
-		r, err := runASWithDeployment(ctx, rec, dep, cfg)
+		r, err := runASWithDeployment(ctx, rec, dep, cfg, &store)
 		if err != nil {
 			return nil, fmt.Errorf("epoch %d: %w", e, err)
 		}

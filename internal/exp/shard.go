@@ -89,10 +89,11 @@ func RunSharded(ctx context.Context, records []asgen.Record, cfg Config, dir str
 	errs := make([]error, len(kept))
 	wd, stopWD := cfg.startWatchdog()
 	defer stopWD()
-	fanErr := par.ForEach(ctx, cfg.workers(), len(kept), func(i int) {
+	stores := make([]foldStore, cfg.workers()) // one per AS worker, handed from AS to AS
+	fanErr := par.ForEachWorker(ctx, cfg.workers(), len(kept), func(w, i int) {
 		asCtx, asCfg, finish := cfg.supervised(ctx, wd, kept[i])
 		defer finish()
-		results[i], statuses[i], errs[i] = runShard(asCtx, kept[i], asCfg, dir)
+		results[i], statuses[i], errs[i] = runShard(asCtx, kept[i], asCfg, dir, &stores[w])
 	})
 
 	c := &Campaign{Cfg: cfg}
@@ -132,9 +133,9 @@ func RunSharded(ctx context.Context, records []asgen.Record, cfg Config, dir str
 // (archive.WriteFile's temp+rename) and happens only after MeasureAS
 // returned a complete measurement, so an interrupt can never leave a
 // partial shard that a resume would mistake for evidence.
-func runShard(ctx context.Context, rec asgen.Record, cfg Config, dir string) (*ASResult, ShardStatus, error) {
+func runShard(ctx context.Context, rec asgen.Record, cfg Config, dir string, store *foldStore) (*ASResult, ShardStatus, error) {
 	path := ShardPath(dir, rec)
-	res, err := DetectStreamFile(ctx, path, cfg)
+	res, err := detectStreamFile(ctx, path, cfg, store)
 	switch {
 	case err == nil:
 		return res, ShardResumed, nil
@@ -163,7 +164,7 @@ func runShard(ctx context.Context, rec asgen.Record, cfg Config, dir string) (*A
 	// Analyze the written shard, not the in-memory measurement: every
 	// campaign output then provably flows through the archive codec — and
 	// through the same bounded-memory fold a resume would use.
-	res, err = DetectStreamFile(ctx, path, cfg)
+	res, err = detectStreamFile(ctx, path, cfg, store)
 	if err != nil {
 		return nil, 0, shardErr(path, err)
 	}

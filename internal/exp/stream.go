@@ -6,7 +6,9 @@
 // worker count. DetectStream drives it straight off archive bytes without
 // ever materializing the trace set; Detect in campaign.go drives the same
 // fold from an in-memory archive.Data, which is what pins the two paths
-// deep-equal.
+// deep-equal. Each batch is built in a foldStore that is reset, not
+// reallocated, from one batch to the next, so the fold allocates nothing
+// per trace once its storage has grown to the largest batch.
 package exp
 
 import (
@@ -43,11 +45,12 @@ type fold struct {
 	// trace boundary when it is cancelled, and the fold surfaces the cause.
 	ctx context.Context
 
-	res  *ASResult
-	agg  *Agg
-	det  *core.Detector
-	busy *obs.Span
-	asn  int
+	res     *ASResult
+	agg     *Agg
+	det     *core.Detector
+	busy    *obs.Span
+	records *obs.Counter
+	asn     int
 
 	// planned sums the per-VP trace counts as VP records arrive; once the
 	// VP run ends, planBudgetErr re-derives the live run's MaxASTraces
@@ -62,12 +65,51 @@ type fold struct {
 	borders map[netip.Addr]int
 	sealed  bool
 
-	batch   []archive.TraceRecord
-	results []*core.Result // analysis slots, indexed like batch
-	facts   []traceFacts   // per-trace classification slots, indexed like batch
+	// store holds the pending batch: its first pending slots are filled.
+	store   *foldStore
+	pending int
 }
 
-func newFold(ctx context.Context, cfg Config) *fold {
+// foldStore is the storage a fold builds its batches in: the batch slots,
+// copies of lent traces, and one set of append-only slabs per analysis
+// worker for the paths, results and tunnel facts. Everything in it is
+// reset at every batch and keeps its capacity, so it holds only what one
+// batch produced. A store belongs to one Run, RunSharded, Detect or
+// DetectStream call: an AS worker hands its store from one AS's fold to
+// the next, and the store is dropped when the call returns. Nothing a
+// fold returns points into it (Config.KeepPaths copies out what it
+// retains). The zero value is ready.
+type foldStore struct {
+	slots []batchSlot // analyzeBatch slots, allocated on first use
+
+	// traces, hops and lses hold the batch's copies of lent traces
+	// (DetectStream); Detect's traces are owned, so it never fills them.
+	traces []probe.Trace
+	hops   []probe.Hop
+	lses   mpls.Stack
+
+	workers []workerSlabs // indexed by analysis worker
+}
+
+// batchSlot is one trace of a batch and everything derived from it.
+type batchSlot struct {
+	vp    int
+	tr    *probe.Trace
+	sub   core.Path   // the annotated trace, restricted to the AS of interest
+	res   core.Result // the analysis of sub, when sub has hops
+	facts traceFacts
+}
+
+// workerSlabs is one analysis worker's batch storage.
+type workerSlabs struct {
+	arena   core.Arena
+	tunnels []probe.Tunnel
+}
+
+func newFold(ctx context.Context, cfg Config, store *foldStore) *fold {
+	if store.slots == nil {
+		store.slots = make([]batchSlot, analyzeBatch)
+	}
 	return &fold{
 		cfg:     cfg,
 		ctx:     ctx,
@@ -78,15 +120,18 @@ func newFold(ctx context.Context, cfg Config) *fold {
 		snmp:    map[netip.Addr]mpls.Vendor{},
 		ttl:     map[netip.Addr]mpls.Vendor{},
 		borders: map[netip.Addr]int{},
-		batch:   make([]archive.TraceRecord, 0, analyzeBatch),
-		results: make([]*core.Result, analyzeBatch),
-		facts:   make([]traceFacts, analyzeBatch),
+		store:   store,
 	}
 }
 
 // record counts one folded archive record (streamed and in-memory drives
 // emit the same record sequence, so the counter is path-independent).
-func (f *fold) record() { f.cfg.Metrics.Counter("exp", "stream.records").Inc() }
+func (f *fold) record() {
+	if f.records == nil {
+		f.records = f.cfg.Metrics.Counter("exp", "stream.records")
+	}
+	f.records.Inc()
+}
 
 // sideRecord guards a side-data record: once the first trace has sealed the
 // annotation state, further side records cannot be honored by a one-pass
@@ -175,7 +220,24 @@ func (f *fold) Degraded(rec archive.Degraded) error {
 	return f.cfg.degradedBudgetErr(&rec)
 }
 
+// Trace folds one lent trace record (archive.Visitor): the trace is
+// copied into the batch storage before the call returns.
 func (f *fold) Trace(rec archive.TraceRecord) error {
+	if err := f.admitTrace(); err != nil {
+		return err
+	}
+	st := f.store
+	if st.traces == nil {
+		st.traces = make([]probe.Trace, analyzeBatch)
+	}
+	tr := &st.traces[f.pending]
+	st.hops, st.lses = rec.Trace.CopyInto(tr, st.hops, st.lses)
+	return f.add(rec.VPIndex, tr)
+}
+
+// admitTrace counts a trace record and seals the side state at the first
+// one.
+func (f *fold) admitTrace() error {
 	f.record()
 	if err := f.planBudgetErr(); err != nil {
 		return err
@@ -183,8 +245,15 @@ func (f *fold) Trace(rec archive.TraceRecord) error {
 	if !f.sealed {
 		f.seal()
 	}
-	f.batch = append(f.batch, rec)
-	if len(f.batch) == analyzeBatch {
+	return nil
+}
+
+// add queues one trace the fold may read until the batch is flushed.
+func (f *fold) add(vpIndex int, tr *probe.Trace) error {
+	s := &f.store.slots[f.pending]
+	s.vp, s.tr = vpIndex, tr
+	f.pending++
+	if f.pending == analyzeBatch {
 		return f.flush()
 	}
 	return nil
@@ -195,6 +264,7 @@ func (f *fold) Trace(rec archive.TraceRecord) error {
 func (f *fold) seal() {
 	f.sealed = true
 	f.res.Annotator = fingerprint.NewAnnotator(f.snmp, f.ttl)
+	f.snmp, f.ttl = nil, nil // merged into the annotator
 	f.res.Annotation = bdrmap.Annotation(f.borders)
 }
 
@@ -205,7 +275,7 @@ func (f *fold) seal() {
 // with the cause before accumulating anything from the interrupted batch —
 // a partial batch never reaches the aggregates.
 func (f *fold) flush() error {
-	n := len(f.batch)
+	n := f.pending
 	if n == 0 {
 		return nil
 	}
@@ -213,38 +283,75 @@ func (f *fold) flush() error {
 	reg.Counter("exp", "jobs.detect").Add(uint64(n))
 	reg.Counter("exp", "stream.batches").Inc()
 	reg.Gauge("exp", "stream.inflight").SetMax(uint64(n))
-	asOf := f.res.Annotation.AsFunc()
-	if err := par.ForEach(f.ctx, f.cfg.analyzeWorkers(), n, func(i int) {
+	// Worker w analyzes the w-th contiguous share of the batch into its
+	// own slabs, so each worker's slabs hold at most its share, however
+	// the workers are scheduled.
+	st := f.store
+	workers := min(f.cfg.analyzeWorkers(), n)
+	for len(st.workers) < workers {
+		st.workers = append(st.workers, workerSlabs{})
+	}
+	ann, asOf := f.res.Annotator, f.res.Annotation.AsFunc()
+	err := par.ForEach(f.ctx, workers, workers, func(w int) {
 		defer f.busy.Start()()
-		tr := f.batch[i].Trace
-		sub := core.BuildPath(tr, f.res.Annotator, asOf).RestrictToAS(f.asn)
-		if len(sub.Hops) > 0 {
-			f.results[i] = f.det.Analyze(sub)
+		ws := &st.workers[w]
+		ws.arena.Reset()
+		ws.tunnels = ws.tunnels[:0]
+		for i := w * n / workers; i < (w+1)*n/workers && f.ctx.Err() == nil; i++ {
+			f.analyze(ws, &st.slots[i], ann, asOf)
 		}
-		f.facts[i] = newTraceFacts(tr, f.results[i])
-	}); err != nil {
+	})
+	if err == nil && f.ctx.Err() != nil {
+		err = context.Cause(f.ctx) // a worker stopped short of its share
+	}
+	if err != nil {
 		return err
 	}
 	inAS := 0
 	for i := 0; i < n; i++ {
-		rec := f.batch[i]
-		f.agg.addTrace(rec.VPIndex, rec.Trace, f.results[i], f.facts[i], f.res.SREnabled)
-		if f.cfg.KeepPaths {
-			f.res.PerVP[rec.VPIndex].Traces = append(f.res.PerVP[rec.VPIndex].Traces, rec.Trace)
-		}
-		if f.results[i] != nil {
+		s := &st.slots[i]
+		var res *core.Result
+		if len(s.sub.Hops) > 0 {
+			res = &s.res
 			inAS++
-			if f.cfg.KeepPaths {
-				f.res.Paths = append(f.res.Paths, f.results[i].Path)
-				f.res.Results = append(f.res.Results, f.results[i])
-			}
 		}
-		f.results[i], f.facts[i] = nil, traceFacts{}
+		f.agg.addTrace(s.vp, s.tr, res, s.facts, f.res.SREnabled)
+		if f.cfg.KeepPaths {
+			f.keep(s.vp, s.tr, res)
+		}
+		s.tr = nil // Detect's traces are the caller's: hold none past the batch
 	}
 	reg.Counter("exp", "paths").Add(uint64(inAS))
-	f.batch = f.batch[:0]
+	f.pending = 0
+	st.hops, st.lses = st.hops[:0], st.lses[:0]
 	f.cfg.beat() // one unit of supervised progress per analyzed batch
 	return nil
+}
+
+// analyze derives one slot's path, sub-path, analysis and tunnel facts,
+// building them in ws.
+func (f *fold) analyze(ws *workerSlabs, s *batchSlot, ann *fingerprint.Annotator, asOf func(netip.Addr) int) {
+	core.BuildPathInto(&s.sub, &ws.arena, s.tr, ann, asOf)
+	s.sub.RestrictToASInto(&s.sub, f.asn)
+	s.facts.analyses = nil
+	if len(s.sub.Hops) > 0 {
+		f.det.AnalyzeInto(&s.res, &ws.arena, &s.sub)
+		s.facts.analyses = s.res.TunnelsInto(&ws.arena)
+	}
+	k := len(ws.tunnels)
+	ws.tunnels = probe.AppendTunnels(ws.tunnels, s.tr)
+	s.facts.tunnels = ws.tunnels[k:len(ws.tunnels):len(ws.tunnels)]
+}
+
+// keep retains one trace and its analysis (Config.KeepPaths): exact copies,
+// since the batch storage is reused.
+func (f *fold) keep(vp int, tr *probe.Trace, res *core.Result) {
+	f.res.PerVP[vp].Traces = append(f.res.PerVP[vp].Traces, tr.Clone())
+	if res != nil {
+		c := res.Clone()
+		f.res.Paths = append(f.res.Paths, c.Path)
+		f.res.Results = append(f.res.Results, c)
+	}
 }
 
 // finish drains the final partial batch and returns the completed result.
@@ -270,6 +377,11 @@ func (f *fold) finish() (*ASResult, error) {
 // record arrives, before any trace. The result is deep-equal to Detect over
 // the materialized archive.
 func DetectStream(ctx context.Context, r io.Reader, cfg Config) (*ASResult, error) {
+	return detectStream(ctx, r, cfg, new(foldStore))
+}
+
+// detectStream is DetectStream building its batches in store.
+func detectStream(ctx context.Context, r io.Reader, cfg Config, store *foldStore) (*ASResult, error) {
 	ar, err := archive.NewReader(r)
 	if err != nil {
 		return nil, err
@@ -277,7 +389,7 @@ func DetectStream(ctx context.Context, r io.Reader, cfg Config) (*ASResult, erro
 	reg := cfg.Metrics
 	done := reg.Span("exp", "stage.detect").Start()
 	defer done()
-	f := newFold(ctx, cfg)
+	f := newFold(ctx, cfg, store)
 	if err := archive.StreamRecords(ar, f); err != nil {
 		return nil, err
 	}
@@ -286,12 +398,16 @@ func DetectStream(ctx context.Context, r io.Reader, cfg Config) (*ASResult, erro
 
 // DetectStreamFile is DetectStream over one shard on disk.
 func DetectStreamFile(ctx context.Context, path string, cfg Config) (*ASResult, error) {
+	return detectStreamFile(ctx, path, cfg, new(foldStore))
+}
+
+func detectStreamFile(ctx context.Context, path string, cfg Config, store *foldStore) (*ASResult, error) {
 	file, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer file.Close()
-	return DetectStream(ctx, file, cfg)
+	return detectStream(ctx, file, cfg, store)
 }
 
 // foldData drives a fold from an in-memory archive.Data, emitting exactly
@@ -337,9 +453,14 @@ func foldData(f *fold, d *archive.Data) error {
 			return err
 		}
 	}
+	// The traces are owned by d, so the fold reads them in place instead
+	// of copying them as it copies lent ones.
 	for i, ts := range d.PerVP {
 		for _, tr := range ts {
-			if err := f.Trace(archive.TraceRecord{VPIndex: i, Trace: tr}); err != nil {
+			if err := f.admitTrace(); err != nil {
+				return err
+			}
+			if err := f.add(i, tr); err != nil {
 				return err
 			}
 		}

@@ -176,40 +176,40 @@ func SNMPDataset(n *netsim.Network) map[netip.Addr]mpls.Vendor {
 // Annotator merges the two techniques, SNMPv3 taking precedence when both
 // disagree (paper Sec. 5).
 type Annotator struct {
-	snmp map[netip.Addr]mpls.Vendor
-	ttl  map[netip.Addr]mpls.Vendor
+	// byAddr holds every annotated interface, SNMPv3 entries first, so a
+	// hop costs one lookup whether or not SNMPv3 knows it.
+	byAddr map[netip.Addr]Result
+	// snmp and ttl count the interfaces each source annotated, after
+	// precedence.
+	snmp, ttl int
 }
 
 // NewAnnotator builds an annotator from the two datasets; either may be nil.
+// It merges a snapshot of both, so changing a map after the call does not
+// reach the annotator: every caller builds its maps before calling.
 func NewAnnotator(snmp, ttl map[netip.Addr]mpls.Vendor) *Annotator {
-	if snmp == nil {
-		snmp = map[netip.Addr]mpls.Vendor{}
+	a := &Annotator{byAddr: make(map[netip.Addr]Result, len(snmp)+len(ttl))}
+	for addr, v := range snmp {
+		a.byAddr[addr] = Result{Vendor: v, Source: SourceSNMP}
 	}
-	if ttl == nil {
-		ttl = map[netip.Addr]mpls.Vendor{}
+	a.snmp = len(a.byAddr)
+	for addr, v := range ttl {
+		if _, dup := a.byAddr[addr]; !dup {
+			a.byAddr[addr] = Result{Vendor: v, Source: SourceTTL}
+		}
 	}
-	return &Annotator{snmp: snmp, ttl: ttl}
+	a.ttl = len(a.byAddr) - a.snmp
+	return a
 }
 
 // Vendor resolves the annotation for one interface.
 func (a *Annotator) Vendor(ip netip.Addr) Result {
-	if v, ok := a.snmp[ip]; ok {
-		return Result{Vendor: v, Source: SourceSNMP}
-	}
-	if v, ok := a.ttl[ip]; ok {
-		return Result{Vendor: v, Source: SourceTTL}
+	if r, ok := a.byAddr[ip]; ok {
+		return r
 	}
 	return Result{Vendor: mpls.VendorUnknown, Source: SourceNone}
 }
 
 // Coverage returns how many distinct interfaces each source annotated,
 // after precedence (an address known to both counts as SNMP).
-func (a *Annotator) Coverage() (snmp, ttl int) {
-	snmp = len(a.snmp)
-	for addr := range a.ttl {
-		if _, dup := a.snmp[addr]; !dup {
-			ttl++
-		}
-	}
-	return snmp, ttl
-}
+func (a *Annotator) Coverage() (snmp, ttl int) { return a.snmp, a.ttl }

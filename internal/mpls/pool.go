@@ -1,9 +1,6 @@
 package mpls
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Pool is a per-router dynamic label allocator. Classic MPLS/LDP label
 // bindings have purely local significance: each router independently draws
@@ -14,19 +11,16 @@ import (
 // given seed, so campaigns are reproducible and false-positive probabilities
 // can be measured.
 type Pool struct {
-	seed  int64
-	rng   *rand.Rand // nil until the first Allocate
+	src   labelSource // math/rand's draws for the seed, without its state
 	rng2  LabelRange
 	used  map[uint32]bool
 	bound map[string]uint32 // FEC key -> label
 }
 
-// NewPool creates a dynamic label pool over r, seeded deterministically.
-// The random source is built on the first Allocate, from the same seed:
-// many routers never draw a label, and a math/rand source costs ~4.9 KB
-// and its seeding.
+// NewPool creates a dynamic label pool over r, seeded deterministically:
+// it draws the labels rand.New(rand.NewSource(seed)) would draw.
 func NewPool(r LabelRange, seed int64) *Pool {
-	return &Pool{seed: seed, rng2: r}
+	return &Pool{src: newLabelSource(seed), rng2: r}
 }
 
 // Range returns the pool's label range.
@@ -44,13 +38,12 @@ func (p *Pool) Allocate(fec string) uint32 {
 	if uint32(len(p.used)) >= size {
 		panic(fmt.Sprintf("mpls: label pool %v exhausted", p.rng2))
 	}
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.seed))
+	if p.used == nil {
 		p.used = make(map[uint32]bool)
 		p.bound = make(map[string]uint32)
 	}
 	for {
-		l := p.rng2.Lo + uint32(p.rng.Int63n(int64(size)))
+		l := p.rng2.Lo + uint32(p.src.Int63n(int64(size)))
 		if !p.used[l] {
 			p.used[l] = true
 			p.bound[fec] = l

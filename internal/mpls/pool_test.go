@@ -2,6 +2,8 @@ package mpls
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -95,4 +97,30 @@ func TestPoolExhaustionPanics(t *testing.T) {
 	p.Allocate("a")
 	p.Allocate("b")
 	p.Allocate("c") // pool of size 2 exhausted
+}
+
+// TestPoolSourceMatchesMathRand pins the computed label source to
+// math/rand: its Int63n draws must equal those of
+// rand.New(rand.NewSource(seed)) for every seed, across the 273-output
+// prefix the source computes and the handover to math/rand past it. The
+// bounds cycle through a power of two, small pools and bounds near 2^62
+// that reject about a quarter of the outputs, so draws and outputs drift
+// apart and the handover lands inside and between draws.
+func TestPoolSourceMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, 1<<31 - 1, 1 << 31, math.MaxInt64, math.MinInt64}
+	r := rand.New(rand.NewSource(7))
+	for len(seeds) < 207 {
+		seeds = append(seeds, r.Int63()-r.Int63())
+	}
+	bounds := []int64{1 << 12, 1000, 3 << 61, 1048575 - 16, 7, 1<<62 + 1}
+	for _, seed := range seeds {
+		want := rand.New(rand.NewSource(seed))
+		got := newLabelSource(seed)
+		for i := 0; i < 900; i++ {
+			n := bounds[i%len(bounds)]
+			if g, w := got.Int63n(n), want.Int63n(n); g != w {
+				t.Fatalf("seed %d draw %d (n=%d): got %d, math/rand %d", seed, i, n, g, w)
+			}
+		}
+	}
 }

@@ -44,6 +44,16 @@ func Workers(n int) int {
 // slice); ForEach establishes a happens-before edge between every fn call
 // and ForEach's return.
 func ForEach(ctx context.Context, workers, n int, fn func(i int)) error {
+	return ForEachWorker(ctx, workers, n, func(_, i int) { fn(i) })
+}
+
+// ForEachWorker is ForEach passing fn, with each index, the number w in
+// [0, workers) of the goroutine that runs it (always 0 when sequential).
+// Calls with the same w never overlap, so fn may also write per-worker
+// state: storage w of a pre-sized slice, reused across the indices that
+// worker claims. Which worker claims which index depends on scheduling,
+// so per-worker state must not decide any result.
+func ForEachWorker(ctx context.Context, workers, n int, fn func(w, i int)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -55,7 +65,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int)) error {
 			if ctx.Err() != nil {
 				return context.Cause(ctx)
 			}
-			fn(i)
+			fn(0, i)
 		}
 		return nil
 	}
@@ -79,7 +89,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int)) error {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

@@ -185,3 +185,34 @@ func TestConflictOrderedCancelled(t *testing.T) {
 		cancel(nil)
 	}
 }
+
+// ForEachWorker hands every index to exactly one call, numbers the
+// workers within [0, workers), and never runs two calls of one worker at
+// once: per-worker storage needs no lock.
+func TestForEachWorkerExclusiveWorkers(t *testing.T) {
+	ctx := context.Background()
+	for _, workers := range []int{1, 3, 8} {
+		n := 500
+		hits := make([]atomic.Int32, n)
+		busy := make([]atomic.Bool, workers)
+		err := ForEachWorker(ctx, workers, n, func(w, i int) {
+			if w < 0 || w >= workers {
+				t.Errorf("workers=%d: worker %d out of range", workers, w)
+				return
+			}
+			if busy[w].Swap(true) {
+				t.Errorf("workers=%d: worker %d ran two calls at once", workers, w)
+			}
+			hits[i].Add(1)
+			busy[w].Store(false)
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range hits {
+			if h := hits[i].Load(); h != 1 {
+				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
+			}
+		}
+	}
+}

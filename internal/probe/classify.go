@@ -11,8 +11,12 @@ package probe
 //   - implicit: hops quoting no LSE but whose quoted IP TTL (qTTL) forms
 //     the 1,2,3,... staircase that only arises when the IP TTL is frozen
 //     inside a tunnel while probes expire on the LSE TTL.
-func ClassifyTunnels(tr *Trace) []Tunnel {
-	var out []Tunnel
+func ClassifyTunnels(tr *Trace) []Tunnel { return AppendTunnels(nil, tr) }
+
+// AppendTunnels is ClassifyTunnels appending tr's tunnels to dst and
+// returning the extended slice; it allocates only when dst lacks capacity.
+func AppendTunnels(dst []Tunnel, tr *Trace) []Tunnel {
+	out, base := dst, len(dst)
 	n := len(tr.Hops)
 	for i := 0; i < n; i++ {
 		h := &tr.Hops[i]
@@ -49,7 +53,7 @@ func ClassifyTunnels(tr *Trace) []Tunnel {
 			// Implicit staircase: the hop before the first qTTL=2 hop is
 			// the first LSR (its own qTTL of 1 is indistinguishable alone).
 			start := i - 1
-			if len(out) > 0 && out[len(out)-1].End >= start {
+			if len(out) > base && out[len(out)-1].End >= start {
 				start = i
 			}
 			q := h.QTTL

@@ -12,6 +12,7 @@ package probe
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 
 	"arest/internal/mpls"
@@ -102,6 +103,51 @@ type Trace struct {
 	// content may exist that could not be revealed (classification may
 	// undercount tunnels). One entry per failed trigger, in hop order.
 	RevealErrs []string `json:"reveal_errs,omitempty"`
+}
+
+// Clone returns a deep copy of t that owns its memory: the Trace, one
+// exact Hops slice and one LSE slab that every hop's stack slices with a
+// full slice expression (the layout the v3 archive decoder and the tracer
+// produce), plus a RevealErrs slice when t has one.
+func (t *Trace) Clone() *Trace {
+	n := 0
+	for i := range t.Hops {
+		n += len(t.Hops[i].Stack)
+	}
+	out := new(Trace)
+	t.CopyInto(out, make([]Hop, 0, len(t.Hops)), make(mpls.Stack, 0, n))
+	return out
+}
+
+// CopyInto copies t into dst with its hops appended to hops and every
+// hop's label stack appended to lses, and returns the extended slabs; it
+// allocates only when they lack capacity (and for a non-empty RevealErrs).
+// dst shares no memory with t, and nil and empty slices keep their form,
+// so dst deep-equals t. Each of dst's hops and stacks is capped at its
+// length, so appending to one never overwrites the next.
+func (t *Trace) CopyInto(dst *Trace, hops []Hop, lses mpls.Stack) ([]Hop, mpls.Stack) {
+	*dst = *t
+	dst.RevealErrs = slices.Clone(t.RevealErrs)
+	if t.Hops == nil {
+		return hops, lses
+	}
+	if hops == nil {
+		hops = []Hop{} // a region of a nil slab would be nil
+	}
+	if lses == nil {
+		lses = mpls.Stack{}
+	}
+	base := len(hops)
+	hops = append(hops, t.Hops...)
+	dst.Hops = hops[base:len(hops):len(hops)]
+	for i := range dst.Hops {
+		if st := dst.Hops[i].Stack; st != nil {
+			k := len(lses)
+			lses = append(lses, st...)
+			dst.Hops[i].Stack = lses[k:len(lses):len(lses)]
+		}
+	}
+	return hops, lses
 }
 
 // Failed reports whether the trace was halted by a transport error.

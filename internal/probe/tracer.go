@@ -132,20 +132,13 @@ func (s *probeScratch) ownedHops() []Hop {
 	if len(s.hops) == 0 {
 		return nil
 	}
-	hops := make([]Hop, len(s.hops))
-	copy(hops, s.hops)
 	n := 0
-	for i := range hops {
-		n += len(hops[i].Stack)
+	for i := range s.hops {
+		n += len(s.hops[i].Stack)
 	}
-	slab := make(mpls.Stack, n)
-	for i := range hops {
-		if st := hops[i].Stack; st != nil {
-			k := copy(slab, st)
-			hops[i].Stack, slab = slab[:k:k], slab[k:]
-		}
-	}
-	return hops
+	var out Trace
+	(&Trace{Hops: s.hops}).CopyInto(&out, make([]Hop, 0, len(s.hops)), make(mpls.Stack, 0, n))
+	return out.Hops
 }
 
 var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
