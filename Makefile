@@ -5,7 +5,7 @@ GO ?= go
 # suite with goroutine dumps instead of wedging make or CI forever.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: build test vet lint arestlint race check bench bench-json fuzz experiments-output
+.PHONY: build test vet lint arestlint race check bench fuzz experiments-output
 
 build:
 	$(GO) build ./...
@@ -53,15 +53,6 @@ check: vet lint race
 # tests, but the B/op and allocs/op columns here are the numbers to watch.
 bench:
 	$(GO) test -run 'Benchmark' -bench . -benchmem -timeout $(TEST_TIMEOUT) ./...
-
-# Machine-readable baseline: `make bench-json PR=n` records the sweep into
-# BENCH_n.json under LABEL (default "post"), replacing any previous run with
-# the same label.
-# Compare runs with: jq '.runs[] | {label, probe: (.results[] | select(.name=="BenchmarkProbe"))}' BENCH_n.json
-LABEL ?= post
-bench-json:
-	@test -n "$(PR)" || { echo "usage: make bench-json PR=<n> [LABEL=post]" >&2; exit 2; }
-	$(GO) test -run 'Benchmark' -bench . -benchmem -timeout $(TEST_TIMEOUT) ./... | $(GO) run ./cmd/benchjson -label $(LABEL) -o BENCH_$(PR).json
 
 # The committed transcript every number in EXPERIMENTS.md was read from.
 # The campaign is fully seeded, so this is byte-reproducible; CI regenerates

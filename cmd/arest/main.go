@@ -116,7 +116,7 @@ func run(argv []string, sigs <-chan os.Signal, hard func(), stdin io.Reader, std
 	// A degraded archive is analyzed, never quarantined (MaxTraceFailures
 	// -1); only the per-trace output modes retain per-trace results.
 	cfg := exp.Config{
-		AnalyzeWorkers:   *workers,
+		Workers:          *workers,
 		Metrics:          reg,
 		MaxTraceFailures: -1,
 		KeepPaths:        *verbose || *jsonOut,

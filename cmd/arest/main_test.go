@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/netip"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"arest/internal/exp"
 	"arest/internal/lifecycle"
 	"arest/internal/mpls"
+	"arest/internal/obs"
 	"arest/internal/probe"
 )
 
@@ -177,6 +179,39 @@ func TestSummaryMatchesDetectStream(t *testing.T) {
 	}
 	if got["sr"] != withSR {
 		t.Errorf("strong-SR traces = %d, but %d restricted results have a strong segment", got["sr"], withSR)
+	}
+}
+
+// TestWorkersFlagSetsFoldWidth: -workers sets how many workers analyze
+// each batch of the fold. The output is identical at every width, so the
+// width is read from the metrics: every batch fans out to min(workers,
+// traces in the batch) workers, each recording one exp.workers.busy span.
+func TestWorkersFlagSetsFoldWidth(t *testing.T) {
+	path := writeArchive(t)
+	var outs []string
+	for _, workers := range []int{1, 4} {
+		w := strconv.Itoa(workers)
+		metrics := filepath.Join(t.TempDir(), "metrics.json")
+		tables := analyze(t, "-i", path, "-workers", w, "-metrics", metrics)
+		outs = append(outs, tables+analyze(t, "-i", path, "-workers", w, "-json"))
+		raw, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if batches := snap.Counters["exp.stream.batches"]; batches != 1 {
+			t.Fatalf("archive folds in %d batches, want 1", batches)
+		}
+		want := min(uint64(workers), snap.Counters["exp.jobs.detect"])
+		if got := snap.Spans["exp.workers.busy"].Count; got != want {
+			t.Errorf("-workers %d: %d analysis spans, want %d", workers, got, want)
+		}
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("output differs between -workers 1 and 4:\n%s\n---\n%s", outs[0], outs[1])
 	}
 }
 

@@ -100,6 +100,12 @@ func (t Type) String() string {
 // length field from driving a multi-gigabyte allocation.
 const MaxPayload = 1 << 26
 
+// payloadChunk is the longest payload the reader sizes its buffer for from
+// the length field alone. A longer payload is read into a buffer that
+// doubles only as its bytes arrive, so a forged length costs memory in
+// proportion to the input, not to the claim.
+const payloadChunk = 64 << 10
+
 var (
 	// ErrBadMagic reports a stream that starts with neither MagicV2 nor
 	// MagicV3.
@@ -308,11 +314,8 @@ func (r *Reader) next(buf []byte) (Type, []byte, error) {
 	if n > MaxPayload {
 		return 0, nil, fmt.Errorf("%w: %s length %d exceeds cap at offset %d", ErrCorrupt, t, n, r.offset)
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	body := buf[:n]
-	if _, err := io.ReadFull(r.br, body); err != nil {
+	body, err := r.readPayload(buf, int(n))
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: payload at offset %d: %v", ErrTruncated, r.offset, err)
 	}
 	crc := crc32.Update(0, castagnoli, hdr)
@@ -342,4 +345,36 @@ func (r *Reader) next(buf []byte) (Type, []byte, error) {
 		r.traces++
 	}
 	return t, body, nil
+}
+
+// readPayload reads an n-byte payload into buf's backing array when it is
+// large enough. Otherwise a payload of up to payloadChunk bytes is read
+// into one new buffer of exactly n bytes, and a longer one into a buffer
+// that doubles, from payloadChunk up to n, each time it is full and
+// another byte has arrived.
+func (r *Reader) readPayload(buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n || n <= payloadChunk {
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		_, err := io.ReadFull(r.br, buf[:n])
+		return buf[:n], err
+	}
+	body := buf[:0]
+	for len(body) < n {
+		if len(body) == cap(body) {
+			if _, err := r.br.Peek(1); err != nil {
+				return nil, err
+			}
+			grown := make([]byte, len(body), min(n, max(2*len(body), payloadChunk)))
+			copy(grown, body)
+			body = grown
+		}
+		m, err := io.ReadFull(r.br, body[len(body):cap(body)])
+		body = body[:len(body)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
 }

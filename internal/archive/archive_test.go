@@ -2,11 +2,13 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/netip"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -148,6 +150,45 @@ func TestHugeLengthRejected(t *testing.T) {
 	buf.Write([]byte{byte(TypeMeta), 0xff, 0xff, 0xff, 0xff})
 	if _, err := ReadData(&buf); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestForgedLengthAllocatesWithInput: a frame header claiming MaxPayload
+// bytes must cost memory in proportion to the payload bytes that follow
+// it, not to the claim, and a real record longer than payloadChunk must
+// still round-trip.
+func TestForgedLengthAllocatesWithInput(t *testing.T) {
+	for _, c := range []struct {
+		payload int
+		budget  uint64
+	}{{0, 1 << 20}, {1 << 20, 4 << 20}} {
+		in := append([]byte(MagicV3), byte(TypeMeta), 0, 0, 0, 0)
+		binary.BigEndian.PutUint32(in[magicLen+1:], MaxPayload)
+		in = append(in, make([]byte, c.payload)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := Stream(bytes.NewReader(in), &recordingVisitor{})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%d payload bytes: err = %v, want ErrTruncated", c.payload, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > c.budget {
+			t.Errorf("%d payload bytes: allocated %d bytes, budget %d", c.payload, got, c.budget)
+		}
+	}
+
+	d := fixtureData()
+	big := make([]netip.Addr, 3*payloadChunk/len(`"10.0.0.0",`))
+	for i := range big {
+		big[i] = netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+	}
+	d.Aliases = append(d.Aliases, big)
+	got, err := ReadData(bytes.NewReader(encode(t, d)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, d) {
+		t.Error("archive with a record longer than payloadChunk diverged on roundtrip")
 	}
 }
 

@@ -194,16 +194,6 @@ type World struct {
 	SRRouter map[netsim.RouterID]bool
 }
 
-// SREnabledAddr reports the ground truth for an interface address: does it
-// belong to an SR-enabled router of the target AS?
-func (w *World) SREnabledAddr(a netip.Addr) bool {
-	r, ok := w.Net.RouterByAddr(a)
-	if !ok {
-		return false
-	}
-	return w.SRRouter[r.ID]
-}
-
 // ASNOf annotates an address with its true owner ASN (the oracle the
 // bdrmap inference is evaluated against), 0 when unknown.
 func (w *World) ASNOf(a netip.Addr) int {

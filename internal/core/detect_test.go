@@ -370,14 +370,6 @@ func TestRestrictToAS(t *testing.T) {
 	}
 }
 
-func TestDistinctAddrs(t *testing.T) {
-	h := ipHop()
-	p := pathOf(h, h, ipHop())
-	if got := len(p.DistinctAddrs()); got != 2 {
-		t.Errorf("distinct = %d, want 2", got)
-	}
-}
-
 func TestFlagMetadata(t *testing.T) {
 	if FlagCVR.Stars() != 5 || FlagCO.Stars() != 4 || FlagLSVR.Stars() != 4 ||
 		FlagLVR.Stars() != 3 || FlagLSO.Stars() != 1 || FlagNone.Stars() != 0 {

@@ -24,26 +24,13 @@ type SRGBEstimate struct {
 const minSRGBSamples = 3
 
 // InferSRGB estimates a domain's configured SRGB from AReST results: the
-// active labels of sequence-flagged segments are node-SID labels, which by
-// construction all fall inside the (domain-wide, RFC 8402) SRGB. This
+// active labels of sequence-flagged (CVR/CO) segments are node-SID labels,
+// which by construction all fall inside the (domain-wide, RFC 8402) SRGB.
+// labelSet holds those labels, as the Detect fold collects them. This
 // extends the paper's characterization: beyond *that* SR is deployed, it
 // recovers *how* the label space was provisioned — in particular whether
 // the operator kept a vendor default (the survey's 70%) or customized it.
-func InferSRGB(results []*Result) (SRGBEstimate, bool) {
-	labelSet := map[uint32]bool{}
-	for _, res := range results {
-		for _, s := range res.Segments {
-			if s.Flag == FlagCVR || s.Flag == FlagCO {
-				labelSet[s.Label] = true
-			}
-		}
-	}
-	return InferSRGBLabels(labelSet)
-}
-
-// InferSRGBLabels runs the same estimate over an already-collected set of
-// sequence-flagged labels, for callers that fold results incrementally.
-func InferSRGBLabels(labelSet map[uint32]bool) (SRGBEstimate, bool) {
+func InferSRGB(labelSet map[uint32]bool) (SRGBEstimate, bool) {
 	if len(labelSet) < minSRGBSamples {
 		return SRGBEstimate{}, false
 	}

@@ -6,20 +6,16 @@ import (
 	"arest/internal/mpls"
 )
 
-func resultsWithLabels(labels ...uint32) []*Result {
-	var out []*Result
+func labelSet(labels ...uint32) map[uint32]bool {
+	out := map[uint32]bool{}
 	for _, l := range labels {
-		p := pathOf(
-			mkHop(mpls.VendorUnknown, l),
-			mkHop(mpls.VendorUnknown, l),
-		)
-		out = append(out, analyze(p))
+		out[l] = true
 	}
 	return out
 }
 
 func TestInferSRGBVendorDefault(t *testing.T) {
-	est, ok := InferSRGB(resultsWithLabels(16004, 16010, 16019, 16040))
+	est, ok := InferSRGB(labelSet(16004, 16010, 16019, 16040))
 	if !ok {
 		t.Fatal("no estimate")
 	}
@@ -38,7 +34,7 @@ func TestInferSRGBVendorDefault(t *testing.T) {
 }
 
 func TestInferSRGBCustomBlock(t *testing.T) {
-	est, ok := InferSRGB(resultsWithLabels(400003, 400190, 401777))
+	est, ok := InferSRGB(labelSet(400003, 400190, 401777))
 	if !ok {
 		t.Fatal("no estimate")
 	}
@@ -55,28 +51,26 @@ func TestInferSRGBCustomBlock(t *testing.T) {
 
 func TestInferSRGBHuaweiRegion(t *testing.T) {
 	// Labels beyond 24,000 cannot be Cisco's default: Huawei's block wins.
-	est, ok := InferSRGB(resultsWithLabels(30001, 31005, 40000))
+	est, ok := InferSRGB(labelSet(30001, 31005, 40000))
 	if !ok || est.Vendor != mpls.VendorHuawei {
 		t.Errorf("est = %+v ok=%v, want Huawei", est, ok)
 	}
 }
 
+// TestInferSRGBNeedsEvidence covers the sample floor. That LSO and
+// unflagged labels never reach the label set is the Detect fold's job
+// (exp.TestAggFixtureHeadlineTallies).
 func TestInferSRGBNeedsEvidence(t *testing.T) {
-	if _, ok := InferSRGB(resultsWithLabels(16004, 16005)); ok {
+	if _, ok := InferSRGB(labelSet(16004, 16005)); ok {
 		t.Error("estimate from too few samples")
 	}
 	if _, ok := InferSRGB(nil); ok {
 		t.Error("estimate from nothing")
 	}
-	// LSO/unflagged labels must not count as evidence.
-	p := pathOf(mkHop(mpls.VendorUnknown, 700001, 700002))
-	if _, ok := InferSRGB([]*Result{analyze(p)}); ok {
-		t.Error("estimate from LSO-only evidence")
-	}
 }
 
 func TestInferSRGBTopOfLabelSpace(t *testing.T) {
-	est, ok := InferSRGB(resultsWithLabels(1048000, 1048100, 1048570))
+	est, ok := InferSRGB(labelSet(1048000, 1048100, 1048570))
 	if !ok {
 		t.Fatal("no estimate")
 	}

@@ -131,12 +131,3 @@ func (p *Path) RestrictToASInto(dst *Path, asn int) {
 	}
 	*dst = Path{VP: p.VP, Dst: p.Dst, Hops: hops}
 }
-
-// DistinctAddrs returns the set of distinct hop addresses on the path.
-func (p *Path) DistinctAddrs() map[netip.Addr]bool {
-	out := make(map[netip.Addr]bool, len(p.Hops))
-	for i := range p.Hops {
-		out[p.Hops[i].Addr] = true
-	}
-	return out
-}

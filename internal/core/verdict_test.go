@@ -1,59 +1,30 @@
 package core
 
-import (
-	"testing"
-
-	"arest/internal/mpls"
-)
+import "testing"
 
 func TestJudge(t *testing.T) {
-	strongRes := analyze(pathOf(mkHop(mpls.VendorUnknown, 16005), mkHop(mpls.VendorUnknown, 16005)))
-	lsoRes := analyze(pathOf(mkHop(mpls.VendorUnknown, 700001, 700002)))
-	emptyRes := analyze(pathOf(ipHop(), ipHop()))
-
 	cases := []struct {
-		name      string
-		results   []*Result
-		confirmed bool
-		want      Verdict
+		name        string
+		strong, lso int
+		confirmed   bool
+		want        Verdict
 	}{
-		{"nothing", []*Result{emptyRes}, false, VerdictNoEvidence},
-		{"nothing-confirmed", []*Result{emptyRes}, true, VerdictNoEvidence},
-		{"lso-only", []*Result{lsoRes}, false, VerdictAmbiguous},
-		{"lso-only-confirmed", []*Result{lsoRes}, true, VerdictAmbiguous},
-		{"strong", []*Result{strongRes}, false, VerdictDetected},
-		{"strong-confirmed", []*Result{strongRes}, true, VerdictCorroborated},
-		{"strong-plus-lso", []*Result{strongRes, lsoRes}, false, VerdictCorroborated},
+		{"nothing", 0, 0, false, VerdictNoEvidence},
+		{"nothing-confirmed", 0, 0, true, VerdictNoEvidence},
+		{"lso-only", 0, 1, false, VerdictAmbiguous},
+		{"lso-only-confirmed", 0, 1, true, VerdictAmbiguous},
+		{"strong", 1, 0, false, VerdictDetected},
+		{"strong-confirmed", 1, 0, true, VerdictCorroborated},
+		{"strong-plus-lso", 1, 1, false, VerdictCorroborated},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := Judge(c.results, c.confirmed); got != c.want {
+			if got := Judge(c.strong, c.lso, c.confirmed); got != c.want {
 				t.Errorf("Judge = %v, want %v", got, c.want)
 			}
 		})
 	}
 	if VerdictAmbiguous.String() != "ambiguous" || Verdict(9).String() != "?" {
 		t.Error("verdict names wrong")
-	}
-}
-
-func TestConservativeSegments(t *testing.T) {
-	strongRes := analyze(pathOf(mkHop(mpls.VendorUnknown, 16005), mkHop(mpls.VendorUnknown, 16005)))
-	lsoRes := analyze(pathOf(mkHop(mpls.VendorUnknown, 700001, 700002)))
-	results := []*Result{strongRes, lsoRes}
-
-	// Under a corroborated verdict, LSO counts.
-	segs := ConservativeSegments(results, VerdictCorroborated)
-	if len(segs) != 2 {
-		t.Errorf("corroborated segments = %d, want 2", len(segs))
-	}
-	// Under anything weaker, LSO is excluded.
-	segs = ConservativeSegments(results, VerdictDetected)
-	if len(segs) != 1 || segs[0].Flag != FlagCO {
-		t.Errorf("detected segments = %+v", segs)
-	}
-	segs = ConservativeSegments([]*Result{lsoRes}, VerdictAmbiguous)
-	if len(segs) != 0 {
-		t.Errorf("ambiguous segments = %+v", segs)
 	}
 }

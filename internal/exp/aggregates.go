@@ -1,8 +1,8 @@
 // Aggregate queries for one AS: every table and figure row the experiments
 // consume, computed from the folded Agg (agg.go). These are pure reads —
 // the per-trace work already happened inside the Detect fold — and none of
-// them touch the retained PerVP/Paths/Results, so they are identical in
-// compact and retained mode.
+// them touch the retained Results, so they are identical in compact and
+// retained mode.
 package exp
 
 import (
@@ -246,16 +246,6 @@ func (r *ASResult) GroundTruth() map[core.Flag]eval.Confusion {
 	return out
 }
 
-// SortedFlagKeys lists the flags present in a count map, strongest first.
-func SortedFlagKeys(m map[core.Flag]int) []core.Flag {
-	var keys []core.Flag
-	for f := range m {
-		keys = append(keys, f)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // Verdict applies the Sec. 6.3 interpretive framework to the AS: strong
 // flags, LSO corroboration, and external confirmation combine into one
 // deployment verdict.
@@ -268,11 +258,11 @@ func (r *ASResult) Verdict() core.Verdict {
 			lso += n
 		}
 	}
-	return core.JudgeCounts(strong, lso, r.Record.Claimed())
+	return core.Judge(strong, lso, r.Record.Claimed())
 }
 
 // InferSRGB estimates the AS's configured SRGB from the labels of
 // sequence-flagged segments the fold collected (see core.InferSRGB).
 func (r *ASResult) InferSRGB() (core.SRGBEstimate, bool) {
-	return core.InferSRGBLabels(r.Agg.SeqLabels)
+	return core.InferSRGB(r.Agg.SeqLabels)
 }

@@ -72,15 +72,10 @@ type Config struct {
 	// wall-clock time and are excluded from that contract. A nil registry
 	// costs only nil checks.
 	Metrics *obs.Registry
-	// AnalyzeWorkers, when non-zero, bounds the concurrency of the Detect
-	// fold's per-batch analysis independently of Workers (so a replay can
-	// analyze many shards concurrently, each with a few analysis workers).
-	// 0 falls back to Workers. Aggregates are identical at every value.
-	AnalyzeWorkers int
 	// KeepPaths opts into retained mode: ASResult additionally carries the
-	// per-VP traces, restricted paths, and per-path results. Off (the
-	// default), Detect's output is the compact Agg — O(results) memory —
-	// which every aggregate method is computed from either way.
+	// per-path results, each with its restricted path. Off (the default),
+	// Detect's output is the compact Agg — O(results) memory — which every
+	// aggregate method is computed from either way.
 	KeepPaths bool
 	// MaxTraceFailures is the per-AS budget of traces that may halt with
 	// probe.HaltError before the AS is quarantined: 0 (the default)
@@ -166,14 +161,6 @@ func (c Config) startWatchdog() (wd *obs.Watchdog, stop func()) {
 // workers resolves the configured concurrency bound.
 func (c Config) workers() int { return par.Workers(c.Workers) }
 
-// analyzeWorkers resolves the Detect-fold concurrency bound.
-func (c Config) analyzeWorkers() int {
-	if c.AnalyzeWorkers != 0 {
-		return par.Workers(c.AnalyzeWorkers)
-	}
-	return c.workers()
-}
-
 // DefaultConfig returns a laptop-scale campaign configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -184,12 +171,6 @@ func DefaultConfig() Config {
 		AliasCandidateCap: 120,
 		MaxRouters:        60,
 	}
-}
-
-// VPTraces groups one vantage point's traces.
-type VPTraces struct {
-	VP     netip.Addr
-	Traces []*probe.Trace
 }
 
 // ASResult is the analysis output for one targeted AS. It is built by
@@ -210,25 +191,13 @@ type ASResult struct {
 	// accumulated one trace at a time (see agg.go). It is always populated
 	// and is the only per-trace state Detect retains by default.
 	Agg *Agg
-	// PerVP, Paths, and Results are retained mode (Config.KeepPaths): the
-	// per-VP traces, the annotated traces restricted to the target AS
-	// (bdrmapIT delimitation), and their AReST results in parallel. All
-	// three are nil when KeepPaths is off.
-	PerVP   []VPTraces
-	Paths   []*core.Path
+	// Results is retained mode (Config.KeepPaths): the AReST result of
+	// every trace that enters the target AS, in stream order, each carrying
+	// its annotated path restricted to that AS (bdrmapIT delimitation). It
+	// is nil when KeepPaths is off.
 	Results []*core.Result
 	// TracesSent counts probes-carrying traces issued for this AS.
 	TracesSent int
-}
-
-// Traces flattens all vantage points' traces (retained mode only; nil
-// without Config.KeepPaths).
-func (r *ASResult) Traces() []*probe.Trace {
-	var out []*probe.Trace
-	for _, v := range r.PerVP {
-		out = append(out, v.Traces...)
-	}
-	return out
 }
 
 // MeasureAS runs the measurement stage for one catalogue record with its
@@ -448,8 +417,8 @@ func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Depl
 	data.Borders = bdrmap.Annotate(traces, rib, data.Aliases)
 
 	// Ground-truth export: every interface address of an SR-enabled router
-	// in the target AS, so offline replays can score Table 3 without the
-	// world. Membership in this set is exactly World.SREnabledAddr.
+	// in the target AS (World.SRRouter), so offline replays can score
+	// Table 3 without the world.
 	for _, r := range w.Routers {
 		if !w.SRRouter[r.ID] {
 			continue
@@ -541,8 +510,26 @@ type Campaign struct {
 // cancelled individually and lands in Failed with a StallError while the
 // rest of the campaign proceeds.
 func Run(ctx context.Context, records []asgen.Record, cfg Config) (*Campaign, error) {
+	c, _, err := fanOut(ctx, records, cfg, func(ctx context.Context, rec asgen.Record, cfg Config, store *foldStore) (*ASResult, ShardStatus, error) {
+		res, err := runASWithDeployment(ctx, rec, cfg.deployment(rec), cfg, store)
+		return res, ShardMeasured, err
+	})
+	return c, err
+}
+
+// fanOut is the campaign fan-out Run and RunSharded share: it runs step for
+// every kept record on the AS worker pool, each AS under its own supervised
+// context and config and folding in its worker's store, then classifies the
+// outcomes in catalogue order. The returned statuses parallel the kept
+// records: step's status for a completed AS, ShardInterrupted for one the
+// cancellation skipped, ShardFailed for one quarantined into
+// Campaign.Failed.
+func fanOut(ctx context.Context, records []asgen.Record, cfg Config,
+	step func(ctx context.Context, rec asgen.Record, cfg Config, store *foldStore) (*ASResult, ShardStatus, error),
+) (*Campaign, []ShardStatus, error) {
 	kept := keptRecords(records)
 	results := make([]*ASResult, len(kept))
+	statuses := make([]ShardStatus, len(kept))
 	errs := make([]error, len(kept))
 	wd, stopWD := cfg.startWatchdog()
 	defer stopWD()
@@ -550,7 +537,7 @@ func Run(ctx context.Context, records []asgen.Record, cfg Config) (*Campaign, er
 	fanErr := par.ForEachWorker(ctx, cfg.workers(), len(kept), func(w, i int) {
 		asCtx, asCfg, finish := cfg.supervised(ctx, wd, kept[i])
 		defer finish()
-		results[i], errs[i] = runASWithDeployment(asCtx, kept[i], asCfg.deployment(kept[i]), asCfg, &stores[w])
+		results[i], statuses[i], errs[i] = step(asCtx, kept[i], asCfg, &stores[w])
 	})
 
 	c := &Campaign{Cfg: cfg}
@@ -561,44 +548,38 @@ func Run(ctx context.Context, records []asgen.Record, cfg Config) (*Campaign, er
 			c.ASes = append(c.ASes, results[i])
 		case errs[i] == nil:
 			// Never claimed before cancellation reached the pool.
+			statuses[i] = ShardInterrupted
 			interrupted++
 		case IsInterrupt(errs[i]) && ctx.Err() != nil:
 			// Campaign-level interrupt: a resumed run completes this AS
 			// identically, so recording it as Failed would make the failure
 			// list depend on interrupt timing.
+			statuses[i] = ShardInterrupted
 			interrupted++
 		default:
+			statuses[i] = ShardFailed
 			c.Failed = append(c.Failed, ASFailure{Record: rec, Stage: FailureStage(errs[i]), Err: errs[i]})
 		}
 	}
-	countASFailures(cfg.Metrics, len(c.Failed))
+	// Failure counts are a pure function of the catalogue and the
+	// (deterministic) faults, so exp.ases.failed sits inside the
+	// determinism contract.
+	if len(c.Failed) > 0 {
+		cfg.Metrics.Counter("exp", "ases.failed").Add(uint64(len(c.Failed)))
+	}
 	if fanErr != nil || interrupted > 0 {
-		countInterrupt(cfg.Metrics, interrupted)
+		// exp.cancelled once per interrupted run, exp.shards.interrupted
+		// for every AS that was skipped and left to a resume.
+		cfg.Metrics.Counter("exp", "cancelled").Inc()
+		if interrupted > 0 {
+			cfg.Metrics.Counter("exp", "shards.interrupted").Add(uint64(interrupted))
+		}
 		if fanErr == nil {
 			fanErr = context.Cause(ctx)
 		}
-		return c, fanErr
+		return c, statuses, fanErr
 	}
-	return c, nil
-}
-
-// countInterrupt records campaign-interruption accounting: exp.cancelled
-// once per interrupted run, exp.shards.interrupted for every AS that was
-// skipped and left to a resume.
-func countInterrupt(reg *obs.Registry, skipped int) {
-	reg.Counter("exp", "cancelled").Inc()
-	if skipped > 0 {
-		reg.Counter("exp", "shards.interrupted").Add(uint64(skipped))
-	}
-}
-
-// countASFailures records quarantined-AS accounting; failure counts are a
-// pure function of the catalogue and the (deterministic) faults, so the
-// counter sits inside the determinism contract.
-func countASFailures(reg *obs.Registry, n int) {
-	if n > 0 {
-		reg.Counter("exp", "ases.failed").Add(uint64(n))
-	}
+	return c, statuses, nil
 }
 
 // keptRecords applies the Sec. 5 coverage filter.

@@ -22,7 +22,7 @@ func testCfg() Config {
 		AliasCandidateCap: 60,
 		MaxRouters:        22,
 		// Retained mode: several tests cross-check aggregates against the
-		// raw paths/results, which only exist when KeepPaths is on.
+		// per-path results, which only exist when KeepPaths is on.
 		KeepPaths: true,
 	}
 }
@@ -70,11 +70,11 @@ func TestCampaignRuns(t *testing.T) {
 		if r.TracesSent == 0 {
 			t.Errorf("AS#%d sent no traces", r.Record.ID)
 		}
-		if len(r.Paths) == 0 {
+		if len(r.Results) == 0 {
 			t.Errorf("AS#%d has no in-AS paths", r.Record.ID)
 		}
-		if len(r.Paths) != len(r.Results) {
-			t.Errorf("AS#%d paths/results mismatch", r.Record.ID)
+		if len(r.Results) != r.Agg.PathsInAS {
+			t.Errorf("AS#%d retained %d results for %d in-AS paths", r.Record.ID, len(r.Results), r.Agg.PathsInAS)
 		}
 	}
 }
@@ -240,8 +240,8 @@ func TestVPAccumulationMonotone(t *testing.T) {
 	c := testCampaign(t)
 	for _, r := range c.ASes {
 		acc := r.VPAccumulation()
-		if len(acc) != len(r.PerVP) {
-			t.Fatalf("AS#%d accumulation length %d, want %d", r.Record.ID, len(acc), len(r.PerVP))
+		if len(acc) != r.Agg.NumVPs {
+			t.Fatalf("AS#%d accumulation length %d, want %d", r.Record.ID, len(acc), r.Agg.NumVPs)
 		}
 		for i := 1; i < len(acc); i++ {
 			if acc[i] < acc[i-1] {
@@ -354,7 +354,7 @@ func TestInferSRGBAgainstWorldTruth(t *testing.T) {
 	// campaign world — default and custom alike.
 	c := testCampaign(t)
 	r, _ := c.ByID(15) // Microsoft: aligned default block
-	est, ok := core.InferSRGB(r.Results)
+	est, ok := r.InferSRGB()
 	if !ok {
 		t.Fatal("no estimate for a full-SR AS")
 	}
@@ -452,9 +452,9 @@ func TestFingerprintSourceCountsPartition(t *testing.T) {
 		// The partition must cover every distinct in-AS interface exactly
 		// once.
 		seen := map[netip.Addr]bool{}
-		for _, p := range r.Paths {
-			for i := range p.Hops {
-				seen[p.Hops[i].Addr] = true
+		for _, res := range r.Results {
+			for i := range res.Path.Hops {
+				seen[res.Path.Hops[i].Addr] = true
 			}
 		}
 		if sum != len(seen) {

@@ -21,10 +21,11 @@ import (
 
 // refFold folds an AS's traces one at a time through the allocating API —
 // BuildPath, RestrictToAS, Analyze, ClassifyTunnels, Tunnels — into a
-// fresh Agg, keeping every restricted path and result. Nothing is reused
-// between traces, so it is the reference for the fold's batch storage: a
-// slot or slab overwritten while still read shows up as a difference.
-func refFold(d *archive.Data) (*Agg, []*core.Path, []*core.Result) {
+// fresh Agg, keeping every result with its restricted path. Nothing is
+// reused between traces, so it is the reference for the fold's batch
+// storage: a slot or slab overwritten while still read shows up as a
+// difference.
+func refFold(d *archive.Data) (*Agg, []*core.Result) {
 	ann := fingerprint.NewAnnotator(d.SNMP, d.TTL)
 	asOf := bdrmap.Annotation(d.Borders).AsFunc()
 	sr := map[netip.Addr]bool{}
@@ -34,7 +35,6 @@ func refFold(d *archive.Data) (*Agg, []*core.Path, []*core.Result) {
 	det := core.NewDetector()
 	agg := NewAgg()
 	agg.NumVPs = len(d.VPs)
-	var paths []*core.Path
 	var results []*core.Result
 	for vp, ts := range d.PerVP {
 		for _, tr := range ts {
@@ -42,19 +42,19 @@ func refFold(d *archive.Data) (*Agg, []*core.Path, []*core.Result) {
 			var res *core.Result
 			if len(sub.Hops) > 0 {
 				res = det.Analyze(sub)
-				paths, results = append(paths, sub), append(results, res)
+				results = append(results, res)
 			}
 			agg.addTrace(vp, tr, res, newTraceFacts(tr, res), sr)
 		}
 	}
-	return agg, paths, results
+	return agg, results
 }
 
 // TestFoldMatchesPerTraceReference checks the fold's reuse path against
 // the per-trace reference on every analyzed AS at the default seed: the
 // aggregate of DetectStream over the AS's shard must equal the reference's
-// at AnalyzeWorkers 1 and 4, and with KeepPaths on, the retained paths
-// and results must equal what the allocating API returns. KeepPaths copies
+// at Workers 1 and 4, and with KeepPaths on, the retained results and
+// their paths must equal what the allocating API returns. KeepPaths copies
 // out of the same reused storage as compact mode, so comparing the two
 // modes could not catch a slot that is overwritten too early.
 func TestFoldMatchesPerTraceReference(t *testing.T) {
@@ -79,24 +79,21 @@ func TestFoldMatchesPerTraceReference(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("AS%d: %v", rec.ID, errs[i])
 		}
-		agg, paths, results := refFold(datas[i])
-		for _, aw := range []int{1, 4} {
+		agg, results := refFold(datas[i])
+		for _, workers := range []int{1, 4} {
 			for _, keep := range []bool{false, true} {
 				c := cfg
-				c.AnalyzeWorkers, c.KeepPaths = aw, keep
+				c.Workers, c.KeepPaths = workers, keep
 				got, err := DetectStream(context.Background(), bytes.NewReader(shards[i]), c)
 				if err != nil {
 					t.Fatalf("AS%d: %v", rec.ID, err)
 				}
-				where := fmt.Sprintf("AS%d, AnalyzeWorkers %d, KeepPaths %v", rec.ID, aw, keep)
+				where := fmt.Sprintf("AS%d, Workers %d, KeepPaths %v", rec.ID, workers, keep)
 				if !reflect.DeepEqual(got.Agg, agg) {
 					t.Errorf("%s: aggregate differs from the per-trace reference", where)
 				}
-				if keep && (!reflect.DeepEqual(got.Paths, paths) || !reflect.DeepEqual(got.Results, results)) {
-					t.Errorf("%s: retained paths or results differ from the allocating API's", where)
-				}
-				if keep && !reflect.DeepEqual(got.Traces(), datas[i].Traces()) {
-					t.Errorf("%s: retained traces differ from the measured ones", where)
+				if keep && !reflect.DeepEqual(got.Results, results) {
+					t.Errorf("%s: retained results differ from the allocating API's", where)
 				}
 			}
 		}
@@ -155,7 +152,7 @@ func FuzzDetectStream(f *testing.F) {
 	f.Add([]byte(archive.MagicV3))
 
 	ctx := context.Background()
-	cfg := Config{Workers: 1, AnalyzeWorkers: 2, MaxTraceFailures: -1}
+	cfg := Config{Workers: 2, MaxTraceFailures: -1}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		got, err := DetectStream(ctx, bytes.NewReader(in), cfg)
 		if err != nil {

@@ -90,8 +90,8 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(sp, pp) {
 			// Narrow the report to the first diverging field.
 			switch {
-			case !reflect.DeepEqual(sp.PerVP, pp.PerVP):
-				t.Errorf("AS#%d: traces diverged", sp.Record.ID)
+			case !reflect.DeepEqual(sp.Agg, pp.Agg):
+				t.Errorf("AS#%d: aggregates diverged", sp.Record.ID)
 			case !reflect.DeepEqual(sp.Annotator, pp.Annotator):
 				t.Errorf("AS#%d: fingerprint annotations diverged", sp.Record.ID)
 			case !reflect.DeepEqual(sp.Annotation, pp.Annotation):

@@ -1,7 +1,7 @@
 // The streaming Detect path: a bounded-memory fold over archive records.
 // fold implements archive.Visitor — side records accumulate annotation
 // state, which seals at the first trace; traces are analyzed in fixed-size
-// batches (concurrently, under AnalyzeWorkers) and folded into an Agg in
+// batches (concurrently, under Config.Workers) and folded into an Agg in
 // stream order, so the same records yield bit-identical aggregates at every
 // worker count. DetectStream drives it straight off archive bytes without
 // ever materializing the trace set; Detect in campaign.go drives the same
@@ -38,7 +38,7 @@ const analyzeBatch = 256
 
 // fold is the streaming Detect accumulator. It is not safe for concurrent
 // use; concurrency lives inside flush, which fans one batch out across
-// AnalyzeWorkers and then accumulates the slots in stream order.
+// Config.Workers and then accumulates the slots in stream order.
 type fold struct {
 	cfg Config
 	// ctx bounds the fold's lifetime: flush's fan-out aborts at the next
@@ -172,9 +172,6 @@ func (f *fold) VP(rec archive.VPRecord) error {
 	f.record()
 	f.planned += rec.Traces
 	f.agg.NumVPs++
-	if f.cfg.KeepPaths {
-		f.res.PerVP = append(f.res.PerVP, VPTraces{VP: rec.Addr, Traces: []*probe.Trace{}})
-	}
 	return nil
 }
 
@@ -287,7 +284,7 @@ func (f *fold) flush() error {
 	// own slabs, so each worker's slabs hold at most its share, however
 	// the workers are scheduled.
 	st := f.store
-	workers := min(f.cfg.analyzeWorkers(), n)
+	workers := min(f.cfg.workers(), n)
 	for len(st.workers) < workers {
 		st.workers = append(st.workers, workerSlabs{})
 	}
@@ -316,8 +313,9 @@ func (f *fold) flush() error {
 			inAS++
 		}
 		f.agg.addTrace(s.vp, s.tr, res, s.facts, f.res.SREnabled)
-		if f.cfg.KeepPaths {
-			f.keep(s.vp, s.tr, res)
+		if f.cfg.KeepPaths && res != nil {
+			// An exact copy: the batch storage is reused.
+			f.res.Results = append(f.res.Results, res.Clone())
 		}
 		s.tr = nil // Detect's traces are the caller's: hold none past the batch
 	}
@@ -341,17 +339,6 @@ func (f *fold) analyze(ws *workerSlabs, s *batchSlot, ann *fingerprint.Annotator
 	k := len(ws.tunnels)
 	ws.tunnels = probe.AppendTunnels(ws.tunnels, s.tr)
 	s.facts.tunnels = ws.tunnels[k:len(ws.tunnels):len(ws.tunnels)]
-}
-
-// keep retains one trace and its analysis (Config.KeepPaths): exact copies,
-// since the batch storage is reused.
-func (f *fold) keep(vp int, tr *probe.Trace, res *core.Result) {
-	f.res.PerVP[vp].Traces = append(f.res.PerVP[vp].Traces, tr.Clone())
-	if res != nil {
-		c := res.Clone()
-		f.res.Paths = append(f.res.Paths, c.Path)
-		f.res.Results = append(f.res.Results, c)
-	}
 }
 
 // finish drains the final partial batch and returns the completed result.

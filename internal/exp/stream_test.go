@@ -78,9 +78,9 @@ func TestDetectStreamMatchesDetect(t *testing.T) {
 func TestDetectStreamAnalyzeWorkersInvariant(t *testing.T) {
 	_, raw := measureArchived(t, 46)
 	var want *ASResult
-	for _, aw := range []int{1, 3, 8} {
+	for _, workers := range []int{1, 3, 8} {
 		cfg := testCfg()
-		cfg.AnalyzeWorkers = aw
+		cfg.Workers = workers
 		got, err := DetectStream(context.Background(), bytes.NewReader(raw), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestDetectStreamAnalyzeWorkersInvariant(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("AnalyzeWorkers=%d diverges from AnalyzeWorkers=1", aw)
+			t.Errorf("Workers=%d diverges from Workers=1", workers)
 		}
 	}
 }
@@ -145,12 +145,12 @@ func TestDetectStreamV2MatchesV3(t *testing.T) {
 		t.Fatal(err)
 	}
 	rawV2 := buf.Bytes()
-	for _, aw := range []int{1, 4} {
+	for _, workers := range []int{1, 4} {
 		for _, keep := range []bool{false, true} {
-			t.Run(fmt.Sprintf("analyze%d/keep%v", aw, keep), func(t *testing.T) {
+			t.Run(fmt.Sprintf("analyze%d/keep%v", workers, keep), func(t *testing.T) {
 				replay := func(raw []byte) (*ASResult, obs.Snapshot) {
 					cfg := testCfg()
-					cfg.AnalyzeWorkers = aw
+					cfg.Workers = workers
 					cfg.KeepPaths = keep
 					cfg.Metrics = obs.New()
 					res, err := DetectStream(context.Background(), bytes.NewReader(raw), cfg)
@@ -253,9 +253,9 @@ func TestShardReplayMatchesLegacyDetect(t *testing.T) {
 	}
 }
 
-// TestRunShardedAnalyzeWorkersEquivalence replays a sharded campaign with a
-// different worker split (many shards in flight, narrow per-shard analysis)
-// and requires results identical to the sequential measuring run.
+// TestRunShardedAnalyzeWorkersEquivalence replays a sharded campaign with
+// several shards in flight, each analyzed by several workers, and requires
+// results identical to the sequential measuring run.
 func TestRunShardedAnalyzeWorkersEquivalence(t *testing.T) {
 	var recs []asgen.Record
 	for _, id := range []int{7, 46} {
@@ -281,7 +281,6 @@ func TestRunShardedAnalyzeWorkersEquivalence(t *testing.T) {
 
 	parCfg := testCfg()
 	parCfg.Workers = 4
-	parCfg.AnalyzeWorkers = 2
 	parl, statuses, err := RunSharded(context.Background(), recs, parCfg, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +291,7 @@ func TestRunShardedAnalyzeWorkersEquivalence(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(seq.ASes, parl.ASes) {
-		t.Error("sharded replay with AnalyzeWorkers diverges from the measuring run")
+		t.Error("sharded replay at Workers=4 diverges from the measuring run")
 	}
 }
 

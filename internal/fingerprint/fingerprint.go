@@ -179,9 +179,6 @@ type Annotator struct {
 	// byAddr holds every annotated interface, SNMPv3 entries first, so a
 	// hop costs one lookup whether or not SNMPv3 knows it.
 	byAddr map[netip.Addr]Result
-	// snmp and ttl count the interfaces each source annotated, after
-	// precedence.
-	snmp, ttl int
 }
 
 // NewAnnotator builds an annotator from the two datasets; either may be nil.
@@ -192,13 +189,11 @@ func NewAnnotator(snmp, ttl map[netip.Addr]mpls.Vendor) *Annotator {
 	for addr, v := range snmp {
 		a.byAddr[addr] = Result{Vendor: v, Source: SourceSNMP}
 	}
-	a.snmp = len(a.byAddr)
 	for addr, v := range ttl {
 		if _, dup := a.byAddr[addr]; !dup {
 			a.byAddr[addr] = Result{Vendor: v, Source: SourceTTL}
 		}
 	}
-	a.ttl = len(a.byAddr) - a.snmp
 	return a
 }
 
@@ -209,7 +204,3 @@ func (a *Annotator) Vendor(ip netip.Addr) Result {
 	}
 	return Result{Vendor: mpls.VendorUnknown, Source: SourceNone}
 }
-
-// Coverage returns how many distinct interfaces each source annotated,
-// after precedence (an address known to both counts as SNMP).
-func (a *Annotator) Coverage() (snmp, ttl int) { return a.snmp, a.ttl }

@@ -166,10 +166,6 @@ func TestAnnotatorPrecedence(t *testing.T) {
 	if r := ann.Vendor(addr3); r.Vendor != mpls.VendorUnknown || r.Source != SourceNone {
 		t.Errorf("addr3 = %+v", r)
 	}
-	snmp, ttl := ann.Coverage()
-	if snmp != 1 || ttl != 1 {
-		t.Errorf("coverage = %d,%d; want 1,1", snmp, ttl)
-	}
 }
 
 func TestAnnotatorNilMaps(t *testing.T) {

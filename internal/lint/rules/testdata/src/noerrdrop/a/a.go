@@ -20,7 +20,7 @@ func bad() {
 	go mayFail() // want "result of mayFail contains an error that is silently discarded"
 	var c conn
 	defer c.Close() // want "result of c.Close contains an error that is silently discarded"
-	v, _ := pair() // want "error result of pair assigned to _"
+	v, _ := pair()  // want "error result of pair assigned to _"
 	_ = v
 	_, _ = value(), mayFail() // want "error result of mayFail assigned to _"
 }

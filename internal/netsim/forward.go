@@ -206,11 +206,6 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 					return 0, nil, true
 				}
 				nhr := c.n.routers[nh]
-				if c.n.SRPHPEnabled && nh == e.ID {
-					f.popStack()
-					c.popTTLAdjust(f, eff)
-					return nh, nil, false
-				}
 				if out, ok := c.n.srLabelAt(nhr, e); ok {
 					f.stack[0].Label = out
 					f.stack[0].TTL = eff
@@ -398,12 +393,8 @@ func (c *sendCtx) push(r *Router, egress *Router, f *frame, defaultNh RouterID) 
 			return false, 0
 		}
 		c.scr.stackBuf = stack
-		// First segment may terminate at the next hop under PHP.
 		nh, ok2 := c.n.NextHop(r.ID, firstNodeOf(segs, egress.ID), c.flow)
 		if !ok2 {
-			return false, 0
-		}
-		if c.n.SRPHPEnabled && len(stack) == 1 && nh == egress.ID {
 			return false, 0
 		}
 		f.stack = stack

@@ -667,43 +667,6 @@ func TestServiceSIDUnshrinkingStack(t *testing.T) {
 	}
 }
 
-func TestSRPHPEnabled(t *testing.T) {
-	// With SR penultimate-hop popping, the last LSR pops the node SID and
-	// the egress receives plain IP.
-	n := New(42)
-	prof := DefaultProfile(mpls.VendorCisco)
-	gw := n.AddRouter(RouterConfig{Name: "gw", ASN: 65000, Vendor: mpls.VendorLinux,
-		Profile: DefaultProfile(mpls.VendorLinux), Mode: ModeIP})
-	mk := func(name string) *Router {
-		return n.AddRouter(RouterConfig{Name: name, ASN: 100, Vendor: mpls.VendorCisco,
-			Profile: prof, SREnabled: true, Mode: ModeSR})
-	}
-	pe1, p1, p2, pe2 := mk("pe1"), mk("p1"), mk("p2"), mk("pe2")
-	n.Connect(gw.ID, pe1.ID, 10)
-	n.Connect(pe1.ID, p1.ID, 10)
-	n.Connect(p1.ID, p2.ID, 10)
-	n.Connect(p2.ID, pe2.ID, 10)
-	n.SRPHPEnabled = true
-	vp := a("172.16.0.10")
-	target := a("100.1.0.20")
-	n.AddHost(vp, gw.ID)
-	n.AddHost(target, pe2.ID)
-	n.Compute()
-	c := &chain{net: n, vp: vp, target: target, gw: gw, pe1: pe1, ps: []*Router{p1, p2}, pe2: pe2, pathLen: 5}
-
-	hops := c.traceUDP(t, c.target, 10, 33434)
-	if len(hops) != 6 {
-		t.Fatalf("hops = %d, want 6", len(hops))
-	}
-	// p1 and p2 labeled; pe2 plain (PHP popped at p2).
-	if hops[2].stack == nil || hops[3].stack == nil {
-		t.Error("interior LSRs unlabeled")
-	}
-	if hops[4].stack != nil {
-		t.Errorf("PHP egress labeled: %v", hops[4].stack)
-	}
-}
-
 func TestCustomSRGBUsedOnWire(t *testing.T) {
 	n := New(42)
 	custom := mpls.LabelRange{Lo: 400000, Hi: 407999}

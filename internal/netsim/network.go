@@ -31,10 +31,6 @@ type Network struct {
 	// MappingServer enables SR↔LDP interworking: an SRMS advertises prefix
 	// SIDs on behalf of LDP-only routers, giving them node-SID indexes.
 	MappingServer bool
-	// SRPHPEnabled makes the penultimate hop pop SR node-SID labels
-	// (penultimate hop popping). Off by default: the paper's examples show
-	// the node-SID label present at the last hop of a segment.
-	SRPHPEnabled bool
 	// SRPolicy, when set, lets an ingress LER steer traffic over an
 	// explicit segment list (traffic engineering, service SIDs). A nil
 	// return falls back to a single node segment to the egress.

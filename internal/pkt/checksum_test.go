@@ -97,7 +97,7 @@ func TestChecksumSelfVerifies(t *testing.T) {
 
 // FuzzChecksum checks the word-wise accumulator against the byte-pair
 // reference for any bytes, whole and chained across an even split (the
-// pseudo-header chaining of udpChecksum and icmp6Checksum).
+// pseudo-header chaining of udpChecksum).
 func FuzzChecksum(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0xff}, uint16(1))

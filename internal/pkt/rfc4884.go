@@ -2,12 +2,10 @@ package pkt
 
 import "encoding/binary"
 
-// This file holds the RFC 4884 original-datagram helpers shared by the
-// ICMPv4 and ICMPv6 codecs. Both protocols pad the quoted datagram to a
-// fixed 128-byte field when extension objects follow it, and both strip
-// that zero padding on decode by re-reading the quoted IP total length;
-// only the length-attribute units differ (32-bit words for ICMPv4, 8-octet
-// units for ICMPv6), and those stay in the per-protocol codecs.
+// This file holds the RFC 4884 original-datagram helpers of the ICMPv4
+// codec. ICMPv4 pads the quoted datagram to a fixed 128-byte field when
+// extension objects follow it, and strips that zero padding on decode by
+// re-reading the quoted IP total length.
 
 // appendPaddedOriginal appends the RFC 4884 original datagram field: orig
 // truncated to origDatagramPadLen bytes, zero-padded up to exactly that
@@ -27,19 +25,13 @@ func appendPaddedOriginal(dst, orig []byte) []byte {
 }
 
 // quotedLen returns how many leading bytes of a padded RFC 4884 original
-// datagram field belong to the quoted datagram, re-reading the quoted IP
-// total length (IPv4 or IPv6, by version nibble). Unparseable or
-// truncated quotes keep the whole field: len(b).
+// datagram field belong to the quoted datagram, re-reading the quoted IPv4
+// total length. Unparseable, truncated or non-IPv4 quotes keep the whole
+// field: len(b).
 func quotedLen(b []byte) int {
-	switch {
-	case len(b) >= IPv4HeaderLen && b[0]>>4 == 4:
+	if len(b) >= IPv4HeaderLen && b[0]>>4 == 4 {
 		total := int(binary.BigEndian.Uint16(b[2:]))
 		if total >= IPv4HeaderLen && total <= len(b) {
-			return total
-		}
-	case len(b) >= IPv6HeaderLen && b[0]>>4 == 6:
-		total := IPv6HeaderLen + int(binary.BigEndian.Uint16(b[4:]))
-		if total <= len(b) {
 			return total
 		}
 	}
