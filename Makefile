@@ -37,11 +37,12 @@ lint: arestlint
 		echo "lint: govulncheck not installed, skipping"; \
 	fi
 
-# Machine-checked contracts: the six analyzers of internal/lint/rules
-# (determinism, error accounting, hot-path allocation, context plumbing)
-# over every package including _test.go files (stdlib-only, exits non-zero
-# on any finding or unjustified suppression). Lock copies are go vet's
-# copylocks check (the vet target).
+# Machine-checked contracts: the five analyzers of internal/lint/rules
+# (determinism, error accounting, context plumbing) over every package
+# including _test.go files (stdlib-only, exits non-zero on any finding or
+# unjustified suppression). Lock copies are go vet's copylocks check (the
+# vet target); the zero-allocation wire path is held by the allocation
+# budgets (DESIGN.md §11).
 arestlint:
 	$(GO) run ./cmd/arestlint -tests ./...
 

@@ -1,17 +1,16 @@
 // Command arestlint machine-checks the repository's contracts (DESIGN.md
-// §7/§11/§12/§14) with the six stdlib-only analyzers of
-// internal/lint/rules:
+// §7/§12/§14) with the five stdlib-only analyzers of internal/lint/rules:
 //
 //	nowallclock   no wall-clock reads in determinism-contract packages
 //	noglobalrand  no process-global math/rand, no wall-clock seeding
 //	maporder      no map iteration order reaching slices or output
 //	noerrdrop     no discarded error returns in the measurement layers
-//	hotpathalloc  no allocation-forcing constructs in //arest:hotpath scopes
 //	ctxplumb      pipeline entry points take a context; pool loops observe it
 //
 // By-value lock copies are left to go vet's copylocks check. Nil-safe obs
-// instruments and the completeness of the exp.Agg fold are runtime tests
-// (TestObsNilSafety, TestAggFoldComplete), not analyzers.
+// instruments, the completeness of the exp.Agg fold and the zero-allocation
+// wire path are runtime tests (TestObsNilSafety, TestAggFoldComplete, the
+// TestAllocBudget* tables), not analyzers.
 //
 // Usage:
 //

@@ -1,10 +1,10 @@
 // The v3 trace payload codec: a fixed-layout binary encoding of one
 // TraceRecord, replacing the JSON payload that TypeTrace records carry in
 // v2. Every other record type keeps its v2 JSON schema. A replay decodes
-// one trace record per probe sweep, so this file holds the wire-path
-// contract (DESIGN.md §11): encoding appends into a caller-held buffer
-// without allocating; StreamRecords decodes into one reused trace that it
-// lends to its visitor, so a warmed decode allocates nothing, and
+// one trace record per probe sweep, so this file is on the wire path and
+// allocation-budgeted (DESIGN.md §11): encoding appends into a caller-held
+// buffer without allocating; StreamRecords decodes into one reused trace
+// that it lends to its visitor, so a warmed decode allocates nothing, and
 // UnmarshalTraceRecordInto allocates only the Trace, its Hops and one LSE
 // slab shared by every hop's stack (both allocate the text of failure
 // fields and address zones, when present).
@@ -34,8 +34,6 @@
 // bytes cannot hold, an LSE total that the stacks do not consume exactly,
 // and trailing bytes are all ErrCorrupt — so decode∘encode is the identity
 // on every payload the decoder accepts.
-//
-//arest:hotpath file
 package archive
 
 import (

@@ -156,58 +156,87 @@ func TestTraceSlabStacksDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetTraceCodec pins the v3 codec's wire-path budgets: an
-// encode into a warmed writer allocates nothing, and a decode allocates at
-// most the Trace, its Hops and one LSE slab when the trace carries no
-// failure text.
+// TestAllocBudgetTraceCodec pins the v3 codec's wire-path budgets on the
+// bench trace and on every edge-case shape, so each branch of the codec
+// runs under a budget: encoding into a warmed writer allocates nothing;
+// UnmarshalTraceRecordInto allocates the Trace, its Hops and one LSE slab,
+// each only when the trace has them, plus the text it owns; and
+// StreamRecords' warmed lent trace allocates only that text. Text is one
+// string per Err, per RevealErrs entry and per address zone, and a
+// RevealErrs slice.
 func TestAllocBudgetTraceCodec(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("allocation counts are meaningless under -race instrumentation")
 	}
-	rec := TraceRecord{VPIndex: 3, Trace: benchData().PerVP[3][7]}
-	aw, err := newWriter(io.Discard, 3)
-	if err != nil {
-		t.Fatal(err)
+	cases := append(edgeCases(), edgeCase{name: "bench", in: benchData().PerVP[3][7]})
+	// text is what each shape's decode owns beyond the Trace, Hops and
+	// slab: the strings and the RevealErrs slice.
+	text := map[string]float64{
+		"ipv6 zoned and mapped addresses": 2, // two zones
+		"halt error with text":            4, // Err, RevealErrs and its 2 entries
 	}
-	if err := aw.writeTrace(rec); err != nil { // warm the scratch buffer
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		if err := aw.writeTrace(rec); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("v3 trace encode: %.1f allocs/op, budget 0", got)
-	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := c.want
+			if want == nil {
+				want = c.in
+			}
+			rec := TraceRecord{VPIndex: 3, Trace: c.in}
+			aw, err := newWriter(io.Discard, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := aw.writeTrace(rec); err != nil { // warm the scratch buffer
+				t.Fatal(err)
+			}
+			if got := testing.AllocsPerRun(200, func() {
+				if err := aw.writeTrace(rec); err != nil {
+					t.Fatal(err)
+				}
+			}); got != 0 {
+				t.Errorf("v3 trace encode: %.1f allocs/op, budget 0", got)
+			}
 
-	payload, err := rec.AppendMarshal(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out TraceRecord
-	if got := testing.AllocsPerRun(200, func() {
-		if err := UnmarshalTraceRecordInto(&out, payload); err != nil {
-			t.Fatal(err)
-		}
-	}); got > 3 {
-		t.Errorf("v3 trace decode: %.1f allocs/op, budget 3", got)
-	}
-	if !reflect.DeepEqual(out, rec) {
-		t.Errorf("decode diverged:\n got %+v\nwant %+v", out.Trace, rec.Trace)
-	}
+			payload, err := rec.AppendMarshal(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned := 1 + text[c.name] // the Trace
+			if len(want.Hops) > 0 {
+				owned++
+			}
+			for _, h := range want.Hops {
+				if len(h.Stack) > 0 {
+					owned++ // one slab for every stack
+					break
+				}
+			}
+			var out TraceRecord
+			if got := testing.AllocsPerRun(200, func() {
+				if err := UnmarshalTraceRecordInto(&out, payload); err != nil {
+					t.Fatal(err)
+				}
+			}); got > owned {
+				t.Errorf("v3 trace decode: %.1f allocs/op, budget %.0f", got, owned)
+			}
+			if !reflect.DeepEqual(out, TraceRecord{VPIndex: 3, Trace: want}) {
+				t.Errorf("decode diverged:\n got %+v\nwant %+v", out.Trace, want)
+			}
 
-	// StreamRecords' lent trace: once it has decoded the trace, decoding it
-	// again reuses every slice.
-	var lent lentTrace
-	if _, err := lent.decode(payload); err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		if _, err := lent.decode(payload); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("v3 lent trace decode: %.1f allocs/op, budget 0", got)
+			// StreamRecords' lent trace: once it has decoded the trace,
+			// decoding it again reuses every slice.
+			var lent lentTrace
+			if _, err := lent.decode(payload); err != nil {
+				t.Fatal(err)
+			}
+			if got := testing.AllocsPerRun(200, func() {
+				if _, err := lent.decode(payload); err != nil {
+					t.Fatal(err)
+				}
+			}); got > text[c.name] {
+				t.Errorf("v3 lent trace decode: %.1f allocs/op, budget %.0f", got, text[c.name])
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
 	"arest/internal/fingerprint"
@@ -20,7 +21,7 @@ func refBuildPath(tr *probe.Trace, ann *fingerprint.Annotator, asOf func(netip.A
 		if !th.Responded() {
 			continue
 		}
-		h := Hop{Addr: th.Addr, Stack: th.Stack.Clone(), Revealed: th.Revealed,
+		h := Hop{Addr: th.Addr, Stack: slices.Clone(th.Stack), Revealed: th.Revealed,
 			QTTL: th.QTTL, Terminal: th.ICMPType == 3}
 		if ann != nil {
 			r := ann.Vendor(th.Addr)

@@ -63,7 +63,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if verb, ok := unknownDirective(c.Text); ok {
-					report(c.Pos(), "unknown directive //arest:%s: the framework understands allow, hotpath, coldpath", verb)
+					report(c.Pos(), "unknown directive //arest:%s: the framework understands only allow", verb)
 					continue
 				}
 				if !strings.HasPrefix(c.Text, directivePrefix) {
@@ -104,9 +104,9 @@ func (a *allowDirective) summary() string {
 	return fmt.Sprintf("%s:%d (%s)", a.pos.Filename, a.pos.Line, a.reason)
 }
 
-// unknownDirective reports a //arest: comment whose verb the framework
-// does not understand — a typo'd directive must fail the build, not
-// silently check nothing.
+// unknownDirective reports a //arest: comment whose verb is not allow, the
+// framework's only directive — a typo'd or retired directive must fail the
+// build, not silently check nothing.
 func unknownDirective(text string) (verb string, unknown bool) {
 	rest, ok := strings.CutPrefix(text, "//arest:")
 	if !ok {
@@ -116,5 +116,5 @@ func unknownDirective(text string) (verb string, unknown bool) {
 	if i := strings.IndexAny(rest, " \t\r"); i >= 0 {
 		verb = rest[:i]
 	}
-	return verb, verb != "" && !knownDirectives[verb]
+	return verb, verb != "" && verb != "allow"
 }

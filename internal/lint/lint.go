@@ -77,11 +77,6 @@ func (d Diagnostic) String() string {
 type Runner struct {
 	Analyzers []*Analyzer
 
-	// KeepUnusedAllows disables the "unused //arest:allow" check. The
-	// default (false) reports an allow that suppressed nothing, so stale
-	// justifications cannot linger after the code they excused is gone.
-	KeepUnusedAllows bool
-
 	// IncludeSuppressed keeps findings silenced by //arest:allow in the
 	// result, with Diagnostic.SuppressedBy set to the directive's
 	// position and reason. They still mark the directive used and do not
@@ -100,19 +95,15 @@ func (r *Runner) known() map[string]bool {
 
 // Run executes every analyzer over every package and returns the surviving
 // diagnostics sorted by position. Malformed directives (missing reason,
-// unknown analyzer) and — unless KeepUnusedAllows — directives that
-// suppressed nothing are themselves reported as "arestlint" diagnostics.
+// unknown analyzer or verb) and directives that suppressed nothing are
+// themselves reported as "arestlint" diagnostics, so stale justifications
+// cannot linger after the code they excused is gone.
 func (r *Runner) Run(pkgs []*Package) ([]Diagnostic, error) {
 	known := r.known()
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		allows, bad := collectAllows(pkg.Fset, pkg.Files, known)
 		diags = append(diags, bad...)
-		// Annotation directives (//arest:hotpath, coldpath) are validated
-		// here, like allows, so a malformed annotation fails the build even
-		// when no analyzer consumes it.
-		_, hbad := CollectHotPaths(pkg.Fset, pkg.Files)
-		diags = append(diags, hbad...)
 		for _, a := range r.Analyzers {
 			pass := &Pass{
 				Analyzer: a,
@@ -145,17 +136,15 @@ func (r *Runner) Run(pkgs []*Package) ([]Diagnostic, error) {
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
 			}
 		}
-		if !r.KeepUnusedAllows {
-			for _, al := range allows {
-				if !al.used {
-					diags = append(diags, Diagnostic{
-						Analyzer: DirectiveAnalyzerName,
-						Pos:      al.pos,
-						Message: fmt.Sprintf(
-							"unused //arest:allow %s: no %s finding in this file; delete the directive",
-							al.analyzer, al.analyzer),
-					})
-				}
+		for _, al := range allows {
+			if !al.used {
+				diags = append(diags, Diagnostic{
+					Analyzer: DirectiveAnalyzerName,
+					Pos:      al.pos,
+					Message: fmt.Sprintf(
+						"unused //arest:allow %s: no %s finding in this file; delete the directive",
+						al.analyzer, al.analyzer),
+				})
 			}
 		}
 	}

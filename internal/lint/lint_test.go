@@ -140,10 +140,6 @@ var good = 1
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "unused //arest:allow") {
 		t.Fatalf("unused allow not reported: %v", diags)
 	}
-	diags = runOn(t, src, &Runner{Analyzers: []*Analyzer{flagIdents()}, KeepUnusedAllows: true})
-	if len(diags) != 0 {
-		t.Fatalf("KeepUnusedAllows still reported: %v", diags)
-	}
 }
 
 // writeTestFiles materializes a multi-file package in a temp dir.
@@ -200,8 +196,9 @@ func TestDirectiveCRLF(t *testing.T) {
 
 func TestUnknownDirectiveVerb(t *testing.T) {
 	// A typo'd or retired verb must fail the build, not silently check
-	// nothing.
-	for _, verb := range []string{"alow", "mergeable"} {
+	// nothing: mergeable, hotpath and coldpath went with the analyzers
+	// that read them.
+	for _, verb := range []string{"alow", "mergeable", "hotpath", "coldpath"} {
 		diags := runOn(t, "package p\n\n//arest:"+verb+" flagbad oops\n", &Runner{Analyzers: []*Analyzer{flagIdents()}})
 		if len(diags) != 1 || !strings.Contains(diags[0].Message, "unknown directive //arest:"+verb) {
 			t.Errorf("unknown verb %q not reported: %v", verb, diags)
@@ -354,42 +351,6 @@ func TestLoadXTestThroughDependent(t *testing.T) {
 	}
 	if want := "[lt/base lt/base_test lt/dep]"; fmt.Sprint(paths) != want {
 		t.Errorf("loaded %v, want %s", paths, want)
-	}
-}
-
-// TestAnnotationValidationReported pins the framework-level validation of
-// the //arest:hotpath / coldpath grammar: every malformed placement is a
-// build-failing diagnostic regardless of which analyzers run.
-func TestAnnotationValidationReported(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"bare hotpath",
-			"package p\n\n//arest:hotpath\nfunc F() {}\n",
-			"scope must be 'file' or 'package'; got \"\""},
-		{"hotpath unknown scope",
-			"package p\n\n//arest:hotpath galaxy\nfunc F() {}\n",
-			"scope must be 'file' or 'package'; got \"galaxy\""},
-		{"coldpath missing reason",
-			"package p\n\n//arest:hotpath file\n\n//arest:coldpath\nfunc F() {}\n",
-			"missing its written reason"},
-		{"coldpath outside hot scope",
-			"package p\n\n//arest:coldpath formatting helper\nfunc F() {}\n",
-			"excuses nothing"},
-		{"coldpath outside function doc",
-			"package p\n\n//arest:coldpath reason\n\nvar x = 1\n",
-			"//arest:coldpath must sit in a function's doc comment"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			diags := runOn(t, tc.src, &Runner{Analyzers: []*Analyzer{flagIdents()}})
-			for _, d := range diags {
-				if d.Analyzer == DirectiveAnalyzerName && strings.Contains(d.Message, tc.want) {
-					return
-				}
-			}
-			t.Errorf("no directive diagnostic containing %q; got: %v", tc.want, diags)
-		})
 	}
 }
 

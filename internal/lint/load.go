@@ -78,9 +78,6 @@ func NewLoader(root string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // modulePath extracts the module declaration from a go.mod file. A full
 // modfile parser is unnecessary: the directive is a single line.
 func modulePath(gomod string) (string, error) {

@@ -18,8 +18,6 @@
 //	noerrdrop     §12 — the probe and alias measurement layers never
 //	              discard an error return: a swallowed transport error
 //	              silently becomes a wrong measurement.
-//	hotpathalloc  §11 — no allocation-forcing constructs inside
-//	              //arest:hotpath scopes outside cold error paths.
 //	ctxplumb      §14 — exported Run*/Measure*/Detect* entry points in
 //	              internal/exp take context.Context first, and worker
 //	              claim loops in internal/par observe cancellation.
@@ -29,7 +27,8 @@
 // TestLockCopyInjectionCaught pin that it covers them. Nil-safe obs
 // instruments (§8) and the completeness of the exp.Agg fold (§13) are
 // runtime properties, checked by TestObsNilSafety in internal/obs and
-// TestAggFoldComplete in internal/exp.
+// TestAggFoldComplete in internal/exp, and the zero-allocation wire path
+// (§11) is held by the TestAllocBudget* scenario tables.
 package rules
 
 import "arest/internal/lint"
@@ -65,7 +64,6 @@ func All() []*lint.Analyzer {
 		NoGlobalRand(),
 		MapOrder(),
 		NoErrDrop(ErrAuditPackages),
-		HotPathAlloc(),
 		CtxPlumb(CtxEntryPackages, CtxPoolPackages),
 	}
 }

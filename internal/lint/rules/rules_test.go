@@ -86,10 +86,6 @@ func TestNoErrDropSuppressed(t *testing.T) {
 	lint.RunWantTest(t, newLoader(t), testdata(t, "noerrdrop", "suppressed"), path, an)
 }
 
-func TestHotPathAlloc(t *testing.T) {
-	lint.RunWantTest(t, newLoader(t), testdata(t, "hotpathalloc", "a"), "arestlint.test/hotpathalloc/a", HotPathAlloc())
-}
-
 // vetModule runs go vet over dir as a standalone module named vetcheck and
 // returns its combined output. It fails the test if vet reports nothing:
 // every caller hands it code that must draw at least one finding.
@@ -335,28 +331,4 @@ func zzDrain(ready chan int, fn func(int)) {
 	}
 	diags := runAllOnMutation(t, dir, "arest/internal/par")
 	requireFinding(t, diags, "ctxplumb", "never observes ctx cancellation")
-}
-
-// TestHotPathInjectionCaught injects a formatting helper into the real
-// internal/pkt package, whose //arest:hotpath package scope must sweep
-// the new function in and reject the fmt call.
-func TestHotPathInjectionCaught(t *testing.T) {
-	root, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	copyGoFiles(t, filepath.Join(root, "internal", "pkt"), dir)
-	inject := `package pkt
-
-import "fmt"
-
-// zzFormatLabel is the mutation: formatting on the zero-alloc wire path.
-func zzFormatLabel(v uint32) string { return fmt.Sprintf("label=%d", v) }
-`
-	if err := os.WriteFile(filepath.Join(dir, "zz_mutation.go"), []byte(inject), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags := runAllOnMutation(t, dir, "arest/internal/pkt")
-	requireFinding(t, diags, "hotpathalloc", "fmt.Sprintf")
 }

@@ -10,10 +10,8 @@
 //	|            Label (20)         | TC  |S|    TTL (8)    |
 //	+-------------------------------+-----+-+---------------+
 //
-// Stack encode/decode runs once per simulated hop, so the package holds
-// the zero-allocation wire-path contract (DESIGN.md §11).
-//
-//arest:hotpath package
+// Stack encode/decode runs once per simulated hop; the wire-path
+// allocation budgets (DESIGN.md §11) hold its codecs at zero allocations.
 package mpls
 
 import (
@@ -62,16 +60,6 @@ func (e LSE) Valid() bool { return e.Label <= MaxLabel && e.TC <= 7 }
 // Reserved reports whether the label is in the special-purpose range 0-15.
 func (e LSE) Reserved() bool { return e.Label < 16 }
 
-// Marshal encodes the LSE into exactly LSESize bytes.
-func (e LSE) Marshal() ([]byte, error) {
-	if !e.Valid() {
-		return nil, fmt.Errorf("%w: label=%d tc=%d", ErrLabelRange, e.Label, e.TC)
-	}
-	b := make([]byte, LSESize)
-	e.putInto(b)
-	return b, nil
-}
-
 // AppendMarshal appends the LSE's LSESize wire bytes to dst with the
 // entry's own S bit — unlike Stack.AppendMarshal, which forces it — so a
 // stored entry round-trips through UnmarshalLSE exactly.
@@ -107,18 +95,12 @@ func UnmarshalLSE(b []byte) (LSE, error) {
 }
 
 // String renders the LSE in the conventional traceroute-style notation.
-//
-//arest:coldpath debug formatter, never on the wire path
 func (e LSE) String() string {
-	s := fmt.Sprintf("L=%d,TC=%d,S=%d,TTL=%d", e.Label, e.TC, b2i(e.S), e.TTL)
-	return s
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
+	s := 0
+	if e.S {
+		s = 1
 	}
-	return 0
+	return fmt.Sprintf("L=%d,TC=%d,S=%d,TTL=%d", e.Label, e.TC, s, e.TTL)
 }
 
 // Stack is an ordered MPLS label stack; index 0 is the top (active) entry.
@@ -155,15 +137,10 @@ func (s Stack) AppendMarshal(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalStack decodes entries until the bottom-of-stack flag is set.
-// It returns the stack and the number of bytes consumed.
-func UnmarshalStack(b []byte) (Stack, int, error) {
-	return AppendUnmarshalStack(nil, b)
-}
-
-// AppendUnmarshalStack is UnmarshalStack appending the decoded entries
-// onto dst, allocating only when dst lacks capacity. On error it returns
-// dst with its original length.
+// AppendUnmarshalStack decodes entries until the bottom-of-stack flag is
+// set, appending them onto dst and allocating only when dst lacks
+// capacity. It returns the extended stack and the number of bytes
+// consumed; on error it returns dst with its original length.
 func AppendUnmarshalStack(dst Stack, b []byte) (Stack, int, error) {
 	s := dst
 	off := 0
@@ -190,73 +167,10 @@ const MaxStackDepth = 64
 // use Depth to guard.
 func (s Stack) Top() LSE { return s[0] }
 
-// Bottom returns the last entry. It panics on an empty stack.
-func (s Stack) Bottom() LSE { return s[len(s)-1] }
-
 // Depth returns the number of entries.
 func (s Stack) Depth() int { return len(s) }
 
-// Push returns a new stack with e on top. The receiver is not modified.
-func (s Stack) Push(e LSE) Stack {
-	out := make(Stack, 0, len(s)+1)
-	out = append(out, e)
-	return append(out, s...)
-}
-
-// Pop returns a copy of the stack without its top entry.
-func (s Stack) Pop() Stack {
-	if len(s) <= 1 {
-		return nil
-	}
-	out := make(Stack, len(s)-1)
-	copy(out, s[1:])
-	return out
-}
-
-// Swap returns a copy of the stack with the top label replaced by label,
-// TTL carried over (already decremented by the caller if needed).
-func (s Stack) Swap(label uint32) Stack {
-	out := make(Stack, len(s))
-	copy(out, s)
-	out[0].Label = label
-	return out
-}
-
-// Clone returns a deep copy of the stack.
-func (s Stack) Clone() Stack {
-	if s == nil {
-		return nil
-	}
-	out := make(Stack, len(s))
-	copy(out, s)
-	return out
-}
-
-// Labels returns just the 20-bit label values, top first.
-func (s Stack) Labels() []uint32 {
-	out := make([]uint32, len(s))
-	for i, e := range s {
-		out[i] = e.Label
-	}
-	return out
-}
-
-// Equal reports whether two stacks have identical entries.
-func (s Stack) Equal(o Stack) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the stack as "[top | ... | bottom]".
-//
-//arest:coldpath debug formatter, never on the wire path
 func (s Stack) String() string {
 	if len(s) == 0 {
 		return "[]"

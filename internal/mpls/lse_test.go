@@ -17,12 +17,12 @@ func TestLSEMarshalRoundTrip(t *testing.T) {
 		{Label: 900000, TC: 1, S: false, TTL: 254},
 	}
 	for _, in := range cases {
-		b, err := in.Marshal()
+		b, err := in.AppendMarshal(nil)
 		if err != nil {
-			t.Fatalf("Marshal(%v): %v", in, err)
+			t.Fatalf("AppendMarshal(%v): %v", in, err)
 		}
 		if len(b) != LSESize {
-			t.Fatalf("Marshal(%v) = %d bytes, want %d", in, len(b), LSESize)
+			t.Fatalf("AppendMarshal(%v) = %d bytes, want %d", in, len(b), LSESize)
 		}
 		out, err := UnmarshalLSE(b)
 		if err != nil {
@@ -38,7 +38,7 @@ func TestLSEWireLayout(t *testing.T) {
 	// Label 16005, TC 2, S=1, TTL 250:
 	// 16005<<12 | 2<<9 | 1<<8 | 250
 	e := LSE{Label: 16005, TC: 2, S: true, TTL: 250}
-	b, err := e.Marshal()
+	b, err := e.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +49,10 @@ func TestLSEWireLayout(t *testing.T) {
 }
 
 func TestLSEMarshalRejectsOverflow(t *testing.T) {
-	if _, err := (LSE{Label: MaxLabel + 1}).Marshal(); !errors.Is(err, ErrLabelRange) {
+	if _, err := (LSE{Label: MaxLabel + 1}).AppendMarshal(nil); !errors.Is(err, ErrLabelRange) {
 		t.Errorf("overflowing label: err = %v, want ErrLabelRange", err)
 	}
-	if _, err := (LSE{Label: 5, TC: 8}).Marshal(); !errors.Is(err, ErrLabelRange) {
+	if _, err := (LSE{Label: 5, TC: 8}).AppendMarshal(nil); !errors.Is(err, ErrLabelRange) {
 		t.Errorf("overflowing TC: err = %v, want ErrLabelRange", err)
 	}
 }
@@ -81,7 +81,7 @@ func TestLSEReserved(t *testing.T) {
 func TestLSEQuickRoundTrip(t *testing.T) {
 	f := func(label uint32, tc uint8, s bool, ttl uint8) bool {
 		in := LSE{Label: label % (MaxLabel + 1), TC: tc % 8, S: s, TTL: ttl}
-		b, err := in.Marshal()
+		b, err := in.AppendMarshal(nil)
 		if err != nil {
 			return false
 		}
@@ -103,7 +103,7 @@ func TestStackMarshalSetsBottomBitOnlyOnLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, n, err := UnmarshalStack(b)
+	out, n, err := AppendUnmarshalStack(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +119,8 @@ func TestStackMarshalSetsBottomBitOnlyOnLast(t *testing.T) {
 			t.Errorf("entry %d S = %v, want %v", i, e.S, wantS)
 		}
 	}
-	if got := out.Labels(); got[0] != 16005 || got[1] != 3001 || got[2] != 16008 {
-		t.Errorf("labels = %v", got)
+	if out[0].Label != 16005 || out[1].Label != 3001 || out[2].Label != 16008 {
+		t.Errorf("labels = %v", out)
 	}
 }
 
@@ -136,7 +136,7 @@ func TestUnmarshalStackStopsAtBottom(t *testing.T) {
 	b, _ := s.Marshal()
 	// Append garbage after the bottom entry; decoding must not consume it.
 	b = append(b, 0xde, 0xad, 0xbe, 0xef)
-	out, n, err := UnmarshalStack(b)
+	out, n, err := AppendUnmarshalStack(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestUnmarshalStackStopsAtBottom(t *testing.T) {
 func TestUnmarshalStackRunaway(t *testing.T) {
 	// A stack that never sets the bottom bit must error out, not loop.
 	b := make([]byte, (MaxStackDepth+2)*LSESize)
-	if _, _, err := UnmarshalStack(b); err == nil {
+	if _, _, err := AppendUnmarshalStack(nil, b); err == nil {
 		t.Error("runaway stack decoded without error")
 	}
 }
@@ -159,64 +159,8 @@ func TestUnmarshalStackRunaway(t *testing.T) {
 func TestUnmarshalStackTruncatedMidEntry(t *testing.T) {
 	s := Stack{{Label: 100}, {Label: 200}}
 	b, _ := s.Marshal()
-	if _, _, err := UnmarshalStack(b[:LSESize+2]); !errors.Is(err, ErrTruncated) {
+	if _, _, err := AppendUnmarshalStack(nil, b[:LSESize+2]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", err)
-	}
-}
-
-func TestStackPushPopSwap(t *testing.T) {
-	base := Stack{{Label: 108, TTL: 64}}
-	s := base.Push(LSE{Label: 3001, TTL: 64}).Push(LSE{Label: 104, TTL: 64})
-	if s.Depth() != 3 || s.Top().Label != 104 || s.Bottom().Label != 108 {
-		t.Fatalf("after pushes: %v", s)
-	}
-	if base.Depth() != 1 {
-		t.Errorf("Push mutated receiver: %v", base)
-	}
-	p := s.Pop()
-	if p.Depth() != 2 || p.Top().Label != 3001 {
-		t.Errorf("after pop: %v", p)
-	}
-	if s.Depth() != 3 {
-		t.Errorf("Pop mutated receiver: %v", s)
-	}
-	w := p.Swap(9999)
-	if w.Top().Label != 9999 || p.Top().Label != 3001 {
-		t.Errorf("Swap: got %v, receiver %v", w, p)
-	}
-	if Stack(nil).Pop() != nil {
-		t.Error("Pop on nil stack should return nil")
-	}
-	one := Stack{{Label: 5}}
-	if one.Pop() != nil {
-		t.Error("Pop on depth-1 stack should return nil")
-	}
-}
-
-func TestStackCloneIndependence(t *testing.T) {
-	s := Stack{{Label: 1}, {Label: 2}}
-	c := s.Clone()
-	c[0].Label = 42
-	if s[0].Label != 1 {
-		t.Error("Clone shares backing array")
-	}
-	if Stack(nil).Clone() != nil {
-		t.Error("Clone of nil should be nil")
-	}
-}
-
-func TestStackEqual(t *testing.T) {
-	a := Stack{{Label: 1, TTL: 5}, {Label: 2}}
-	b := Stack{{Label: 1, TTL: 5}, {Label: 2}}
-	if !a.Equal(b) {
-		t.Error("identical stacks not Equal")
-	}
-	if a.Equal(b[:1]) {
-		t.Error("different depth stacks Equal")
-	}
-	b[1].Label = 3
-	if a.Equal(b) {
-		t.Error("different stacks Equal")
 	}
 }
 
@@ -236,7 +180,7 @@ func TestStackQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := UnmarshalStack(b)
+		out, _, err := AppendUnmarshalStack(nil, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,9 +23,6 @@ func NewPool(r LabelRange, seed int64) *Pool {
 	return &Pool{src: newLabelSource(seed), rng2: r}
 }
 
-// Range returns the pool's label range.
-func (p *Pool) Range() LabelRange { return p.rng2 }
-
 // Allocate binds a fresh label to the FEC key and returns it. Repeated
 // calls with the same key return the same label (per-FEC binding, as LDP
 // does). Allocate panics only if the pool is fully exhausted, which cannot
@@ -51,12 +48,3 @@ func (p *Pool) Allocate(fec string) uint32 {
 		}
 	}
 }
-
-// Lookup returns the label bound to the FEC, if any.
-func (p *Pool) Lookup(fec string) (uint32, bool) {
-	l, ok := p.bound[fec]
-	return l, ok
-}
-
-// Allocated returns the number of labels currently bound.
-func (p *Pool) Allocated() int { return len(p.used) }

@@ -14,9 +14,6 @@ func TestPoolAllocateStableBinding(t *testing.T) {
 	if l1 != l2 {
 		t.Errorf("re-allocation for same FEC: %d != %d", l1, l2)
 	}
-	if p.Allocated() != 1 {
-		t.Errorf("Allocated = %d, want 1", p.Allocated())
-	}
 }
 
 func TestPoolAllocateWithinRange(t *testing.T) {
@@ -39,9 +36,6 @@ func TestPoolAllocateUnique(t *testing.T) {
 			t.Fatalf("label %d allocated twice", l)
 		}
 		seen[l] = true
-	}
-	if p.Allocated() != 1000 {
-		t.Errorf("Allocated = %d, want 1000", p.Allocated())
 	}
 }
 
@@ -72,18 +66,6 @@ func TestPoolDifferentSeedsDiverge(t *testing.T) {
 	// Expected agreements ≈ n/poolSize ≈ 0.002; allow a little slack.
 	if agree > 3 {
 		t.Errorf("%d/%d agreements between independent pools; labels are not locally significant enough", agree, n)
-	}
-}
-
-func TestPoolLookup(t *testing.T) {
-	p := NewPool(LabelRange{100, 200}, 1)
-	if _, ok := p.Lookup("missing"); ok {
-		t.Error("Lookup on empty pool returned ok")
-	}
-	l := p.Allocate("a")
-	got, ok := p.Lookup("a")
-	if !ok || got != l {
-		t.Errorf("Lookup = %d,%v; want %d,true", got, ok, l)
 	}
 }
 

@@ -34,7 +34,7 @@ var vendorNames = map[Vendor]string{
 	VendorCiscoHuawei: "Cisco/Huawei",
 }
 
-//arest:coldpath debug formatter, never on the wire path
+// String returns the vendor's display name.
 func (v Vendor) String() string {
 	if s, ok := vendorNames[v]; ok {
 		return s
@@ -74,7 +74,7 @@ func (r LabelRange) Overlap(o LabelRange) (LabelRange, bool) {
 	return LabelRange{lo, hi}, true
 }
 
-//arest:coldpath debug formatter, never on the wire path
+// String renders the range as "[lo,hi]".
 func (r LabelRange) String() string { return fmt.Sprintf("[%d,%d]", r.Lo, r.Hi) }
 
 // Default vendor SR label blocks, after Table 1 of the paper.

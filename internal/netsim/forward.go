@@ -1,8 +1,6 @@
 // This file is the per-packet forwarding engine: every probe of every
-// campaign runs through Send and process, so it holds the zero-allocation
-// wire-path contract (DESIGN.md §11).
-//
-//arest:hotpath file
+// campaign runs through Send and process, and the Send allocation budgets
+// (DESIGN.md §11) run each of its forwarding and reply branches.
 package netsim
 
 import (
@@ -257,12 +255,9 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 				c.popTTLAdjust(f, eff)
 				return nbr, nil, false
 			case labelLDP:
+				// distributeLDP never binds a label to the router's own
+				// FEC, so an LDP label always leads on toward its egress.
 				e := c.n.routers[fec]
-				if e.ID == r.ID {
-					f.popStack()
-					c.popTTLAdjust(f, eff)
-					continue
-				}
 				nh, ok := c.n.NextHop(r.ID, e.ID, c.flow)
 				if !ok {
 					c.n.met.dropNoRoute.Inc()
@@ -340,7 +335,7 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 	// Ingress LER decision: label-push transit traffic toward an egress in
 	// the same AS, for tunnel-eligible FECs only.
 	if len(f.stack) == 0 && r.Mode != ModeIP && ownerR.ASN == r.ASN && c.dst.eligible {
-		pushed, newNh := c.push(r, ownerR, f, nh)
+		pushed, newNh := c.push(r, ownerR, f)
 		if pushed {
 			return newNh, nil, false
 		}
@@ -350,8 +345,9 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 
 // push applies the ingress encapsulation; it returns false when no label
 // ends up on the packet (implicit null to an adjacent egress, or missing
-// state), in which case plain IP forwarding proceeds.
-func (c *sendCtx) push(r *Router, egress *Router, f *frame, defaultNh RouterID) (bool, RouterID) {
+// state), in which case plain IP forwarding proceeds. An SR-mode ingress
+// that runs only LDP pushes LDP labels.
+func (c *sendCtx) push(r *Router, egress *Router, f *frame) (bool, RouterID) {
 	f.mode = modeUniform
 	if !r.Profile.TTLPropagate {
 		f.mode = modePipe
@@ -361,20 +357,8 @@ func (c *sendCtx) push(r *Router, egress *Router, f *frame, defaultNh RouterID) 
 		lseTTL = 255
 	}
 
-	mode := r.Mode
-	if mode == ModeSR && !r.SREnabled {
-		if r.LDPEnabled {
-			mode = ModeLDP
-		} else {
-			return false, 0
-		}
-	}
-	if mode == ModeLDP && !r.LDPEnabled {
-		return false, 0
-	}
-
-	switch mode {
-	case ModeSR:
+	switch {
+	case r.Mode == ModeSR && r.SREnabled:
 		c.scr.segBuf[0] = Segment{Node: egress.ID}
 		segs := SegmentList(c.scr.segBuf[:1])
 		if c.n.SRPolicy != nil {
@@ -399,11 +383,10 @@ func (c *sendCtx) push(r *Router, egress *Router, f *frame, defaultNh RouterID) 
 		}
 		f.stack = stack
 		return true, nh
-	case ModeLDP:
+	case (r.Mode == ModeSR || r.Mode == ModeLDP) && r.LDPEnabled:
 		return c.pushLDP(r, egress, f, lseTTL)
-	default:
-		return false, 0
 	}
+	return false, 0
 }
 
 func firstNodeOf(segs SegmentList, fallback RouterID) RouterID {

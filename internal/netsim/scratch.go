@@ -1,7 +1,5 @@
 // The pooled per-Send scratch: allocation here multiplies by every probe
-// sent, so the file holds the wire-path contract (DESIGN.md §11).
-//
-//arest:hotpath file
+// sent, which the Send allocation budgets (DESIGN.md §11) guard.
 package netsim
 
 import (

@@ -38,24 +38,26 @@ func TestForEachCoversAllIndexes(t *testing.T) {
 
 func TestForEachCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		// Cancel from inside a task: no further index may be claimed after
-		// in-flight tasks drain, and the cancellation cause must surface.
+		// Cancel from inside the first task, and hold every task until the
+		// cancel has landed: a worker's next claim follows its task's
+		// return, so it always observes the cancellation. Each worker runs
+		// at most the one task it claimed before that, and the
+		// cancellation cause must surface.
 		ctx, cancel := context.WithCancelCause(context.Background())
 		cause := errors.New("stop here")
 		n := 1000
 		var ran atomic.Int32
 		err := ForEach(ctx, workers, n, func(i int) {
-			if ran.Add(1) == 5 {
+			if ran.Add(1) == 1 {
 				cancel(cause)
 			}
+			<-ctx.Done()
 		})
 		if !errors.Is(err, cause) {
 			t.Fatalf("workers=%d: err = %v, want cause %v", workers, err, cause)
 		}
-		// In-flight tasks finish, so up to `workers` extra calls may land
-		// after the cancel — but nowhere near the full index space.
-		if got := ran.Load(); got >= int32(n) {
-			t.Fatalf("workers=%d: ran %d of %d tasks after cancel", workers, got, n)
+		if got := ran.Load(); got < 1 || got > int32(workers) {
+			t.Fatalf("workers=%d: ran %d tasks, want 1..%d", workers, got, workers)
 		}
 		cancel(nil)
 	}

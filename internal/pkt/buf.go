@@ -1,8 +1,6 @@
 // The pkt encoders and decoders are the innermost wire path — every
-// probe and reply round-trips through them — so the whole package holds
-// the zero-allocation contract (DESIGN.md §11).
-//
-//arest:hotpath package
+// probe and reply round-trips through them — and the wire-path allocation
+// budgets (DESIGN.md §11) hold them at zero allocations.
 package pkt
 
 // grow extends dst by n bytes and returns the extended slice plus the

@@ -265,7 +265,7 @@ func (m *ICMP) QuotedIPv4() (*IPv4, error) {
 	return UnmarshalIPv4Quoted(m.Body)
 }
 
-//arest:coldpath debug formatter, never on the wire path
+// String summarizes the message for debugging.
 func (m *ICMP) String() string {
 	return fmt.Sprintf("ICMP type=%d code=%d body=%d ext=%d", m.Type, m.Code, len(m.Body), len(m.Extensions))
 }

@@ -3,6 +3,7 @@ package pkt
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"arest/internal/mpls"
@@ -147,7 +148,7 @@ func TestAppendMPLSStack(t *testing.T) {
 	}
 	prefix := mpls.Stack{{Label: 24001, TTL: 9, S: true}}
 	got, ok := out.AppendMPLSStack(prefix[:1:1])
-	if !ok || !got[:1].Equal(prefix) || !got[1:].Equal(stack) {
+	if !ok || !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], stack) {
 		t.Fatalf("AppendMPLSStack = %v, %v; want %v then %v", got, ok, prefix, stack)
 	}
 
@@ -157,7 +158,7 @@ func TestAppendMPLSStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := out.AppendMPLSStack(prefix); ok || !got.Equal(prefix) {
+	if got, ok := out.AppendMPLSStack(prefix); ok || !slices.Equal(got, prefix) {
 		t.Fatalf("undecodable stack: got %v, %v; want %v, false", got, ok, prefix)
 	}
 	if got, ok := out.MPLSStack(); ok || got != nil {

@@ -3,6 +3,7 @@ package pkt
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"arest/internal/mpls"
@@ -272,7 +273,7 @@ func TestICMPFullExchangeThroughIPv4(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := rxICMP.MPLSStack()
-	if !ok || !got.Equal(mpls.Stack{{Label: 24017, TTL: 254}, {Label: 16008, TTL: 254, S: true}}) {
+	if !ok || !slices.Equal(got, mpls.Stack{{Label: 24017, TTL: 254}, {Label: 16008, TTL: 254, S: true}}) {
 		t.Errorf("stack = %v ok=%v", got, ok)
 	}
 }

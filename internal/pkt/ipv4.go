@@ -171,7 +171,7 @@ func UnmarshalIPv4QuotedInto(p *IPv4, b []byte) error {
 	return nil
 }
 
-//arest:coldpath debug formatter, never on the wire path
+// String summarizes the packet for debugging.
 func (p *IPv4) String() string {
 	return fmt.Sprintf("IPv4 %s -> %s proto=%d ttl=%d len=%d",
 		p.Src, p.Dst, p.Protocol, p.TTL, IPv4HeaderLen+len(p.Payload))

@@ -93,7 +93,7 @@ func udpChecksum(src, dst netip.Addr, datagram []byte) uint16 {
 	return finish(sum(datagram, sum(pseudo[:], 0)))
 }
 
-//arest:coldpath debug formatter, never on the wire path
+// String summarizes the datagram for debugging.
 func (u *UDP) String() string {
 	return fmt.Sprintf("UDP %d -> %d len=%d", u.SrcPort, u.DstPort, UDPHeaderLen+len(u.Payload))
 }

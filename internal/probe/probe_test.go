@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"arest/internal/mpls"
@@ -365,7 +366,7 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip mismatch")
 	}
 	for i := range back.Hops {
-		if !back.Hops[i].Stack.Equal(tr.Hops[i].Stack) {
+		if !slices.Equal(back.Hops[i].Stack, tr.Hops[i].Stack) {
 			t.Errorf("hop %d stack mismatch", i)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ func cloneTrace(tr *Trace) *Trace {
 	c := *tr
 	c.Hops = append([]Hop(nil), tr.Hops...)
 	for i := range c.Hops {
-		c.Hops[i].Stack = c.Hops[i].Stack.Clone()
+		c.Hops[i].Stack = slices.Clone(c.Hops[i].Stack)
 	}
 	c.RevealErrs = append([]string(nil), tr.RevealErrs...)
 	return &c

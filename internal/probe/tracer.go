@@ -1,8 +1,6 @@
 // The tracer's probe/exchange loop sits directly on the wire path: its
-// pooled scratch and stateless probe IDs are what keep Trace within its
-// alloc budget, so the file holds the contract (DESIGN.md §11).
-//
-//arest:hotpath file
+// pooled scratch and stateless probe IDs are what keep Trace, Ping and
+// SampleIPID within their allocation budgets (DESIGN.md §11).
 package probe
 
 import (
