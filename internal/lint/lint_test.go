@@ -197,9 +197,15 @@ func TestDirectiveCRLF(t *testing.T) {
 func TestUnknownDirectiveVerb(t *testing.T) {
 	// A typo'd or retired verb must fail the build, not silently check
 	// nothing: mergeable, hotpath and coldpath went with the analyzers
-	// that read them.
-	for _, verb := range []string{"alow", "mergeable", "hotpath", "coldpath"} {
-		diags := runOn(t, "package p\n\n//arest:"+verb+" flagbad oops\n", &Runner{Analyzers: []*Analyzer{flagIdents()}})
+	// that read them, so a leftover mark is reported.
+	for _, c := range []struct{ verb, mark string }{
+		{"alow", "//arest:alow flagbad oops"},
+		{"mergeable", "//arest:mergeable"},
+		{"hotpath", "//arest:hotpath file"},
+		{"coldpath", "//arest:coldpath debug formatter, never on the wire path"},
+	} {
+		verb := c.verb
+		diags := runOn(t, "package p\n\n"+c.mark+"\nfunc F() {}\n", &Runner{Analyzers: []*Analyzer{flagIdents()}})
 		if len(diags) != 1 || !strings.Contains(diags[0].Message, "unknown directive //arest:"+verb) {
 			t.Errorf("unknown verb %q not reported: %v", verb, diags)
 		}

@@ -64,18 +64,11 @@ func tcpProbe(src, dst netip.Addr) []byte {
 	return rawProbe(src, dst, 64, pkt.ProtoTCP, make([]byte, 20))
 }
 
-// recompute re-runs the control planes after a test changed the topology
-// or a router's configuration.
-func (c *chain) recompute() *chain {
-	c.net.Compute()
-	return c
-}
-
 // attachVP attaches a second vantage point behind r and returns it.
 func (c *chain) attachVP(r *Router) netip.Addr {
 	vp := a("172.16.9.10")
 	c.net.AddHost(vp, r.ID)
-	c.recompute()
+	c.net.Compute()
 	return vp
 }
 
@@ -96,12 +89,13 @@ func (c *chain) isolate() (*Router, netip.Addr) {
 		Profile: DefaultProfile(mpls.VendorCisco), SREnabled: true, Mode: ModeSR})
 	hx := a("100.9.0.1")
 	c.net.AddHost(hx, x.ID)
-	c.recompute()
+	c.net.Compute()
 	return x, hx
 }
 
-func ldpChain(t *testing.T, opts ...chainOpt) *chain {
-	return buildChain(t, append([]chainOpt{withMode(ModeLDP), withPlanes(false, true)}, opts...)...)
+// ldpChain is the canonical chain running classic MPLS only.
+func ldpChain(t *testing.T) *chain {
+	return buildChain(t, withMode(ModeLDP), withPlanes(false, true))
 }
 
 func sendCases() []sendCase {
@@ -139,14 +133,14 @@ func sendCases() []sendCase {
 			setup: func(t *testing.T) (n, addr, []byte) {
 				c := buildChain(t)
 				c.net.AdvertisePrefix(c.pe2.ID, netip.MustParsePrefix("100.2.0.0/24"))
-				c.recompute()
+				c.net.Compute()
 				return c.net, c.vp, udpProbe(c.vp, a("100.2.0.5"), 64, 33434)
 			}},
 		{name: "routed prefix: echo reply from the loopback", reply: pkt.ICMPEchoReply,
 			setup: func(t *testing.T) (n, addr, []byte) {
 				c := buildChain(t)
 				c.net.AdvertisePrefix(c.pe2.ID, netip.MustParsePrefix("100.2.0.0/24"))
-				c.recompute()
+				c.net.Compute()
 				return c.net, c.vp, echoProbe(c.vp, a("100.2.0.5"), 64, 77)
 			}},
 		{name: "unrouted destination", reply: dropped,
@@ -274,7 +268,7 @@ func sendCases() []sendCase {
 				}
 				c.net.SetLinkState(c.pe2.ID, z.ID, false)
 				c.net.LDPStackPolicy = func(_ *Router, e RouterID, _ netip.Addr) (uint32, bool) { return stale, e == p1.ID }
-				c.recompute()
+				c.net.Compute()
 				return c.net, c.vp, udpProbe(c.vp, p1.Loopback, 64, 33434)
 			}},
 
@@ -372,7 +366,7 @@ func sendCases() []sendCase {
 			setup: func(t *testing.T) (n, addr, []byte) {
 				c := buildChain(t)
 				c.pe1.SREnabled, c.pe1.LDPEnabled, c.pe1.Mode = false, true, ModeLDP
-				c.recompute()
+				c.net.Compute()
 				return c.net, c.vp, udpProbe(c.vp, c.target, 64, 33434)
 			}},
 		{name: "SR-mode ingress running only LDP", reply: pkt.ICMPDestUnreachable,
@@ -391,14 +385,14 @@ func sendCases() []sendCase {
 			setup: func(t *testing.T) (n, addr, []byte) {
 				c := buildChain(t)
 				c.ps[1].SREnabled = false
-				c.recompute()
+				c.net.Compute()
 				return c.net, c.vp, udpProbe(c.vp, c.target, 64, 33434)
 			}},
 		{name: "ldp: LSR facing a router without SR or LDP", reply: dropped,
 			setup: func(t *testing.T) (n, addr, []byte) {
 				c := ldpChain(t)
 				c.ps[1].LDPEnabled = false
-				c.recompute()
+				c.net.Compute()
 				return c.net, c.vp, udpProbe(c.vp, c.target, 64, 33434)
 			}},
 		{name: "ldp: ingress facing a router without SR or LDP", reply: pkt.ICMPDestUnreachable,

@@ -21,9 +21,6 @@ import (
 // it, while a per-trace map, a per-hop stack or a heap Delivery trips it
 // at once.
 
-// budgetRuns is how many times AllocsPerRun repeats each scenario.
-const budgetRuns = 100
-
 func skipUnderRace(t *testing.T) {
 	t.Helper()
 	if testrace.Enabled {
@@ -118,7 +115,7 @@ func TestAllocBudgetTrace(t *testing.T) {
 				}
 			}
 			run()
-			if got := testing.AllocsPerRun(budgetRuns, run); got > c.budget {
+			if got := testing.AllocsPerRun(100, run); got > c.budget {
 				t.Errorf("Trace: %.1f allocs/op, budget %.0f", got, c.budget)
 			}
 		})
@@ -181,9 +178,9 @@ func TestAllocBudgetPingAndIPID(t *testing.T) {
 		{"SampleIPID/silent router", ipid(tr, tn.ps[2].Loopback, false), 0},
 		{"SampleIPID/BasePort below the traceroute range", ipid(lowPort, tn.target, true), 1},
 		{"InferInitialTTL", func(t *testing.T) {
-			for in, want := range [...]uint8{20: 32, 50: 64, 100: 128, 200: 255} {
-				if want != 0 && InferInitialTTL(uint8(in)) != want {
-					t.Fatalf("InferInitialTTL(%d) = %d, want %d", in, InferInitialTTL(uint8(in)), want)
+			for _, c := range [][2]uint8{{20, 32}, {50, 64}, {100, 128}, {200, 255}} {
+				if got := InferInitialTTL(c[0]); got != c[1] {
+					t.Fatalf("InferInitialTTL(%d) = %d, want %d", c[0], got, c[1])
 				}
 			}
 		}, 0},
