@@ -256,13 +256,3 @@ func (r *Result) HasSR() bool {
 	}
 	return false
 }
-
-// HitsArea reports whether any hop of the path falls in the given area.
-func (r *Result) HitsArea(a Area) bool {
-	for _, got := range r.Areas {
-		if got == a {
-			return true
-		}
-	}
-	return false
-}

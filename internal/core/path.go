@@ -112,8 +112,10 @@ func (p *Path) RestrictToAS(asn int) *Path {
 }
 
 // RestrictToASInto is RestrictToAS writing the sub-path into dst, which
-// may be p itself.
-func (p *Path) RestrictToASInto(dst *Path, asn int) {
+// may be p itself. It returns the index in p.Hops of the sub-path's first
+// hop (0 when the sub-path is empty), so a caller holding values parallel
+// to p.Hops can restrict them alike.
+func (p *Path) RestrictToASInto(dst *Path, asn int) (start int) {
 	start, end := -1, len(p.Hops)
 	for i := range p.Hops {
 		if p.Hops[i].ASN == asn {
@@ -130,4 +132,5 @@ func (p *Path) RestrictToASInto(dst *Path, asn int) {
 		hops = p.Hops[start:end:end]
 	}
 	*dst = Path{VP: p.VP, Dst: p.Dst, Hops: hops}
+	return max(start, 0)
 }

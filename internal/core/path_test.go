@@ -94,6 +94,7 @@ func TestBuildPathMatchesPerHopClone(t *testing.T) {
 
 // RestrictToAS shares the receiver's hops; its capacity ends at the run,
 // so appending to the result leaves the receiver's later hops alone.
+// RestrictToASInto reports the index where the run starts.
 func TestRestrictToASSharesHops(t *testing.T) {
 	tr, asOf := labeledTrace()
 	tr.Hops = append(tr.Hops, probe.Hop{TTL: 8, Addr: netip.AddrFrom4([4]byte{10, 0, 0, 8}), ICMPType: 11})
@@ -106,6 +107,13 @@ func TestRestrictToASSharesHops(t *testing.T) {
 	sub := p.RestrictToAS(100)
 	if len(sub.Hops) != 5 || &sub.Hops[0] != &p.Hops[1] {
 		t.Fatalf("RestrictToAS(100) = %+v, want the 5 AS-100 hops of p, shared", sub.Hops)
+	}
+	var in Path
+	if start := p.RestrictToASInto(&in, 100); start != 1 {
+		t.Errorf("RestrictToASInto(100) starts the run at hop %d, want 1", start)
+	}
+	if start := p.RestrictToASInto(&in, 999); start != 0 || in.Hops != nil {
+		t.Errorf("RestrictToASInto(999) = %+v starting at %d, want no hops at 0", in.Hops, start)
 	}
 	sub.Hops = append(sub.Hops, Hop{ASN: 999})
 	if next := p.Hops[len(p.Hops)-1]; next.ASN != 200 {

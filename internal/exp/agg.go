@@ -3,6 +3,8 @@
 // every path and recompute" with "accumulate per trace and query", so a
 // streaming replay holds O(results) state — flag tallies, histograms, and
 // one compact row per distinct interface — never the trace set itself.
+// The fold accumulates into an address table and array tallies and
+// publishes them into the AS's Agg once (stream.go).
 package exp
 
 import (
@@ -109,143 +111,6 @@ func NewAgg() *Agg {
 		Confusion:   map[core.Flag]eval.Confusion{},
 		SeqLabels:   map[uint32]bool{},
 	}
-}
-
-// traceFacts are the per-trace classifications addTrace folds. They are
-// pure functions of one raw trace and its analysis, so the streaming fold
-// derives them inside its concurrent analyze fan-out, leaving only the
-// accumulation itself on the fold's goroutine.
-type traceFacts struct {
-	tunnels  []probe.Tunnel        // raw-trace tunnel visibility classes
-	analyses []core.TunnelAnalysis // interworking analysis; nil without a result
-}
-
-// addTrace folds one trace: the raw trace always contributes (tunnel
-// classes, responder accumulation); res is the analysis of its AS-restricted
-// path and is nil when the restriction was empty; facts holds
-// probe.ClassifyTunnels(tr) and, with a result, res.Tunnels(). sr is the
-// archived ground-truth set, sealed before the first trace arrives. It
-// allocates only when a map gains a key.
-func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts traceFacts, sr map[netip.Addr]bool) {
-	a.Traces++
-	explicit := false
-	for _, t := range facts.tunnels {
-		a.TunnelTypes[t.Type]++
-		explicit = explicit || t.Type == probe.TunnelExplicit
-	}
-	if explicit {
-		a.ExplicitPaths++
-	}
-	for i := range tr.Hops {
-		if !tr.Hops[i].Responded() {
-			continue
-		}
-		addr := tr.Hops[i].Addr
-		if v, ok := a.FirstVP[addr]; !ok || vpIdx < v {
-			a.FirstVP[addr] = vpIdx
-		}
-	}
-	if res == nil {
-		return
-	}
-	a.PathsInAS++
-
-	hops := res.Path.Hops
-	for _, s := range res.Segments {
-		a.Flags[s.Flag]++
-		if s.Flag == core.FlagCVR || s.Flag == core.FlagCO {
-			a.SeqLabels[s.Label] = true
-			if s.SuffixMatch {
-				a.SeqSuffix++
-			}
-		}
-		allSR := true
-		for k := s.Start; k <= s.End; k++ {
-			if !sr[hops[k].Addr] {
-				allSR = false
-			}
-			if s.Flag.Strong() {
-				a.StrongHops++
-				if hops[k].Fingerprinted() {
-					a.StrongHopsFP++
-				}
-			}
-		}
-		c := a.Confusion[s.Flag]
-		if allSR {
-			c.TP++
-		} else {
-			c.FP++
-		}
-		a.Confusion[s.Flag] = c
-	}
-
-	for _, area := range []core.Area{core.AreaSR, core.AreaMPLS, core.AreaIP} {
-		if res.HitsArea(area) {
-			a.AreaTraces[area]++
-		}
-	}
-
-	for i := range hops {
-		h := &hops[i]
-		flagged, inStrong := segmentsAt(res.Segments, i)
-		if h.HasStack() {
-			if inStrong {
-				a.StackStrong[h.Stack.Depth()]++
-			} else {
-				a.StackOther[h.Stack.Depth()]++
-			}
-		}
-		for _, e := range h.Stack {
-			for _, b := range LabelBuckets {
-				if b.R.Contains(e.Label) {
-					a.Labels[b.Name]++
-					break
-				}
-			}
-		}
-		ifc, ok := a.Ifaces[h.Addr]
-		if !ok {
-			ifc.Source = h.Source
-			ifc.Vendor = h.Vendor
-		}
-		if area := res.Areas[i]; area > ifc.Area {
-			ifc.Area = area
-		}
-		if flagged {
-			ifc.Flagged = true
-		}
-		if h.HasStack() && !h.Terminal {
-			ifc.LabeledTransit = true
-		}
-		a.Ifaces[h.Addr] = ifc
-	}
-
-	for _, t := range facts.analyses {
-		a.Patterns[t.Pattern]++
-		if !t.Interworking() {
-			continue
-		}
-		for _, cl := range t.Clouds {
-			if cl.Kind == core.CloudSR {
-				a.CloudSR[cl.Len]++
-			} else {
-				a.CloudLDP[cl.Len]++
-			}
-		}
-	}
-}
-
-// segmentsAt reports whether any segment covers hop i, and whether a
-// strong-flag one does.
-func segmentsAt(segs []core.Segment, i int) (flagged, strong bool) {
-	for k := range segs {
-		if s := &segs[k]; s.Start <= i && i <= s.End {
-			flagged = true
-			strong = strong || s.Flag.Strong()
-		}
-	}
-	return flagged, strong
 }
 
 // Merge folds o into a. Every reduction is commutative and associative —

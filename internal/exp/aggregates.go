@@ -181,8 +181,9 @@ func (r *ASResult) VendorCounts() map[mpls.Vendor]int {
 	return out
 }
 
-// LabelBuckets are the Fig. 16 label-range rows.
-var LabelBuckets = []struct {
+// LabelBuckets are the Fig. 16 label-range rows. It is an array so the
+// fold can tally labels in an array of its length.
+var LabelBuckets = [...]struct {
 	Name string
 	R    mpls.LabelRange
 }{

@@ -181,9 +181,7 @@ type ASResult struct {
 	Record asgen.Record
 	// Dep is the archived ground-truth deployment configuration (e.g. the
 	// provisioned SRGB the inference extension is validated against).
-	Dep        asgen.Deployment
-	Annotator  *fingerprint.Annotator
-	Annotation bdrmap.Annotation
+	Dep asgen.Deployment
 	// SREnabled is the simulator's exported ground truth: the interface
 	// addresses of SR-enabled routers inside the target AS.
 	SREnabled map[netip.Addr]bool

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strings"
 	"testing"
 
+	"arest/internal/archive"
 	"arest/internal/asgen"
 	"arest/internal/obs"
 )
@@ -17,11 +19,13 @@ func project(r *ASResult) *ASResult { return r }
 
 // TestCampaignParallelMatchesSequential runs the same campaign fully
 // sequentially (Workers: 1) and with an 8-worker fan-out and requires
-// deep-equal results: traces, fingerprints, alias-fed annotations,
-// delimited paths, AReST verdicts — and identical metric-counter
-// snapshots, pinning the obs determinism contract. Under -race this
-// exercises every parallel stage — the AS pool, trace sweeps, fingerprint
-// echoes, conflict-ordered alias probing, and detection.
+// deep-equal results — aggregates, delimited paths, AReST verdicts — and
+// identical metric-counter snapshots, pinning the obs determinism
+// contract. Each AS's measurement must also encode to the same archive
+// bytes at both widths: traces, fingerprints, alias sets and bdrmap
+// borders. Under -race this exercises every parallel stage — the AS pool,
+// trace sweeps, fingerprint echoes, conflict-ordered alias probing, and
+// detection.
 func TestCampaignParallelMatchesSequential(t *testing.T) {
 	var recs []asgen.Record
 	for _, id := range []int{2, 15, 28, 40} {
@@ -92,15 +96,31 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 			switch {
 			case !reflect.DeepEqual(sp.Agg, pp.Agg):
 				t.Errorf("AS#%d: aggregates diverged", sp.Record.ID)
-			case !reflect.DeepEqual(sp.Annotator, pp.Annotator):
-				t.Errorf("AS#%d: fingerprint annotations diverged", sp.Record.ID)
-			case !reflect.DeepEqual(sp.Annotation, pp.Annotation):
-				t.Errorf("AS#%d: bdrmap annotation diverged", sp.Record.ID)
 			case !reflect.DeepEqual(sp.Results, pp.Results):
 				t.Errorf("AS#%d: AReST results diverged", sp.Record.ID)
 			default:
 				t.Errorf("AS#%d: results diverged", sp.Record.ID)
 			}
+		}
+	}
+
+	for _, rec := range recs {
+		var enc [2][]byte
+		for i, workers := range []int{1, 8} {
+			cfg := testCfg()
+			cfg.Workers = workers
+			d, err := MeasureAS(context.Background(), rec, cfg)
+			if err != nil {
+				t.Fatalf("AS#%d, workers=%d: %v", rec.ID, workers, err)
+			}
+			var buf bytes.Buffer
+			if err := archive.WriteData(&buf, d); err != nil {
+				t.Fatal(err)
+			}
+			enc[i] = buf.Bytes()
+		}
+		if !bytes.Equal(enc[0], enc[1]) {
+			t.Errorf("AS#%d: measured archive bytes diverged between workers=1 and workers=8", rec.ID)
 		}
 	}
 }

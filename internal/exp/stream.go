@@ -1,8 +1,9 @@
 // The streaming Detect path: a bounded-memory fold over archive records.
-// fold implements archive.Visitor — side records accumulate annotation
-// state, which seals at the first trace; traces are analyzed in fixed-size
-// batches (concurrently, under Config.Workers) and folded into an Agg in
-// stream order, so the same records yield bit-identical aggregates at every
+// fold implements archive.Visitor — side records fill a per-AS address
+// table, which seals at the first trace; traces are analyzed in fixed-size
+// batches (concurrently, under Config.Workers) and accumulated into that
+// table and array tallies in stream order, which finish publishes into an
+// Agg, so the same records yield bit-identical aggregates at every
 // worker count. DetectStream drives it straight off archive bytes without
 // ever materializing the trace set; Detect in campaign.go drives the same
 // fold from an in-memory archive.Data, which is what pins the two paths
@@ -20,8 +21,8 @@ import (
 	"sort"
 
 	"arest/internal/archive"
-	"arest/internal/bdrmap"
 	"arest/internal/core"
+	"arest/internal/eval"
 	"arest/internal/fingerprint"
 	"arest/internal/mpls"
 	"arest/internal/obs"
@@ -58,23 +59,92 @@ type fold struct {
 	planned     int
 	planChecked bool
 
-	// Side state accumulated before the first trace, then sealed into the
-	// result's annotator and owner annotation.
-	snmp    map[netip.Addr]mpls.Vendor
-	ttl     map[netip.Addr]mpls.Vendor
-	borders map[netip.Addr]int
-	sealed  bool
+	// Fingerprint records collect here until seal stamps each table row
+	// with the annotator's answer for its address.
+	snmp   map[netip.Addr]mpls.Vendor
+	ttl    map[netip.Addr]mpls.Vendor
+	sealed bool
+
+	// tab is the AS's address table (it lives in store) and tally its
+	// per-trace enum tallies; finish publishes both into agg.
+	tab   *addrTable
+	tally tally
 
 	// store holds the pending batch: its first pending slots are filled.
 	store   *foldStore
 	pending int
 }
 
+// addrTable is one AS's address table: a row for every address the fold
+// reads or accumulates anything for, found with one map lookup. Side
+// records add rows as they arrive; a responder no side record names gets
+// its row when the fold goroutine first accumulates it. Rows are therefore
+// in stream order, the same at every worker count. Analysis workers only
+// read the table, during flush's fan-out; only the fold goroutine writes
+// it, after the fan-out has returned and before the next one starts.
+type addrTable struct {
+	index map[netip.Addr]int32
+	rows  []addrRow
+}
+
+// addrRow is everything the fold reads or accumulates for one address.
+// Its zero value, the row of an address no side record names, annotates
+// as the annotator and the owner map do an unknown address: no vendor, no
+// source, owner 0.
+type addrRow struct {
+	addr  netip.Addr
+	fp    fingerprint.Result // the annotator's answer, stamped at seal
+	owner int                // bdrmap owner ASN
+	sr    bool               // SR-enabled ground truth
+
+	// seen: the address responded in some trace, first at VP firstVP.
+	seen    bool
+	firstVP int
+	// inAS: the address is a hop of some AS-restricted path; iface reduces
+	// those occurrences (Source and Vendor are fp's, filled on publish).
+	inAS  bool
+	iface IfaceAgg
+}
+
+// reset empties the table and keeps its storage.
+func (t *addrTable) reset() {
+	if t.index == nil {
+		t.index = map[netip.Addr]int32{}
+	}
+	clear(t.index)
+	t.rows = t.rows[:0]
+}
+
+// row returns the index of addr's row, appending a row if addr has none.
+func (t *addrTable) row(addr netip.Addr) int32 {
+	if r, ok := t.index[addr]; ok {
+		return r
+	}
+	r := int32(len(t.rows))
+	t.rows = append(t.rows, addrRow{addr: addr})
+	t.index[addr] = r
+	return r
+}
+
+// tally holds the per-trace enum tallies of an AS, indexed by their keys:
+// enum values, LabelBuckets indexes and stack depths. publish turns them
+// into Agg's maps.
+type tally struct {
+	flags       [core.FlagLSO + 1]int
+	confusion   [core.FlagLSO + 1]eval.Confusion
+	areaTraces  [core.AreaSR + 1]int
+	tunnelTypes [probe.TunnelInvisible + 1]int
+	labels      [len(LabelBuckets)]int
+	stackStrong []int
+	stackOther  []int
+}
+
 // foldStore is the storage a fold builds its batches in: the batch slots,
 // copies of lent traces, and one set of append-only slabs per analysis
-// worker for the paths, results and tunnel facts. Everything in it is
-// reset at every batch and keeps its capacity, so it holds only what one
-// batch produced. A store belongs to one Run, RunSharded, Detect or
+// worker for the paths, row indexes, results and tunnel facts. Everything
+// in it is reset at every batch and keeps its capacity, so it holds only
+// what one batch produced. It also holds the address table, which is
+// reset, keeping its storage, at every AS. A store belongs to one Run, RunSharded, Detect or
 // DetectStream call: an AS worker hands its store from one AS's fold to
 // the next, and the store is dropped when the call returns. Nothing a
 // fold returns points into it (Config.KeepPaths copies out what it
@@ -89,20 +159,37 @@ type foldStore struct {
 	lses   mpls.Stack
 
 	workers []workerSlabs // indexed by analysis worker
+
+	table addrTable // the current AS's, reset by newFold
 }
 
 // batchSlot is one trace of a batch and everything derived from it.
 type batchSlot struct {
-	vp    int
-	tr    *probe.Trace
-	sub   core.Path   // the annotated trace, restricted to the AS of interest
+	vp   int
+	tr   *probe.Trace
+	path core.Path // the annotated trace: its responding hops
+	// rows holds the table row of each of path's hops, -1 where the
+	// address had no row when the batch was analyzed.
+	rows  []int32
+	sub   core.Path   // path restricted to the AS of interest
+	subAt int         // the index in path.Hops of sub's first hop
 	res   core.Result // the analysis of sub, when sub has hops
 	facts traceFacts
+}
+
+// traceFacts are the per-trace classifications the accumulation folds.
+// They are pure functions of one raw trace and its analysis, so the fold
+// derives them inside its concurrent analyze fan-out, leaving only the
+// accumulation itself on the fold's goroutine.
+type traceFacts struct {
+	tunnels  []probe.Tunnel        // raw-trace tunnel visibility classes
+	analyses []core.TunnelAnalysis // interworking analysis; nil without a result
 }
 
 // workerSlabs is one analysis worker's batch storage.
 type workerSlabs struct {
 	arena   core.Arena
+	rows    []int32
 	tunnels []probe.Tunnel
 }
 
@@ -110,17 +197,18 @@ func newFold(ctx context.Context, cfg Config, store *foldStore) *fold {
 	if store.slots == nil {
 		store.slots = make([]batchSlot, analyzeBatch)
 	}
+	store.table.reset()
 	return &fold{
-		cfg:     cfg,
-		ctx:     ctx,
-		res:     &ASResult{SREnabled: map[netip.Addr]bool{}},
-		agg:     NewAgg(),
-		det:     core.NewDetector(),
-		busy:    cfg.Metrics.Span("exp", "workers.busy"),
-		snmp:    map[netip.Addr]mpls.Vendor{},
-		ttl:     map[netip.Addr]mpls.Vendor{},
-		borders: map[netip.Addr]int{},
-		store:   store,
+		cfg:   cfg,
+		ctx:   ctx,
+		res:   &ASResult{SREnabled: map[netip.Addr]bool{}},
+		agg:   NewAgg(),
+		det:   core.NewDetector(),
+		busy:  cfg.Metrics.Span("exp", "workers.busy"),
+		snmp:  map[netip.Addr]mpls.Vendor{},
+		ttl:   map[netip.Addr]mpls.Vendor{},
+		tab:   &store.table,
+		store: store,
 	}
 }
 
@@ -185,6 +273,7 @@ func (f *fold) Fingerprint(rec archive.FingerprintRecord) error {
 	case archive.SourceTTL:
 		f.ttl[rec.Addr] = rec.Vendor
 	}
+	f.tab.row(rec.Addr)
 	return nil
 }
 
@@ -196,7 +285,7 @@ func (f *fold) Border(rec archive.BorderRecord) error {
 	if err := f.sideRecord("border"); err != nil {
 		return err
 	}
-	f.borders[rec.Addr] = rec.ASN
+	f.tab.rows[f.tab.row(rec.Addr)].owner = rec.ASN
 	return nil
 }
 
@@ -205,6 +294,7 @@ func (f *fold) SREnabled(rec archive.SREnabledRecord) error {
 		return err
 	}
 	f.res.SREnabled[rec.Addr] = true
+	f.tab.rows[f.tab.row(rec.Addr)].sr = true
 	return nil
 }
 
@@ -256,13 +346,16 @@ func (f *fold) add(vpIndex int, tr *probe.Trace) error {
 	return nil
 }
 
-// seal freezes the side state into the result's annotator and owner
-// annotation. After seal the fold is trace-only.
+// seal stamps every row with its address's vendor annotation, which
+// fingerprint.NewAnnotator derives from the fingerprint records (it owns
+// the SNMPv3-over-TTL precedence). After seal the fold is trace-only.
 func (f *fold) seal() {
 	f.sealed = true
-	f.res.Annotator = fingerprint.NewAnnotator(f.snmp, f.ttl)
-	f.snmp, f.ttl = nil, nil // merged into the annotator
-	f.res.Annotation = bdrmap.Annotation(f.borders)
+	ann := fingerprint.NewAnnotator(f.snmp, f.ttl)
+	f.snmp, f.ttl = nil, nil
+	for i := range f.tab.rows {
+		f.tab.rows[i].fp = ann.Vendor(f.tab.rows[i].addr)
+	}
 }
 
 // flush analyzes the pending batch concurrently, then accumulates the
@@ -288,14 +381,14 @@ func (f *fold) flush() error {
 	for len(st.workers) < workers {
 		st.workers = append(st.workers, workerSlabs{})
 	}
-	ann, asOf := f.res.Annotator, f.res.Annotation.AsFunc()
 	err := par.ForEach(f.ctx, workers, workers, func(w int) {
 		defer f.busy.Start()()
 		ws := &st.workers[w]
 		ws.arena.Reset()
+		ws.rows = ws.rows[:0]
 		ws.tunnels = ws.tunnels[:0]
 		for i := w * n / workers; i < (w+1)*n/workers && f.ctx.Err() == nil; i++ {
-			f.analyze(ws, &st.slots[i], ann, asOf)
+			f.analyze(ws, &st.slots[i])
 		}
 	})
 	if err == nil && f.ctx.Err() != nil {
@@ -312,7 +405,7 @@ func (f *fold) flush() error {
 			res = &s.res
 			inAS++
 		}
-		f.agg.addTrace(s.vp, s.tr, res, s.facts, f.res.SREnabled)
+		f.accumulate(s, res)
 		if f.cfg.KeepPaths && res != nil {
 			// An exact copy: the batch storage is reused.
 			f.res.Results = append(f.res.Results, res.Clone())
@@ -326,22 +419,222 @@ func (f *fold) flush() error {
 	return nil
 }
 
-// analyze derives one slot's path, sub-path, analysis and tunnel facts,
-// building them in ws.
-func (f *fold) analyze(ws *workerSlabs, s *batchSlot, ann *fingerprint.Annotator, asOf func(netip.Addr) int) {
-	core.BuildPathInto(&s.sub, &ws.arena, s.tr, ann, asOf)
-	s.sub.RestrictToASInto(&s.sub, f.asn)
+// analyze derives one slot's path, row indexes, sub-path, analysis and
+// tunnel facts, building them in ws. Each hop costs one table lookup, which
+// annotates it and is kept for the accumulation; it only reads the table.
+func (f *fold) analyze(ws *workerSlabs, s *batchSlot) {
+	core.BuildPathInto(&s.path, &ws.arena, s.tr, nil, nil)
+	k := len(ws.rows)
+	for i := range s.path.Hops {
+		h := &s.path.Hops[i]
+		r, ok := f.tab.index[h.Addr]
+		if ok {
+			row := &f.tab.rows[r]
+			h.Vendor, h.Source, h.ASN = row.fp.Vendor, row.fp.Source, row.owner
+		} else {
+			r = -1 // no row yet: BuildPathInto's zero annotation is the zero row's
+		}
+		ws.rows = append(ws.rows, r)
+	}
+	s.rows = ws.rows[k:len(ws.rows):len(ws.rows)]
+	s.subAt = s.path.RestrictToASInto(&s.sub, f.asn)
 	s.facts.analyses = nil
 	if len(s.sub.Hops) > 0 {
 		f.det.AnalyzeInto(&s.res, &ws.arena, &s.sub)
 		s.facts.analyses = s.res.TunnelsInto(&ws.arena)
 	}
-	k := len(ws.tunnels)
+	k = len(ws.tunnels)
 	ws.tunnels = probe.AppendTunnels(ws.tunnels, s.tr)
 	s.facts.tunnels = ws.tunnels[k:len(ws.tunnels):len(ws.tunnels)]
 }
 
-// finish drains the final partial batch and returns the completed result.
+// accumulate folds one analyzed slot into the address table, the tallies
+// and the Agg, on the fold's goroutine in stream order: the per-trace
+// reference (Agg.addTrace in the tests) restated over table rows and
+// array tallies. res is the analysis of the slot's sub-path, nil when the
+// sub-path is empty.
+func (f *fold) accumulate(s *batchSlot, res *core.Result) {
+	a, t, tab := f.agg, &f.tally, f.tab
+	a.Traces++
+	explicit := false
+	for _, tu := range s.facts.tunnels {
+		t.tunnelTypes[tu.Type]++
+		explicit = explicit || tu.Type == probe.TunnelExplicit
+	}
+	if explicit {
+		a.ExplicitPaths++
+	}
+	for i, r := range s.rows {
+		if r < 0 {
+			r = tab.row(s.path.Hops[i].Addr)
+			s.rows[i] = r
+		}
+		if row := &tab.rows[r]; !row.seen || s.vp < row.firstVP {
+			row.seen, row.firstVP = true, s.vp
+		}
+	}
+	if res == nil {
+		return
+	}
+	a.PathsInAS++
+
+	hops := res.Path.Hops
+	rows := s.rows[s.subAt : s.subAt+len(hops)]
+	for _, seg := range res.Segments {
+		t.flags[seg.Flag]++
+		if seg.Flag == core.FlagCVR || seg.Flag == core.FlagCO {
+			a.SeqLabels[seg.Label] = true
+			if seg.SuffixMatch {
+				a.SeqSuffix++
+			}
+		}
+		allSR := true
+		for k := seg.Start; k <= seg.End; k++ {
+			allSR = allSR && tab.rows[rows[k]].sr
+			if seg.Flag.Strong() {
+				a.StrongHops++
+				if hops[k].Fingerprinted() {
+					a.StrongHopsFP++
+				}
+			}
+		}
+		if allSR {
+			t.confusion[seg.Flag].TP++
+		} else {
+			t.confusion[seg.Flag].FP++
+		}
+	}
+
+	var hit [core.AreaSR + 1]bool
+	for _, area := range res.Areas {
+		hit[area] = true
+	}
+	for area, ok := range hit {
+		if ok {
+			t.areaTraces[area]++
+		}
+	}
+
+	for i := range hops {
+		h := &hops[i]
+		flagged, inStrong := segmentsAt(res.Segments, i)
+		if h.HasStack() {
+			if inStrong {
+				t.stackStrong = count(t.stackStrong, h.Stack.Depth())
+			} else {
+				t.stackOther = count(t.stackOther, h.Stack.Depth())
+			}
+		}
+		for _, e := range h.Stack {
+			for b := range LabelBuckets {
+				if LabelBuckets[b].R.Contains(e.Label) {
+					t.labels[b]++
+					break
+				}
+			}
+		}
+		row := &tab.rows[rows[i]]
+		row.inAS = true
+		if area := res.Areas[i]; area > row.iface.Area {
+			row.iface.Area = area
+		}
+		row.iface.Flagged = row.iface.Flagged || flagged
+		row.iface.LabeledTransit = row.iface.LabeledTransit || h.HasStack() && !h.Terminal
+	}
+
+	for _, ta := range s.facts.analyses {
+		a.Patterns[ta.Pattern]++
+		if !ta.Interworking() {
+			continue
+		}
+		for _, cl := range ta.Clouds {
+			if cl.Kind == core.CloudSR {
+				a.CloudSR[cl.Len]++
+			} else {
+				a.CloudLDP[cl.Len]++
+			}
+		}
+	}
+}
+
+// segmentsAt reports whether any segment covers hop i, and whether a
+// strong-flag one does.
+func segmentsAt(segs []core.Segment, i int) (flagged, strong bool) {
+	for k := range segs {
+		if s := &segs[k]; s.Start <= i && i <= s.End {
+			flagged = true
+			strong = strong || s.Flag.Strong()
+		}
+	}
+	return flagged, strong
+}
+
+// count adds one at index k of a histogram slice, growing it as needed.
+func count(hist []int, k int) []int {
+	if k >= len(hist) {
+		hist = append(hist, make([]int, k+1-len(hist))...)
+	}
+	hist[k]++
+	return hist
+}
+
+// publish writes the address table and the tallies into the fold's fresh
+// Agg, once per AS. Only non-zero entries become map keys, as they do when
+// the map-based reference increments them, so every map deep-equals the
+// reference's.
+func (f *fold) publish() {
+	a, t := f.agg, &f.tally
+	seen, inAS := 0, 0
+	for i := range f.tab.rows {
+		if f.tab.rows[i].seen {
+			seen++
+		}
+		if f.tab.rows[i].inAS {
+			inAS++
+		}
+	}
+	// Sized up front, so the two largest maps do not rehash as they fill.
+	a.FirstVP = make(map[netip.Addr]int, seen)
+	a.Ifaces = make(map[netip.Addr]IfaceAgg, inAS)
+	for i := range f.tab.rows {
+		row := &f.tab.rows[i]
+		if row.seen {
+			a.FirstVP[row.addr] = row.firstVP
+		}
+		if row.inAS {
+			ifc := row.iface
+			ifc.Source, ifc.Vendor = row.fp.Source, row.fp.Vendor
+			a.Ifaces[row.addr] = ifc
+		}
+	}
+	publishCounts(a.Flags, t.flags[:])
+	publishCounts(a.AreaTraces, t.areaTraces[:])
+	publishCounts(a.TunnelTypes, t.tunnelTypes[:])
+	publishCounts(a.StackStrong, t.stackStrong)
+	publishCounts(a.StackOther, t.stackOther)
+	for b, n := range t.labels {
+		if n != 0 {
+			a.Labels[LabelBuckets[b].Name] = n
+		}
+	}
+	for fl, c := range t.confusion {
+		if c != (eval.Confusion{}) {
+			a.Confusion[core.Flag(fl)] = c
+		}
+	}
+}
+
+// publishCounts sets m's entries from the non-zero counts, indexed by key.
+func publishCounts[K ~int](m map[K]int, counts []int) {
+	for k, n := range counts {
+		if n != 0 {
+			m[K(k)] = n
+		}
+	}
+}
+
+// finish drains the final partial batch, publishes the table and tallies,
+// and returns the completed result.
 func (f *fold) finish() (*ASResult, error) {
 	if err := f.planBudgetErr(); err != nil {
 		return nil, err
@@ -349,9 +642,7 @@ func (f *fold) finish() (*ASResult, error) {
 	if err := f.flush(); err != nil {
 		return nil, err
 	}
-	if !f.sealed {
-		f.seal() // archive with zero traces
-	}
+	f.publish()
 	f.res.TracesSent = f.agg.Traces
 	f.res.Agg = f.agg
 	return f.res, nil

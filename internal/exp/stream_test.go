@@ -302,6 +302,12 @@ func TestRunShardedAnalyzeWorkersEquivalence(t *testing.T) {
 // gate needs.
 func syntheticArchive(t testing.TB, format string, vps, nTraces, hops int) []byte {
 	t.Helper()
+	return encodeData(t, syntheticData(t, format, vps, nTraces, hops))
+}
+
+// syntheticData is the archive.Data syntheticArchive encodes.
+func syntheticData(t testing.TB, format string, vps, nTraces, hops int) *archive.Data {
+	t.Helper()
 	rec, ok := asgen.ByID(46)
 	if !ok {
 		t.Fatal("record 46 missing")
@@ -343,11 +349,62 @@ func syntheticArchive(t testing.TB, format string, vps, nTraces, hops int) []byt
 		}
 		d.PerVP[v] = append(d.PerVP[v], tr)
 	}
+	return d
+}
+
+// encodeData returns d's archive encoding.
+func encodeData(t testing.TB, d *archive.Data) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := archive.WriteData(&buf, d); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// freshResponderArchive is a v3 syntheticArchive of batches full fold
+// batches plus a partial one, in which every batch brings responders no
+// side record names: each trace gains a hop ahead of the AS answered by an
+// IPv4 address new in the batch before it, and one after the AS answered
+// by an IPv6 address, some zoned, new in its own batch. The fold therefore
+// appends table rows between every two fan-outs, and its workers look up
+// rows appended after the seal. Every third pool address is SR-enabled
+// and every fifth has a TTL fingerprint besides, so the SR check and the
+// annotator's precedence are exercised too.
+func freshResponderArchive(t testing.TB, batches int) []byte {
+	t.Helper()
+	d := syntheticData(t, archive.FormatV3, 4, batches*analyzeBatch+17, 4)
+	for _, a := range sortedAddrKeys(d.Borders) {
+		if a.As4()[3]%3 == 0 {
+			d.SREnabled = append(d.SREnabled, a)
+		}
+		if a.As4()[3]%5 == 0 {
+			d.TTL[a] = mpls.VendorCiscoHuawei
+		}
+	}
+	fresh4 := func(batch, k int) probe.Hop {
+		return probe.Hop{Addr: netip.AddrFrom4([4]byte{10, 9, byte(batch), byte(k)})}
+	}
+	fresh6 := func(batch, k int) probe.Hop {
+		a := netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 14: byte(batch), 15: byte(k)})
+		if k%4 == 0 {
+			a = a.WithZone("eth0")
+		}
+		return probe.Hop{Addr: a}
+	}
+	pos := 0 // stream position: WriteData emits the traces VP by VP
+	for _, ts := range d.PerVP {
+		for _, tr := range ts {
+			b := pos / analyzeBatch
+			hops := append([]probe.Hop{fresh4(max(b-1, 0), pos%8)}, tr.Hops...)
+			tr.Hops = append(hops, fresh6(b, pos%8))
+			for i := range tr.Hops {
+				tr.Hops[i].TTL = i + 1
+			}
+			pos++
+		}
+	}
+	return encodeData(t, d)
 }
 
 // memoryBudgetPerTrace bounds the live heap a compact-mode DetectStream may
