@@ -62,7 +62,8 @@ experiments-output:
 	$(GO) run ./cmd/experiments > experiments_output.txt
 
 # Short deterministic fuzz pass over the seeds plus 30 s of mutation per
-# target: the archive container reader, the v3 trace payload codec, alias
+# target: the archive container reader, the v3 trace payload codec, the
+# side-record scanner against encoding/json, alias
 # resolution over scripted IP-ID counters, the AReST flag analysis
 # against its naive reference detector, the streaming Detect fold against
 # Detect over the decoded archive, the simulator's SPF against its
@@ -71,6 +72,7 @@ experiments-output:
 fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz 'FuzzReadArchive$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz 'FuzzTraceRecord$$' -fuzztime 30s
+	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/archive -run xxx -fuzz 'FuzzSideRecords$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/alias -run xxx -fuzz 'FuzzResolve$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/core -run xxx -fuzz 'FuzzAnalyze$$' -fuzztime 30s
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/exp -run xxx -fuzz 'FuzzDetectStream$$' -fuzztime 30s

@@ -23,7 +23,10 @@
 // They differ only in the TypeTrace payload: JSON in v2, the fixed-layout
 // binary codec of tracecodec.go in v3. Every other payload is JSON in
 // both. Readers accept both; the v1 container (traces before side data)
-// is no longer read.
+// is no longer read. The reader decodes VP, fingerprint, border and
+// SR-enabled payloads with the scanner of sidescan.go when they are
+// spelled as json.Marshal writes them, and hands any other spelling, and
+// every other JSON payload, to encoding/json.
 //
 // Writer and Reader stream one record at a time, so a campaign never needs
 // to be wholly resident; Stream in stream.go folds records into a Visitor

@@ -43,6 +43,60 @@ func benchData() *Data {
 	return d
 }
 
+// replayMixData builds an archive with the record mix of one AS of the
+// seed-1 replay shards: 16 VPs, 50 fingerprints, 130 borders, 120
+// SR-enabled interfaces and 1,152 traces of 6 to 12 hops, labeled inside
+// the AS. benchData carries only the fixture's side records, so this is
+// the archive that shows what decoding side records costs a replay.
+func replayMixData() *Data {
+	d := fixtureData()
+	d.Meta.NumVPs = 16
+	d.VPs, d.PerVP, d.Aliases, d.SREnabled = nil, nil, nil, nil
+	d.SNMP = map[netip.Addr]mpls.Vendor{}
+	d.TTL = map[netip.Addr]mpls.Vendor{}
+	d.Borders = map[netip.Addr]int{}
+	iface := func(i int) netip.Addr { return netip.AddrFrom4([4]byte{10, 2, byte(i >> 8), byte(i)}) }
+	for i := 0; i < 130; i++ {
+		d.Borders[iface(i)] = 293 + i%3
+	}
+	for i := 0; i < 120; i++ {
+		d.SREnabled = append(d.SREnabled, iface(i))
+	}
+	for i := 0; i < 20; i++ {
+		d.SNMP[iface(3*i)] = mpls.VendorCisco
+	}
+	for i := 0; i < 30; i++ {
+		d.TTL[iface(2*i+1)] = []mpls.Vendor{mpls.VendorJuniper, mpls.VendorCiscoHuawei}[i%2]
+	}
+	for vp := 0; vp < 16; vp++ {
+		vpAddr := netip.AddrFrom4([4]byte{172, 16, byte(vp), 1})
+		d.VPs = append(d.VPs, vpAddr)
+		traces := make([]*probe.Trace, 72)
+		for i := range traces {
+			tr := &probe.Trace{
+				VP:     vpAddr,
+				Dst:    netip.AddrFrom4([4]byte{100, 2, byte(vp), byte(i)}),
+				FlowID: uint16(i % 4),
+				Halt:   probe.HaltReached,
+			}
+			n := 6 + (vp+i)%7
+			for ttl := 1; ttl <= n; ttl++ {
+				h := probe.Hop{
+					TTL: ttl, Addr: iface((7*vp + 3*i + 11*ttl) % 130),
+					RTT: float64(ttl) * 1.5, ICMPType: 11, ReplyTTL: uint8(255 - ttl), QTTL: 1,
+				}
+				if ttl > 2 && ttl < n-1 {
+					h.Stack = mpls.Stack{{Label: uint32(16000 + ttl), TTL: 1, S: true}}
+				}
+				tr.Hops = append(tr.Hops, h)
+			}
+			traces[i] = tr
+		}
+		d.PerVP = append(d.PerVP, traces)
+	}
+	return d
+}
+
 func benchDataV2() *Data {
 	d := benchData()
 	d.Meta.Format = FormatV2
@@ -85,6 +139,10 @@ func BenchmarkWriteData(b *testing.B)   { benchWriteData(b, benchDataV2()) }
 func BenchmarkWriteDataV3(b *testing.B) { benchWriteData(b, benchData()) }
 func BenchmarkReadData(b *testing.B)    { benchReadData(b, benchDataV2()) }
 func BenchmarkReadDataV3(b *testing.B)  { benchReadData(b, benchData()) }
+
+// BenchmarkReadDataReplayMix reads an archive with one replay shard's mix
+// of side records and traces.
+func BenchmarkReadDataReplayMix(b *testing.B) { benchReadData(b, replayMixData()) }
 
 func BenchmarkReaderNext(b *testing.B) {
 	// Framing-layer throughput without the decode of the payloads.

@@ -11,7 +11,9 @@ import (
 // contract under attack: never panic, never allocate past MaxPayload per
 // record, and classify every failure as ErrBadMagic, ErrTruncated, or
 // ErrCorrupt. Seeds cover valid v3 and v2 archives, the corruptions the
-// unit tests pin individually, and v3 trace records with forged counts.
+// unit tests pin individually, v3 trace records with forged counts, and
+// side records in spellings the scanner declines, which reach the JSON
+// fallback.
 func FuzzReadArchive(f *testing.F) {
 	valid := encode(f, fixtureData())
 	f.Add(valid)
@@ -29,7 +31,12 @@ func FuzzReadArchive(f *testing.F) {
 	f.Add(encode(f, fixtureDataV2()))
 	f.Add(encode(f, fixtureDataV3()))
 	for _, p := range forgedPayloads() {
-		f.Add(forgedArchive(f, p))
+		f.Add(framedArchive(f, rawRecord{TypeVP, `{"index":0,"addr":"172.16.0.1","traces":1}`},
+			rawRecord{TypeTrace, string(p)}))
+	}
+	f.Add(framedArchive(f, append([]rawRecord{respelledVP}, respelled...)...))
+	for _, r := range rejected {
+		f.Add(framedArchive(f, respelledVP, r))
 	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -71,25 +78,29 @@ func FuzzReaderNext(f *testing.F) {
 	})
 }
 
-// forgedArchive frames a raw v3 trace payload in an otherwise valid
-// archive (correct CRCs and trailer), so the fuzzer starts from inputs
-// that reach the payload decoder.
-func forgedArchive(t testing.TB, payload []byte) []byte {
+// rawRecord is one record whose payload is framed as given.
+type rawRecord struct {
+	typ     Type
+	payload string
+}
+
+// framedArchive frames the fixture's meta record and then recs in an
+// otherwise valid v3 archive (correct CRCs and trailer), so the fuzzer
+// starts from inputs that reach the payload decoders.
+func framedArchive(t testing.TB, recs ...rawRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	aw, err := newWriter(&buf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := fixtureData()
-	if err := aw.writeRecord(TypeMeta, d.Meta); err != nil {
+	if err := aw.writeRecord(TypeMeta, fixtureData().Meta); err != nil {
 		t.Fatal(err)
 	}
-	if err := aw.writeRecord(TypeVP, VPRecord{Index: 0, Addr: d.VPs[0], Traces: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := aw.writeFrame(TypeTrace, payload); err != nil {
-		t.Fatal(err)
+	for _, r := range recs {
+		if err := aw.writeFrame(r.typ, []byte(r.payload)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := aw.Close(); err != nil {
 		t.Fatal(err)

@@ -51,9 +51,12 @@ func Stream(r io.Reader, v Visitor) error {
 // verbatim. Unknown record types are skipped, not fatal: a reader of this
 // vintage can cross archives produced by a writer with additive
 // extensions. Payloads are read through one reused buffer that no visited
-// value aliases. Every v3 trace payload is decoded into one reused trace,
-// which is lent to v.Trace under the Visitor contract; v2 trace payloads
-// decode into fresh memory, and are lent on the same terms.
+// value aliases. VP, fingerprint, border and SR-enabled payloads in the
+// form json.Marshal writes are decoded by the scanner of sidescan.go, any
+// other spelling and every other JSON payload by encoding/json. Every v3
+// trace payload is decoded into one reused trace, which is lent to v.Trace
+// under the Visitor contract; v2 trace payloads decode into fresh memory,
+// and are lent on the same terms.
 func StreamRecords(ar *Reader, v Visitor) error {
 	sawMeta := false
 	sawDegraded := false
@@ -92,8 +95,8 @@ func StreamRecords(ar *Reader, v Visitor) error {
 				return err
 			}
 		case TypeVP:
-			var rec VPRecord
-			if err := decode(body, &rec); err != nil {
+			rec, err := sideRecord(body, scanVP)
+			if err != nil {
 				return err
 			}
 			if rec.Index != numVPs {
@@ -126,8 +129,8 @@ func StreamRecords(ar *Reader, v Visitor) error {
 				return err
 			}
 		case TypeFingerprint:
-			var rec FingerprintRecord
-			if err := decode(body, &rec); err != nil {
+			rec, err := sideRecord(body, scanFingerprint)
+			if err != nil {
 				return err
 			}
 			if rec.Source != SourceSNMP && rec.Source != SourceTTL {
@@ -145,16 +148,16 @@ func StreamRecords(ar *Reader, v Visitor) error {
 				return err
 			}
 		case TypeBorder:
-			var rec BorderRecord
-			if err := decode(body, &rec); err != nil {
+			rec, err := sideRecord(body, scanBorder)
+			if err != nil {
 				return err
 			}
 			if err := v.Border(rec); err != nil {
 				return err
 			}
 		case TypeSREnabled:
-			var rec SREnabledRecord
-			if err := decode(body, &rec); err != nil {
+			rec, err := sideRecord(body, scanSREnabled)
+			if err != nil {
 				return err
 			}
 			if err := v.SREnabled(rec); err != nil {

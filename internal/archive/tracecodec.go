@@ -209,8 +209,11 @@ func (l *lentTrace) decode(b []byte) (vpIndex int, err error) {
 		if d.bad {
 			break
 		}
+		// Written field by field: a composite literal is built, then copied.
 		h := &tr.Hops[i]
-		*h = probe.Hop{TTL: d.int(), Addr: d.addr(), RTT: math.Float64frombits(d.uint64())}
+		h.TTL = d.int()
+		h.Addr = d.addr()
+		h.RTT = math.Float64frombits(d.uint64())
 		fixed := d.take(5)
 		if fixed == nil {
 			break
@@ -227,6 +230,7 @@ func (l *lentTrace) decode(b []byte) (vpIndex int, err error) {
 			break
 		}
 		if depth == 0 {
+			h.Stack = nil
 			continue
 		}
 		// Full slice expressions: an append to one hop's stack must not

@@ -70,19 +70,18 @@ func BuildPathInto(dst *Path, a *Arena, tr *probe.Trace, ann *fingerprint.Annota
 		if !th.Responded() {
 			continue
 		}
-		var st mpls.Stack
+		// Written in place: appending a Hop built beside the slice copies it.
+		a.hops = append(a.hops, Hop{})
+		h := &a.hops[len(a.hops)-1]
+		h.Addr = th.Addr
 		if th.Stack != nil {
 			k := len(a.lses)
 			a.lses = append(a.lses, th.Stack...)
-			st = tail(a.lses, k)
+			h.Stack = tail(a.lses, k)
 		}
-		h := Hop{
-			Addr:     th.Addr,
-			Stack:    st,
-			Revealed: th.Revealed,
-			QTTL:     th.QTTL,
-			Terminal: th.ICMPType == 3, // destination unreachable
-		}
+		h.Revealed = th.Revealed
+		h.QTTL = th.QTTL
+		h.Terminal = th.ICMPType == 3 // destination unreachable
 		if ann != nil {
 			r := ann.Vendor(th.Addr)
 			h.Vendor, h.Source = r.Vendor, r.Source
@@ -90,7 +89,6 @@ func BuildPathInto(dst *Path, a *Arena, tr *probe.Trace, ann *fingerprint.Annota
 		if asOf != nil {
 			h.ASN = asOf(th.Addr)
 		}
-		a.hops = append(a.hops, h)
 	}
 	*dst = Path{VP: tr.VP, Dst: tr.Dst}
 	if n > 0 {

@@ -201,7 +201,7 @@ func newFold(ctx context.Context, cfg Config, store *foldStore) *fold {
 	return &fold{
 		cfg:   cfg,
 		ctx:   ctx,
-		res:   &ASResult{SREnabled: map[netip.Addr]bool{}},
+		res:   &ASResult{},
 		agg:   NewAgg(),
 		det:   core.NewDetector(),
 		busy:  cfg.Metrics.Span("exp", "workers.busy"),
@@ -293,7 +293,6 @@ func (f *fold) SREnabled(rec archive.SREnabledRecord) error {
 	if err := f.sideRecord("sr-enabled"); err != nil {
 		return err
 	}
-	f.res.SREnabled[rec.Addr] = true
 	f.tab.rows[f.tab.row(rec.Addr)].sr = true
 	return nil
 }
@@ -579,27 +578,37 @@ func count(hist []int, k int) []int {
 }
 
 // publish writes the address table and the tallies into the fold's fresh
-// Agg, once per AS. Only non-zero entries become map keys, as they do when
-// the map-based reference increments them, so every map deep-equals the
-// reference's.
+// Agg, and the SR ground truth into its result, once per AS. Only non-zero
+// entries become map keys, as they do when the map-based reference
+// increments them, so every map deep-equals the reference's.
 func (f *fold) publish() {
 	a, t := f.agg, &f.tally
-	seen, inAS := 0, 0
+	seen, inAS, sr := 0, 0, 0
 	for i := range f.tab.rows {
-		if f.tab.rows[i].seen {
+		row := &f.tab.rows[i]
+		if row.seen {
 			seen++
 		}
-		if f.tab.rows[i].inAS {
+		if row.inAS {
 			inAS++
 		}
+		if row.sr {
+			sr++
+		}
 	}
-	// Sized up front, so the two largest maps do not rehash as they fill.
+	// Sized up front, so the maps do not rehash as they fill. SREnabled is
+	// non-nil even when empty: reflect.DeepEqual, which the Detect and
+	// DetectStream equality tests use, tells nil from empty.
 	a.FirstVP = make(map[netip.Addr]int, seen)
 	a.Ifaces = make(map[netip.Addr]IfaceAgg, inAS)
+	f.res.SREnabled = make(map[netip.Addr]bool, sr)
 	for i := range f.tab.rows {
 		row := &f.tab.rows[i]
 		if row.seen {
 			a.FirstVP[row.addr] = row.firstVP
+		}
+		if row.sr {
+			f.res.SREnabled[row.addr] = true
 		}
 		if row.inAS {
 			ifc := row.iface
