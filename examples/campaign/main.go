@@ -73,7 +73,7 @@ func main() {
 	for _, r := range campaign.ASes {
 		var cm eval.Confusion
 		for f, c := range r.GroundTruth() {
-			if f.Strong() {
+			if core.Flag(f).Strong() {
 				cm.Add(c)
 			}
 		}

@@ -152,13 +152,69 @@ func sortedAddrs[V any](m map[netip.Addr]V) []netip.Addr {
 	return out
 }
 
+// Visit hands d's records to v in the canonical order, the one place that
+// order is decided: meta, VPs, fingerprints (snmp then ttl, each
+// address-sorted), alias sets, borders (address-sorted), ground truth,
+// degradation, traces (grouped per VP). Side data precedes the traces, so
+// a one-pass consumer has all annotation state before the first trace.
+// WriteData is Visit into a record-framing visitor, so Stream over
+// WriteData's bytes hands a visitor the same records. Unlike Stream, Visit
+// does not lend traces: each TraceRecord carries one of d's own traces,
+// which a visitor may keep, unmodified, for as long as d is live. A
+// non-nil error from v stops the visit and is returned unchanged.
+func (d *Data) Visit(v Visitor) error {
+	if err := v.Meta(d.Meta); err != nil {
+		return err
+	}
+	for i, vp := range d.VPs {
+		if err := v.VP(VPRecord{Index: i, Addr: vp, Traces: len(d.PerVP[i])}); err != nil {
+			return err
+		}
+	}
+	for _, src := range []struct {
+		src FingerprintSource
+		m   map[netip.Addr]mpls.Vendor
+	}{{SourceSNMP, d.SNMP}, {SourceTTL, d.TTL}} {
+		for _, a := range sortedAddrs(src.m) {
+			if err := v.Fingerprint(FingerprintRecord{Addr: a, Vendor: src.m[a], Source: src.src}); err != nil {
+				return err
+			}
+		}
+	}
+	for _, set := range d.Aliases {
+		if err := v.AliasSet(AliasSetRecord{Addrs: set}); err != nil {
+			return err
+		}
+	}
+	for _, a := range sortedAddrs(d.Borders) {
+		if err := v.Border(BorderRecord{Addr: a, ASN: d.Borders[a]}); err != nil {
+			return err
+		}
+	}
+	for _, a := range d.SREnabled {
+		if err := v.SREnabled(SREnabledRecord{Addr: a}); err != nil {
+			return err
+		}
+	}
+	if d.Degraded != nil {
+		if err := v.Degraded(*d.Degraded); err != nil {
+			return err
+		}
+	}
+	for i, ts := range d.PerVP {
+		for _, tr := range ts {
+			if err := v.Trace(TraceRecord{VPIndex: i, Trace: tr}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // WriteData streams the whole campaign into w in the container
-// d.Meta.Format declares, in canonical record order: meta, VPs,
-// fingerprints (snmp then ttl, each address-sorted), alias sets, borders,
-// ground truth, degradation, traces (grouped per VP), end trailer. Side
-// data precedes the traces, so a streaming consumer has all annotation
-// state before the first trace. The order is canonical — byte-identical
-// re-encoding is possible, which the golden-file tests pin.
+// d.Meta.Format declares, in Visit's canonical record order, then the end
+// trailer. The order is canonical — byte-identical re-encoding is
+// possible, which the golden-file tests pin.
 func WriteData(w io.Writer, d *Data) error {
 	version, err := formatVersion(d.Meta.Format)
 	if err != nil {
@@ -168,60 +224,25 @@ func WriteData(w io.Writer, d *Data) error {
 	if err != nil {
 		return err
 	}
-	if err := aw.writeRecord(TypeMeta, d.Meta); err != nil {
+	if err := d.Visit(recordWriter{aw}); err != nil {
 		return err
-	}
-	for i, vp := range d.VPs {
-		if err := aw.writeRecord(TypeVP, VPRecord{Index: i, Addr: vp, Traces: len(d.PerVP[i])}); err != nil {
-			return err
-		}
-	}
-	if err := writeSideData(aw, d); err != nil {
-		return err
-	}
-	for i, ts := range d.PerVP {
-		for _, tr := range ts {
-			if err := aw.writeTrace(TraceRecord{VPIndex: i, Trace: tr}); err != nil {
-				return err
-			}
-		}
 	}
 	return aw.Close()
 }
 
-func writeSideData(aw *Writer, d *Data) error {
-	for _, src := range []struct {
-		src FingerprintSource
-		m   map[netip.Addr]mpls.Vendor
-	}{{SourceSNMP, d.SNMP}, {SourceTTL, d.TTL}} {
-		for _, a := range sortedAddrs(src.m) {
-			if err := aw.writeRecord(TypeFingerprint, FingerprintRecord{Addr: a, Vendor: src.m[a], Source: src.src}); err != nil {
-				return err
-			}
-		}
-	}
-	for _, set := range d.Aliases {
-		if err := aw.writeRecord(TypeAliasSet, AliasSetRecord{Addrs: set}); err != nil {
-			return err
-		}
-	}
-	for _, a := range sortedAddrs(d.Borders) {
-		if err := aw.writeRecord(TypeBorder, BorderRecord{Addr: a, ASN: d.Borders[a]}); err != nil {
-			return err
-		}
-	}
-	for _, a := range d.SREnabled {
-		if err := aw.writeRecord(TypeSREnabled, SREnabledRecord{Addr: a}); err != nil {
-			return err
-		}
-	}
-	if d.Degraded != nil {
-		if err := aw.writeRecord(TypeDegraded, d.Degraded); err != nil {
-			return err
-		}
-	}
-	return nil
+// recordWriter frames every record it visits into an archive.
+type recordWriter struct{ *Writer }
+
+func (w recordWriter) Meta(m Meta) error           { return w.writeRecord(TypeMeta, m) }
+func (w recordWriter) VP(rec VPRecord) error       { return w.writeRecord(TypeVP, rec) }
+func (w recordWriter) Trace(rec TraceRecord) error { return w.writeTrace(rec) }
+func (w recordWriter) Fingerprint(rec FingerprintRecord) error {
+	return w.writeRecord(TypeFingerprint, rec)
 }
+func (w recordWriter) AliasSet(rec AliasSetRecord) error   { return w.writeRecord(TypeAliasSet, rec) }
+func (w recordWriter) Border(rec BorderRecord) error       { return w.writeRecord(TypeBorder, rec) }
+func (w recordWriter) SREnabled(rec SREnabledRecord) error { return w.writeRecord(TypeSREnabled, rec) }
+func (w recordWriter) Degraded(rec Degraded) error         { return w.writeRecord(TypeDegraded, rec) }
 
 // ReadData drains an archive into a Data. It fails with ErrTruncated on
 // a stream missing its end trailer and ErrCorrupt on checksum or schema

@@ -3,7 +3,8 @@
 // bounded by its own accumulated state, never by the archive size.
 // ReadData in data.go is a thin client folding into a
 // wholly-resident Data; exp.DetectStream folds straight into analysis
-// aggregates.
+// aggregates. Data.Visit dispatches an in-memory Data's records to the
+// same interface, in the order WriteData encodes them.
 package archive
 
 import (
@@ -19,11 +20,13 @@ import (
 // the container. A non-nil error from any method aborts the stream and is
 // returned from Stream unchanged, so sentinel errors survive errors.Is/As.
 //
-// Traces are lent, not given: the *probe.Trace a TraceRecord carries, with
-// its hops and label stacks, is valid only until Trace returns, because
-// the next trace record is decoded into the same memory. A visitor that
-// keeps a trace copies it (probe.Trace.Clone, or CopyInto its own
-// storage). Every other record is the visitor's to keep.
+// Stream lends traces, it does not give them: the *probe.Trace a
+// TraceRecord carries, with its hops and label stacks, is valid only until
+// Trace returns, because the next trace record is decoded into the same
+// memory. A visitor that keeps a streamed trace copies it
+// (probe.Trace.Clone, or CopyInto its own storage). Data.Visit instead
+// hands out the Data's own traces. Every other record is the visitor's to
+// keep.
 type Visitor interface {
 	Meta(Meta) error
 	VP(VPRecord) error

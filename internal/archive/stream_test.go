@@ -75,37 +75,66 @@ func TestV2TracesAfterSideData(t *testing.T) {
 	}
 }
 
-// recordingVisitor collects the order of visited record kinds.
+// recordingVisitor collects the visited records in order: their kinds,
+// and the records themselves with lent traces cloned.
 type recordingVisitor struct {
 	kinds    []Type
+	recs     []any
 	traceErr error
 }
 
-func (v *recordingVisitor) Meta(Meta) error   { v.kinds = append(v.kinds, TypeMeta); return nil }
-func (v *recordingVisitor) VP(VPRecord) error { v.kinds = append(v.kinds, TypeVP); return nil }
-func (v *recordingVisitor) Fingerprint(FingerprintRecord) error {
-	v.kinds = append(v.kinds, TypeFingerprint)
+func (v *recordingVisitor) add(t Type, rec any) error {
+	v.kinds = append(v.kinds, t)
+	v.recs = append(v.recs, rec)
 	return nil
 }
-func (v *recordingVisitor) AliasSet(AliasSetRecord) error {
-	v.kinds = append(v.kinds, TypeAliasSet)
-	return nil
+
+func (v *recordingVisitor) Meta(m Meta) error     { return v.add(TypeMeta, m) }
+func (v *recordingVisitor) VP(rec VPRecord) error { return v.add(TypeVP, rec) }
+func (v *recordingVisitor) Fingerprint(rec FingerprintRecord) error {
+	return v.add(TypeFingerprint, rec)
 }
-func (v *recordingVisitor) Border(BorderRecord) error {
-	v.kinds = append(v.kinds, TypeBorder)
-	return nil
-}
-func (v *recordingVisitor) SREnabled(SREnabledRecord) error {
-	v.kinds = append(v.kinds, TypeSREnabled)
-	return nil
-}
-func (v *recordingVisitor) Degraded(Degraded) error {
-	v.kinds = append(v.kinds, TypeDegraded)
-	return nil
-}
-func (v *recordingVisitor) Trace(TraceRecord) error {
-	v.kinds = append(v.kinds, TypeTrace)
+func (v *recordingVisitor) AliasSet(rec AliasSetRecord) error   { return v.add(TypeAliasSet, rec) }
+func (v *recordingVisitor) Border(rec BorderRecord) error       { return v.add(TypeBorder, rec) }
+func (v *recordingVisitor) SREnabled(rec SREnabledRecord) error { return v.add(TypeSREnabled, rec) }
+func (v *recordingVisitor) Degraded(rec Degraded) error         { return v.add(TypeDegraded, rec) }
+func (v *recordingVisitor) Trace(rec TraceRecord) error {
+	rec.Trace = rec.Trace.Clone()
+	v.add(TypeTrace, rec)
 	return v.traceErr
+}
+
+// TestVisitMatchesStream holds Data.Visit, which owns the canonical record
+// order, to what Stream reads back from WriteData's bytes: the same
+// records in the same order, with the same payloads, VP indexes and
+// traces, for archives of both formats and every record type.
+func TestVisitMatchesStream(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    *Data
+	}{
+		{"fixtureData", fixtureData()},
+		{"fixtureDataV2", fixtureDataV2()},
+		{"fixtureDataV3", fixtureDataV3()},
+		{"replayMixData", replayMixData()},
+	} {
+		var visited, streamed recordingVisitor
+		if err := tc.d.Visit(&visited); err != nil {
+			t.Fatalf("%s: Visit: %v", tc.name, err)
+		}
+		if err := Stream(bytes.NewReader(encode(t, tc.d)), &streamed); err != nil {
+			t.Fatalf("%s: Stream: %v", tc.name, err)
+		}
+		if len(visited.recs) != len(streamed.recs) {
+			t.Fatalf("%s: Visit gave %d records, Stream %d", tc.name, len(visited.recs), len(streamed.recs))
+		}
+		for i := range visited.recs {
+			if !reflect.DeepEqual(visited.recs[i], streamed.recs[i]) {
+				t.Fatalf("%s: record %d differs:\n Visit  %T %+v\n Stream %T %+v",
+					tc.name, i, visited.recs[i], visited.recs[i], streamed.recs[i], streamed.recs[i])
+			}
+		}
+	}
 }
 
 func TestStreamVisitsEveryRecord(t *testing.T) {

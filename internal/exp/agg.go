@@ -3,8 +3,8 @@
 // every path and recompute" with "accumulate per trace and query", so a
 // streaming replay holds O(results) state — flag tallies, histograms, and
 // one compact row per distinct interface — never the trace set itself.
-// The fold accumulates into an address table and array tallies and
-// publishes them into the AS's Agg once (stream.go).
+// The fold tallies straight into the AS's Agg, and publishes its address
+// table into the Agg's interface-keyed maps once (stream.go).
 package exp
 
 import (
@@ -37,10 +37,12 @@ type IfaceAgg struct {
 // histogram, or an address-keyed row reduced with commutative operations,
 // so folding the same traces in any partition order and merging yields the
 // same value (Merge); the aggregate methods on ASResult are pure queries
-// over it. The zero value is not ready: use NewAgg, which initializes every
-// map non-nil so folded and merged aggregates compare with DeepEqual. A new
-// field must be allocated by NewAgg and folded by Merge;
-// TestAggFoldComplete fails on any field that is not.
+// over it. Tallies over a small enum are arrays indexed by it, and
+// histograms over a size or depth are slices indexed by it, grown to their
+// largest key. The zero value is not ready: use NewAgg, which initializes
+// every map non-nil so folded and merged aggregates compare with
+// DeepEqual. A new field must be allocated by NewAgg (if a map) and folded
+// by Merge; TestAggFoldComplete fails on any field that is not.
 type Agg struct {
 	// Traces counts every folded trace; PathsInAS counts those whose
 	// AS-restricted path was non-empty (the denominator of Fig. 10a).
@@ -50,25 +52,26 @@ type Agg struct {
 	NumVPs int
 
 	// Flags tallies detected segments per flag (Fig. 8).
-	Flags map[core.Flag]int
+	Flags [core.FlagLSO + 1]int
 	// AreaTraces counts paths touching each area (Fig. 10a numerators).
-	AreaTraces map[core.Area]int
+	AreaTraces [core.AreaSR + 1]int
 	// Patterns tallies interworking chaining patterns (Fig. 11).
 	Patterns map[core.Pattern]int
 	// CloudLDP/CloudSR are cloud-size histograms from interworking tunnels
-	// (Fig. 12): size -> occurrences.
-	CloudLDP map[int]int
-	CloudSR  map[int]int
+	// (Fig. 12): occurrences indexed by size.
+	CloudLDP []int
+	CloudSR  []int
 	// StackStrong/StackOther are LSE stack-depth histograms over labeled
-	// hops inside/outside strong segments (Fig. 9).
-	StackStrong map[int]int
-	StackOther  map[int]int
+	// hops inside/outside strong segments (Fig. 9), indexed by depth.
+	StackStrong []int
+	StackOther  []int
 	// TunnelTypes tallies raw-trace tunnel visibility classes (Fig. 13a).
-	TunnelTypes map[probe.TunnelType]int
+	TunnelTypes [probe.TunnelInvisible + 1]int
 	// ExplicitPaths counts raw traces showing an explicit tunnel (Fig. 13b).
 	ExplicitPaths int
-	// Labels is the Fig. 16 label-range histogram, keyed by bucket name.
-	Labels map[string]int
+	// Labels is the Fig. 16 label-range histogram, indexed like
+	// LabelBuckets.
+	Labels [len(LabelBuckets)]int
 
 	// Ifaces holds one reduced row per distinct in-AS interface.
 	Ifaces map[netip.Addr]IfaceAgg
@@ -80,7 +83,7 @@ type Agg struct {
 	// Confusion carries the per-flag TP/FP tallies of Table 3. FN is not a
 	// per-segment event; it is derived at query time from Ifaces and the
 	// ground-truth set.
-	Confusion map[core.Flag]eval.Confusion
+	Confusion [core.FlagLSO + 1]eval.Confusion
 
 	// SeqLabels is the set of labels carried by sequence-flagged (CVR/CO)
 	// segments — the evidence base of SRGB inference.
@@ -97,19 +100,10 @@ type Agg struct {
 // NewAgg returns an empty accumulator with every map allocated.
 func NewAgg() *Agg {
 	return &Agg{
-		Flags:       map[core.Flag]int{},
-		AreaTraces:  map[core.Area]int{},
-		Patterns:    map[core.Pattern]int{},
-		CloudLDP:    map[int]int{},
-		CloudSR:     map[int]int{},
-		StackStrong: map[int]int{},
-		StackOther:  map[int]int{},
-		TunnelTypes: map[probe.TunnelType]int{},
-		Labels:      map[string]int{},
-		Ifaces:      map[netip.Addr]IfaceAgg{},
-		FirstVP:     map[netip.Addr]int{},
-		Confusion:   map[core.Flag]eval.Confusion{},
-		SeqLabels:   map[uint32]bool{},
+		Patterns:  map[core.Pattern]int{},
+		Ifaces:    map[netip.Addr]IfaceAgg{},
+		FirstVP:   map[netip.Addr]int{},
+		SeqLabels: map[uint32]bool{},
 	}
 }
 
@@ -131,32 +125,19 @@ func (a *Agg) Merge(o *Agg) {
 	a.SeqSuffix += o.SeqSuffix
 	a.StrongHops += o.StrongHops
 	a.StrongHopsFP += o.StrongHopsFP
-	for f, n := range o.Flags {
-		a.Flags[f] += n
-	}
-	for k, n := range o.AreaTraces {
-		a.AreaTraces[k] += n
+	addCounts(a.Flags[:], o.Flags[:])
+	addCounts(a.AreaTraces[:], o.AreaTraces[:])
+	addCounts(a.TunnelTypes[:], o.TunnelTypes[:])
+	addCounts(a.Labels[:], o.Labels[:])
+	a.CloudLDP = addCounts(a.CloudLDP, o.CloudLDP)
+	a.CloudSR = addCounts(a.CloudSR, o.CloudSR)
+	a.StackStrong = addCounts(a.StackStrong, o.StackStrong)
+	a.StackOther = addCounts(a.StackOther, o.StackOther)
+	for f := range o.Confusion {
+		a.Confusion[f].Add(o.Confusion[f])
 	}
 	for p, n := range o.Patterns {
 		a.Patterns[p] += n
-	}
-	for k, n := range o.CloudLDP {
-		a.CloudLDP[k] += n
-	}
-	for k, n := range o.CloudSR {
-		a.CloudSR[k] += n
-	}
-	for k, n := range o.StackStrong {
-		a.StackStrong[k] += n
-	}
-	for k, n := range o.StackOther {
-		a.StackOther[k] += n
-	}
-	for t, n := range o.TunnelTypes {
-		a.TunnelTypes[t] += n
-	}
-	for b, n := range o.Labels {
-		a.Labels[b] += n
 	}
 	for addr, v := range o.FirstVP {
 		if cur, ok := a.FirstVP[addr]; !ok || v < cur {
@@ -176,12 +157,19 @@ func (a *Agg) Merge(o *Agg) {
 		}
 		a.Ifaces[addr] = ifc
 	}
-	for f, oc := range o.Confusion {
-		c := a.Confusion[f]
-		c.Add(oc)
-		a.Confusion[f] = c
-	}
 	for l := range o.SeqLabels {
 		a.SeqLabels[l] = true
 	}
+}
+
+// addCounts adds o into h index by index, growing h to o's length, and
+// returns h. A slice of an array is as long as o's, so it adds in place.
+func addCounts(h, o []int) []int {
+	if len(o) > len(h) {
+		h = append(h, make([]int, len(o)-len(h))...)
+	}
+	for k, n := range o {
+		h[k] += n
+	}
+	return h
 }

@@ -14,7 +14,7 @@ import (
 
 // TestAggFoldComplete checks the fold contract of DESIGN.md §13 field by
 // field. NewAgg must allocate every map, or the first trace folded into
-// it panics. Merging an Agg that holds only one field into NewAgg() must
+// it panics; a nil slice is a ready, empty histogram. Merging an Agg that holds only one field into NewAgg() must
 // reproduce that field, or merged shards silently drop it. The values
 // are built by reflection, so a field added to Agg is covered as soon as
 // it exists, and a field of a kind nonZero cannot fill fails the test.
@@ -42,8 +42,9 @@ func TestAggFoldComplete(t *testing.T) {
 }
 
 // nonZero builds a non-zero value of type t: 3 for numbers, true, "x",
-// one-entry maps, structs with every field filled, and a fixed address
-// for netip.Addr, whose fields are unexported.
+// one-entry maps and slices, arrays and structs with every element or
+// field filled, and a fixed address for netip.Addr, whose fields are
+// unexported.
 func nonZero(t reflect.Type) (reflect.Value, error) {
 	if t == reflect.TypeOf(netip.Addr{}) {
 		return reflect.ValueOf(netip.MustParseAddr("192.0.2.1")), nil
@@ -69,6 +70,20 @@ func nonZero(t reflect.Type) (reflect.Value, error) {
 		}
 		v = reflect.MakeMap(t)
 		v.SetMapIndex(k, e)
+	case reflect.Slice:
+		e, err := nonZero(t.Elem())
+		if err != nil {
+			return v, err
+		}
+		v = reflect.Append(v, e)
+	case reflect.Array:
+		for i := 0; i < t.Len(); i++ {
+			e, err := nonZero(t.Elem())
+			if err != nil {
+				return v, err
+			}
+			v.Index(i).Set(e)
+		}
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
@@ -130,12 +145,21 @@ func failAggFoldComplete(t *testing.T, from, to string) string {
 	return string(out)
 }
 
-// TestMergeLineDeletionCaught deletes one fold line from Agg.Merge:
-// TestAggFoldComplete must fail and name the dropped field.
+// TestMergeLineDeletionCaught deletes one fold line from Agg.Merge, for a
+// count, an array tally and a slice histogram in turn: TestAggFoldComplete
+// must fail and name the dropped field.
 func TestMergeLineDeletionCaught(t *testing.T) {
-	out := failAggFoldComplete(t, "\ta.Traces += o.Traces\n", "")
-	if !strings.Contains(out, "Merge drops field Traces") {
-		t.Errorf("the deleted Traces fold went unnamed:\n%s", out)
+	for _, tc := range []struct{ field, line string }{
+		{"Traces", "\ta.Traces += o.Traces\n"},
+		{"Flags", "\taddCounts(a.Flags[:], o.Flags[:])\n"},
+		{"StackStrong", "\ta.StackStrong = addCounts(a.StackStrong, o.StackStrong)\n"},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			out := failAggFoldComplete(t, tc.line, "")
+			if !strings.Contains(out, "Merge drops field "+tc.field+":") {
+				t.Errorf("the deleted %s fold went unnamed:\n%s", tc.field, out)
+			}
+		})
 	}
 }
 

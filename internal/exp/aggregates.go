@@ -1,41 +1,28 @@
 // Aggregate queries for one AS: every table and figure row the experiments
-// consume, computed from the folded Agg (agg.go). These are pure reads —
-// the per-trace work already happened inside the Detect fold — and none of
-// them touch the retained Results, so they are identical in compact and
-// retained mode.
+// consume that is not a field of the folded Agg (agg.go) itself. These are
+// pure reads — the per-trace work already happened inside the Detect fold
+// — and none of them touch the retained Results, so they are identical in
+// compact and retained mode.
 package exp
 
 import (
-	"sort"
-
 	"arest/internal/core"
 	"arest/internal/eval"
 	"arest/internal/fingerprint"
 	"arest/internal/mpls"
-	"arest/internal/probe"
 )
 
-// FlagCounts tallies detected segments per flag (Fig. 8's numerator).
-func (r *ASResult) FlagCounts() map[core.Flag]int {
-	out := map[core.Flag]int{}
-	for f, n := range r.Agg.Flags {
-		out[f] = n
-	}
-	return out
-}
-
-// FlagShares normalizes FlagCounts to proportions (Fig. 8).
-func (r *ASResult) FlagShares() map[core.Flag]float64 {
-	counts := r.Agg.Flags
+// FlagShares normalizes the per-flag segment tally to proportions (Fig. 8).
+func (r *ASResult) FlagShares() [core.FlagLSO + 1]float64 {
+	var out [core.FlagLSO + 1]float64
 	total := 0
-	for _, n := range counts {
+	for _, n := range r.Agg.Flags {
 		total += n
 	}
-	out := map[core.Flag]float64{}
 	if total == 0 {
 		return out
 	}
-	for f, n := range counts {
+	for f, n := range r.Agg.Flags {
 		out[f] = float64(n) / float64(total)
 	}
 	return out
@@ -44,7 +31,7 @@ func (r *ASResult) FlagShares() map[core.Flag]float64 {
 // HasStrongSR reports whether the AS shows any strong SR evidence.
 func (r *ASResult) HasStrongSR() bool {
 	for f, n := range r.Agg.Flags {
-		if f.Strong() && n > 0 {
+		if core.Flag(f).Strong() && n > 0 {
 			return true
 		}
 	}
@@ -63,8 +50,8 @@ func (r *ASResult) HasAnySR() bool {
 
 // AreaTraceShares returns the fraction of the AS's paths touching each
 // area (Fig. 10a). A path can contribute to several areas.
-func (r *ASResult) AreaTraceShares() map[core.Area]float64 {
-	out := map[core.Area]float64{}
+func (r *ASResult) AreaTraceShares() [core.AreaSR + 1]float64 {
+	var out [core.AreaSR + 1]float64
 	if r.Agg.PathsInAS == 0 {
 		return out
 	}
@@ -78,8 +65,8 @@ func (r *ASResult) AreaTraceShares() map[core.Area]float64 {
 // to each area (Fig. 10b); an interface seen in several areas counts in
 // the strongest one (SR > MPLS > IP) — the fold keeps the running maximum
 // per address.
-func (r *ASResult) AreaInterfaceCounts() map[core.Area]int {
-	out := map[core.Area]int{}
+func (r *ASResult) AreaInterfaceCounts() [core.AreaSR + 1]int {
+	var out [core.AreaSR + 1]int
 	for _, ifc := range r.Agg.Ifaces {
 		out[ifc.Area]++
 	}
@@ -89,64 +76,6 @@ func (r *ASResult) AreaInterfaceCounts() map[core.Area]int {
 // DistinctIPs counts distinct interfaces observed inside the AS.
 func (r *ASResult) DistinctIPs() int {
 	return len(r.Agg.Ifaces)
-}
-
-// TunnelPatterns tallies interworking chaining patterns (Fig. 11) across
-// the AS's labeled tunnels.
-func (r *ASResult) TunnelPatterns() map[core.Pattern]int {
-	out := map[core.Pattern]int{}
-	for p, n := range r.Agg.Patterns {
-		out[p] = n
-	}
-	return out
-}
-
-// CloudSizes returns the LDP and SR cloud sizes inside interworking
-// tunnels (Fig. 12), in ascending size order (the fold keeps histograms,
-// not occurrence order; every consumer sorts or averages anyway).
-func (r *ASResult) CloudSizes() (ldp, sr []int) {
-	return expandHist(r.Agg.CloudLDP), expandHist(r.Agg.CloudSR)
-}
-
-// expandHist unrolls a size histogram into a sorted multiset.
-func expandHist(h map[int]int) []int {
-	var keys []int
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	var out []int
-	for _, k := range keys {
-		for i := 0; i < h[k]; i++ {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// StackDepthDist returns the distribution of LSE stack depths over hops in
-// strong-flag segments (strong=true) or over classic-MPLS/LSO hops
-// (strong=false) — Fig. 9a and 9b.
-func (r *ASResult) StackDepthDist(strong bool) map[int]int {
-	src := r.Agg.StackOther
-	if strong {
-		src = r.Agg.StackStrong
-	}
-	out := map[int]int{}
-	for d, n := range src {
-		out[d] = n
-	}
-	return out
-}
-
-// TunnelTypeCounts classifies every tunnel observed in the AS's raw traces
-// by visibility class (Fig. 13a).
-func (r *ASResult) TunnelTypeCounts() map[probe.TunnelType]int {
-	out := map[probe.TunnelType]int{}
-	for t, n := range r.Agg.TunnelTypes {
-		out[t] = n
-	}
-	return out
 }
 
 // ExplicitPathShare is the fraction of paths showing at least one explicit
@@ -181,8 +110,8 @@ func (r *ASResult) VendorCounts() map[mpls.Vendor]int {
 	return out
 }
 
-// LabelBuckets are the Fig. 16 label-range rows. It is an array so the
-// fold can tally labels in an array of its length.
+// LabelBuckets are the Fig. 16 label-range rows. It is an array so
+// Agg.Labels can be an array of its length.
 var LabelBuckets = [...]struct {
 	Name string
 	R    mpls.LabelRange
@@ -194,15 +123,6 @@ var LabelBuckets = [...]struct {
 	{"100000-299999", mpls.LabelRange{Lo: 100000, Hi: 299999}},
 	{"300000-899999", mpls.LabelRange{Lo: 300000, Hi: 899999}},
 	{"900000-1048575", mpls.LabelRange{Lo: 900000, Hi: 1048575}},
-}
-
-// LabelRangeHist counts observed 20-bit labels per bucket (Fig. 16).
-func (r *ASResult) LabelRangeHist() map[string]int {
-	out := map[string]int{}
-	for b, n := range r.Agg.Labels {
-		out[b] = n
-	}
-	return out
 }
 
 // VPAccumulation returns the cumulative count of unique hop addresses as
@@ -230,20 +150,13 @@ func (r *ASResult) VPAccumulation() []int {
 // row (the flag that should have caught sequences). The truth set is the
 // archived SREnabled export, so the score is computable offline from a
 // replayed archive.
-func (r *ASResult) GroundTruth() map[core.Flag]eval.Confusion {
-	out := map[core.Flag]eval.Confusion{}
-	for f, c := range r.Agg.Confusion {
-		out[f] = c
-	}
-	fn := 0
+func (r *ASResult) GroundTruth() [core.FlagLSO + 1]eval.Confusion {
+	out := r.Agg.Confusion
 	for addr, ifc := range r.Agg.Ifaces {
 		if ifc.LabeledTransit && r.SREnabled[addr] && !ifc.Flagged {
-			fn++
+			out[core.FlagCO].FN++
 		}
 	}
-	c := out[core.FlagCO]
-	c.FN += fn
-	out[core.FlagCO] = c
 	return out
 }
 
@@ -251,15 +164,13 @@ func (r *ASResult) GroundTruth() map[core.Flag]eval.Confusion {
 // flags, LSO corroboration, and external confirmation combine into one
 // deployment verdict.
 func (r *ASResult) Verdict() core.Verdict {
-	strong, lso := 0, 0
+	strong := 0
 	for f, n := range r.Agg.Flags {
-		if f.Strong() {
+		if core.Flag(f).Strong() {
 			strong += n
-		} else if f == core.FlagLSO {
-			lso += n
 		}
 	}
-	return core.Judge(strong, lso, r.Record.Claimed())
+	return core.Judge(strong, r.Agg.Flags[core.FlagLSO], r.Record.Claimed())
 }
 
 // InferSRGB estimates the AS's configured SRGB from the labels of

@@ -110,10 +110,8 @@ func fixtureResult() *ASResult {
 
 func TestAggFixtureFlagShares(t *testing.T) {
 	r := fixtureResult()
-	counts := r.FlagCounts()
-	want := map[core.Flag]int{core.FlagCO: 1, core.FlagLSO: 1}
-	if !reflect.DeepEqual(counts, want) {
-		t.Fatalf("FlagCounts = %v, want %v", counts, want)
+	if want := [core.FlagLSO + 1]int{core.FlagCO: 1, core.FlagLSO: 1}; r.Agg.Flags != want {
+		t.Fatalf("Flags = %v, want %v", r.Agg.Flags, want)
 	}
 	shares := r.FlagShares()
 	if shares[core.FlagCO] != 0.5 || shares[core.FlagLSO] != 0.5 {
@@ -129,43 +127,43 @@ func TestAggFixtureCloudSizes(t *testing.T) {
 	// Trace 1's tunnel spans hops 0-2; the CO flag covers hops 0-1 (an SR
 	// cloud of 2) and the LSO hop stays LDP (a cloud of 1): sr-ldp
 	// interworking. Trace 2's only non-terminal labeled hop is a lone LDP
-	// cloud — full-ldp, not interworking, so it adds no cloud sizes.
-	ldp, sr := r.CloudSizes()
-	if !reflect.DeepEqual(ldp, []int{1}) || !reflect.DeepEqual(sr, []int{2}) {
-		t.Errorf("CloudSizes = ldp %v, sr %v; want ldp [1], sr [2]", ldp, sr)
+	// cloud — full-ldp, not interworking, so it adds no cloud sizes. The
+	// histograms are indexed by size.
+	ldp, sr := r.Agg.CloudLDP, r.Agg.CloudSR
+	if !reflect.DeepEqual(ldp, []int{0, 1}) || !reflect.DeepEqual(sr, []int{0, 0, 1}) {
+		t.Errorf("cloud sizes = ldp %v, sr %v; want ldp [0 1], sr [0 0 1]", ldp, sr)
 	}
-	patterns := r.TunnelPatterns()
 	want := map[core.Pattern]int{core.PatternSRLDP: 1, core.PatternFullLDP: 1}
-	if !reflect.DeepEqual(patterns, want) {
-		t.Errorf("TunnelPatterns = %v, want %v", patterns, want)
+	if !reflect.DeepEqual(r.Agg.Patterns, want) {
+		t.Errorf("Patterns = %v, want %v", r.Agg.Patterns, want)
 	}
 }
 
 func TestAggFixtureStackDepthDist(t *testing.T) {
 	r := fixtureResult()
-	// Strong hops: a1 (depth 1) and a2 (depth 2) under the CO flag.
-	strong := r.StackDepthDist(true)
-	if want := map[int]int{1: 1, 2: 1}; !reflect.DeepEqual(strong, want) {
-		t.Errorf("StackDepthDist(strong) = %v, want %v", strong, want)
+	// Strong hops: a1 (depth 1) and a2 (depth 2) under the CO flag. The
+	// histograms are indexed by depth.
+	if want := []int{0, 1, 1}; !reflect.DeepEqual(r.Agg.StackStrong, want) {
+		t.Errorf("StackStrong = %v, want %v", r.Agg.StackStrong, want)
 	}
 	// Other labeled hops: the LSO hop a3, transit a5, terminal a6 — all
 	// single-label.
-	other := r.StackDepthDist(false)
-	if want := map[int]int{1: 3}; !reflect.DeepEqual(other, want) {
-		t.Errorf("StackDepthDist(other) = %v, want %v", other, want)
+	if want := []int{0, 3}; !reflect.DeepEqual(r.Agg.StackOther, want) {
+		t.Errorf("StackOther = %v, want %v", r.Agg.StackOther, want)
 	}
 }
 
 func TestAggFixtureLabelRangeHist(t *testing.T) {
 	r := fixtureResult()
-	want := map[string]int{
-		"0-15999":        1, // a2's bottom-of-stack 1000
-		"16000-23999":    3, // 16005 twice, 17005 once
-		"24000-47999":    1, // 30005
-		"900000-1048575": 1, // 900001 (terminal hops still expose labels)
+	want := [len(LabelBuckets)]int{
+		1, // 0-15999: a2's bottom-of-stack 1000
+		3, // 16000-23999: 16005 twice, 17005 once
+		1, // 24000-47999: 30005
+		0, 0, 0,
+		1, // 900000-1048575: 900001 (terminal hops still expose labels)
 	}
-	if got := r.LabelRangeHist(); !reflect.DeepEqual(got, want) {
-		t.Errorf("LabelRangeHist = %v, want %v", got, want)
+	if r.Agg.Labels != want {
+		t.Errorf("Labels = %v, want %v", r.Agg.Labels, want)
 	}
 }
 
@@ -181,8 +179,8 @@ func TestAggFixtureVPAccumulation(t *testing.T) {
 	}
 	counts := r.AreaInterfaceCounts()
 	// a2 is SR in trace 1 and IP in trace 2: the max wins.
-	want := map[core.Area]int{core.AreaSR: 2, core.AreaMPLS: 3, core.AreaIP: 1}
-	if !reflect.DeepEqual(counts, want) {
+	want := [core.AreaSR + 1]int{core.AreaSR: 2, core.AreaMPLS: 3, core.AreaIP: 1}
+	if counts != want {
 		t.Errorf("AreaInterfaceCounts = %v, want %v", counts, want)
 	}
 }
@@ -190,7 +188,7 @@ func TestAggFixtureVPAccumulation(t *testing.T) {
 func TestAggFixtureGroundTruth(t *testing.T) {
 	r := fixtureResult()
 	got := r.GroundTruth()
-	want := map[core.Flag]eval.Confusion{
+	want := [core.FlagLSO + 1]eval.Confusion{
 		// The CO segment covers a1 and a2, both ground-truth SR: a TP. The
 		// missed labeled SR transit a5 is the CO row's FN. a6 is labeled
 		// but terminal, and a3 is labeled but not SR: neither is an FN.
@@ -198,7 +196,7 @@ func TestAggFixtureGroundTruth(t *testing.T) {
 		// The LSO segment covers only a3, which is not SR-enabled: an FP.
 		core.FlagLSO: {FP: 1},
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got != want {
 		t.Errorf("GroundTruth = %+v, want %+v", got, want)
 	}
 }
@@ -223,8 +221,8 @@ func TestAggFixtureHeadlineTallies(t *testing.T) {
 	}
 	shares := r.AreaTraceShares()
 	// Trace 1 touches SR, MPLS and IP; trace 2 touches MPLS and IP.
-	want := map[core.Area]float64{core.AreaSR: 0.5, core.AreaMPLS: 1, core.AreaIP: 1}
-	if !reflect.DeepEqual(shares, want) {
+	want := [core.AreaSR + 1]float64{core.AreaSR: 0.5, core.AreaMPLS: 1, core.AreaIP: 1}
+	if shares != want {
 		t.Errorf("AreaTraceShares = %v, want %v", shares, want)
 	}
 }

@@ -435,10 +435,10 @@ func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Depl
 // plan (MaxASTraces) budgets are applied inside the fold, so a degraded or
 // over-plan Data fails with the StageMeasure-attributed budget error.
 //
-// It is a thin client of the streaming fold in stream.go: the in-memory
-// Data is replayed through the exact record sequence its encoding would
-// contain, so Detect here and DetectStream over the encoded bytes are
-// deep-equal by construction — verdicts included.
+// It is a thin client of the streaming fold in stream.go: data.Visit
+// replays the in-memory Data through the exact record sequence its
+// encoding contains, so Detect here and DetectStream over the encoded
+// bytes are deep-equal by construction — verdicts included.
 func Detect(ctx context.Context, data *archive.Data, cfg Config) (*ASResult, error) {
 	return detect(ctx, data, cfg, new(foldStore))
 }
@@ -448,7 +448,7 @@ func detect(ctx context.Context, data *archive.Data, cfg Config, store *foldStor
 	done := cfg.Metrics.Span("exp", "stage.detect").Start()
 	defer done()
 	f := newFold(ctx, cfg, store)
-	if err := foldData(f, data); err != nil {
+	if err := data.Visit(ownedTraces{f}); err != nil {
 		return nil, err
 	}
 	return f.finish()

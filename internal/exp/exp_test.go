@@ -96,7 +96,7 @@ func TestESnetGroundTruthPerfectPrecision(t *testing.T) {
 	if !ok {
 		t.Fatal("ESnet missing")
 	}
-	counts := r.FlagCounts()
+	counts := r.Agg.Flags
 	// Fingerprint-blind: no vendor-range flags possible.
 	for _, f := range []core.Flag{core.FlagCVR, core.FlagLSVR, core.FlagLVR} {
 		if counts[f] != 0 {
@@ -110,9 +110,9 @@ func TestESnetGroundTruthPerfectPrecision(t *testing.T) {
 	// truth, for every flag that fired.
 	for f, cm := range r.GroundTruth() {
 		if cm.FPRate() != 0 {
-			t.Errorf("flag %v FP rate = %.3f (%+v), want 0", f, cm.FPRate(), cm)
+			t.Errorf("flag %v FP rate = %.3f (%+v), want 0", core.Flag(f), cm.FPRate(), cm)
 		}
-		if f == core.FlagCO && cm.FNRate() != 0 {
+		if core.Flag(f) == core.FlagCO && cm.FNRate() != 0 {
 			t.Errorf("CO FN rate = %.3f, want 0", cm.FNRate())
 		}
 	}
@@ -145,7 +145,7 @@ func TestMicrosoftWidestSRFootprint(t *testing.T) {
 func TestProximusIsLSOOnly(t *testing.T) {
 	c := testCampaign(t)
 	r, _ := c.ByID(7)
-	counts := r.FlagCounts()
+	counts := r.Agg.Flags
 	if counts[core.FlagLSO] == 0 {
 		t.Error("Proximus raised no LSO")
 	}
@@ -166,7 +166,7 @@ func TestIliadNoExplicitTunnels(t *testing.T) {
 		t.Errorf("Iliad explicit path share = %.2f, want ~0", share)
 	}
 	// Without explicit tunnels the sequence flags starve.
-	counts := r.FlagCounts()
+	counts := r.Agg.Flags
 	if counts[core.FlagCVR]+counts[core.FlagCO] != 0 {
 		t.Errorf("sequence flags without explicit tunnels: %v", counts)
 	}
@@ -179,7 +179,7 @@ func TestGroundTruthPrecisionAcrossCampaign(t *testing.T) {
 	tp, fp := 0, 0
 	for _, r := range c.ASes {
 		for f, cm := range r.GroundTruth() {
-			if f.Strong() {
+			if core.Flag(f).Strong() {
 				tp += cm.TP
 				fp += cm.FP
 			}
@@ -220,9 +220,8 @@ func TestStackDepthContext(t *testing.T) {
 	// contexts than in classic contexts for the ESnet-like service-SID AS.
 	c := testCampaign(t)
 	r, _ := c.ByID(46)
-	srDist := r.StackDepthDist(true)
 	deep, tot := 0, 0
-	for d, n := range srDist {
+	for d, n := range r.Agg.StackStrong {
 		tot += n
 		if d >= 2 {
 			deep += n
@@ -254,12 +253,11 @@ func TestVPAccumulationMonotone(t *testing.T) {
 func TestTunnelTypeCountsConsistent(t *testing.T) {
 	c := testCampaign(t)
 	r, _ := c.ByID(15) // full SR, explicit
-	counts := r.TunnelTypeCounts()
-	if counts[probe.TunnelExplicit] == 0 {
+	if r.Agg.TunnelTypes[probe.TunnelExplicit] == 0 {
 		t.Error("Microsoft shows no explicit tunnels")
 	}
 	r2, _ := c.ByID(2) // no propagate
-	if counts2 := r2.TunnelTypeCounts(); counts2[probe.TunnelExplicit] > counts2[probe.TunnelOpaque]+counts2[probe.TunnelInvisible] {
+	if counts2 := r2.Agg.TunnelTypes; counts2[probe.TunnelExplicit] > counts2[probe.TunnelOpaque]+counts2[probe.TunnelInvisible] {
 		t.Errorf("Iliad tunnel mix unexpectedly explicit: %v", counts2)
 	}
 }
@@ -288,10 +286,10 @@ func TestAllExperimentsRender(t *testing.T) {
 func TestFlagSharesSumToOne(t *testing.T) {
 	c := testCampaign(t)
 	for _, r := range c.ASes {
-		sh := r.FlagShares()
-		if len(sh) == 0 {
-			continue
+		if !r.HasAnySR() {
+			continue // no segments: every share is 0
 		}
+		sh := r.FlagShares()
 		sum := 0.0
 		for _, s := range sh {
 			sum += s
@@ -427,7 +425,7 @@ func TestLabelRangeHistBucketsDisjoint(t *testing.T) {
 func TestLabelRangeHistCounts(t *testing.T) {
 	c := testCampaign(t)
 	r, _ := c.ByID(15)
-	hist := r.LabelRangeHist()
+	hist := r.Agg.Labels
 	total := 0
 	for _, n := range hist {
 		total += n
@@ -435,8 +433,9 @@ func TestLabelRangeHistCounts(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no labels counted")
 	}
-	// Microsoft is aligned to the 16000-23999 block: that bucket dominates.
-	if hist["16000-23999"]*2 < total {
+	// Microsoft is aligned to the 16000-23999 block (LabelBuckets[1]):
+	// that bucket dominates.
+	if hist[1]*2 < total {
 		t.Errorf("SRGB bucket not dominant: %v", hist)
 	}
 }

@@ -156,7 +156,7 @@ func runTable3(_ context.Context, c *Campaign) string {
 		return "AS#46 (ESnet) not in campaign\n"
 	}
 	gt := r.GroundTruth()
-	counts := r.FlagCounts()
+	counts := r.Agg.Flags
 	total := 0
 	for _, n := range counts {
 		total += n
@@ -197,9 +197,8 @@ func runFig8(_ context.Context, c *Campaign) string {
 		Headers: []string{"AS", "CVR", "CO", "LSVR", "LVR", "LSO", "segments"}}
 	for _, r := range c.ASes {
 		sh := r.FlagShares()
-		counts := r.FlagCounts()
 		total := 0
-		for _, n := range counts {
+		for _, n := range r.Agg.Flags {
 			total += n
 		}
 		t.AddRow(asLabel(r), sh[core.FlagCVR], sh[core.FlagCO], sh[core.FlagLSVR],
@@ -212,9 +211,7 @@ func runFig9(_ context.Context, c *Campaign) string {
 	t := eval.Table{Title: "Fig. 9 — LSE stack sizes: strong-SR vs MPLS/LSO contexts",
 		Headers: []string{"AS", "SR d=1", "SR d>=2", "MPLS d=1", "MPLS d>=2"}}
 	for _, r := range c.ASes {
-		s := r.StackDepthDist(true)
-		m := r.StackDepthDist(false)
-		row := func(d map[int]int) (one, deep float64) {
+		row := func(d []int) (one, deep float64) {
 			tot := 0
 			for _, n := range d {
 				tot += n
@@ -231,8 +228,8 @@ func runFig9(_ context.Context, c *Campaign) string {
 			}
 			return one / float64(tot), deep / float64(tot)
 		}
-		s1, s2 := row(s)
-		m1, m2 := row(m)
+		s1, s2 := row(r.Agg.StackStrong)
+		m1, m2 := row(r.Agg.StackOther)
 		t.AddRow(asLabel(r), s1, s2, m1, m2)
 	}
 	return t.Render()
@@ -279,23 +276,26 @@ func runFig11(_ context.Context, c *Campaign) string {
 
 func runFig12(_ context.Context, c *Campaign) string {
 	merged := c.MergedAgg()
-	ldp, sr := expandHist(merged.CloudLDP), expandHist(merged.CloudSR)
-	stats := func(xs []int) (n int, mean float64, med int) {
-		if len(xs) == 0 {
+	// stats reads a size histogram: its count, mean and median size.
+	stats := func(hist []int) (n int, mean float64, med int) {
+		tot := 0
+		for size, k := range hist {
+			n += k
+			tot += size * k
+		}
+		if n == 0 {
 			return 0, 0, 0
 		}
-		sort.Ints(xs)
-		tot := 0
-		for _, x := range xs {
-			tot += x
+		for seen := hist[0]; seen <= n/2; seen += hist[med] {
+			med++
 		}
-		return len(xs), float64(tot) / float64(len(xs)), xs[len(xs)/2]
+		return n, float64(tot) / float64(n), med
 	}
 	t := eval.Table{Title: "Fig. 12 — LDP vs SR cloud sizes in interworking tunnels",
 		Headers: []string{"Cloud", "N", "Mean hops", "Median hops"}}
-	n, m, md := stats(ldp)
+	n, m, md := stats(merged.CloudLDP)
 	t.AddRow("LDP", n, m, md)
-	n, m, md = stats(sr)
+	n, m, md = stats(merged.CloudSR)
 	t.AddRow("SR", n, m, md)
 	return t.Render()
 }
@@ -304,7 +304,7 @@ func runFig13(_ context.Context, c *Campaign) string {
 	t := eval.Table{Title: "Fig. 13 — MPLS tunnel visibility classes per AS",
 		Headers: []string{"AS", "explicit", "implicit", "opaque", "invisible", "paths w/ explicit"}}
 	for _, r := range c.ASes {
-		counts := r.TunnelTypeCounts()
+		counts := r.Agg.TunnelTypes
 		total := 0
 		for _, n := range counts {
 			total += n
@@ -363,10 +363,9 @@ func runFig16(_ context.Context, c *Campaign) string {
 	}
 	t := eval.Table{Title: "Fig. 16 — MPLS label range occurrences per AS", Headers: headers}
 	for _, r := range c.ASes {
-		hist := r.LabelRangeHist()
 		row := []interface{}{asLabel(r)}
-		for _, b := range LabelBuckets {
-			row = append(row, hist[b.Name])
+		for _, n := range r.Agg.Labels {
+			row = append(row, n)
 		}
 		t.AddRow(row...)
 	}
@@ -494,7 +493,7 @@ func runVerdicts(_ context.Context, c *Campaign) string {
 	for _, r := range c.ASes {
 		v := r.Verdict()
 		counts[v]++
-		fc := r.FlagCounts()
+		fc := r.Agg.Flags
 		strong := fc[core.FlagCVR] + fc[core.FlagCO] + fc[core.FlagLSVR] + fc[core.FlagLVR]
 		t.AddRow(asLabel(r), v.String(), strong, fc[core.FlagLSO])
 	}

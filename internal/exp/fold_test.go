@@ -21,12 +21,13 @@ import (
 	"arest/internal/testrace"
 )
 
-// addTrace folds one trace into a by map updates alone: the raw trace
+// addTrace folds one trace into a by direct updates of its fields, keyed
+// by address where the fold goes through its address table: the raw trace
 // always contributes (tunnel classes, responder accumulation); res is the
 // analysis of its AS-restricted path and is nil when the restriction was
 // empty; facts holds probe.ClassifyTunnels(tr) and, with a result,
 // res.Tunnels(). sr is the archived ground-truth set. It is the per-trace
-// reference the fold's address table and array tallies are held to.
+// reference the fold's address table and batch storage are held to.
 func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts traceFacts, sr map[netip.Addr]bool) {
 	a.Traces++
 	explicit := false
@@ -92,15 +93,15 @@ func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts trace
 		flagged, inStrong := segmentsAt(res.Segments, i)
 		if h.HasStack() {
 			if inStrong {
-				a.StackStrong[h.Stack.Depth()]++
+				a.StackStrong = count(a.StackStrong, h.Stack.Depth())
 			} else {
-				a.StackOther[h.Stack.Depth()]++
+				a.StackOther = count(a.StackOther, h.Stack.Depth())
 			}
 		}
 		for _, e := range h.Stack {
-			for _, b := range LabelBuckets {
-				if b.R.Contains(e.Label) {
-					a.Labels[b.Name]++
+			for b := range LabelBuckets {
+				if LabelBuckets[b].R.Contains(e.Label) {
+					a.Labels[b]++
 					break
 				}
 			}
@@ -129,9 +130,9 @@ func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts trace
 		}
 		for _, cl := range t.Clouds {
 			if cl.Kind == core.CloudSR {
-				a.CloudSR[cl.Len]++
+				a.CloudSR = count(a.CloudSR, cl.Len)
 			} else {
-				a.CloudLDP[cl.Len]++
+				a.CloudLDP = count(a.CloudLDP, cl.Len)
 			}
 		}
 	}
@@ -139,7 +140,7 @@ func (a *Agg) addTrace(vpIdx int, tr *probe.Trace, res *core.Result, facts trace
 
 // refFold folds an AS's traces one at a time through the allocating API —
 // BuildPath with the annotator and owner map, RestrictToAS, Analyze,
-// ClassifyTunnels, Tunnels — into a fresh Agg by addTrace's map updates,
+// ClassifyTunnels, Tunnels — into a fresh Agg by addTrace's updates,
 // keeping every result with its restricted path. Nothing is reused between
 // traces and no address table is built, so it is the reference for the
 // fold's batch storage and its table: a slot or slab overwritten while

@@ -54,7 +54,7 @@ func RunLongitudinal(ctx context.Context, rec asgen.Record, epochs int, cfg Conf
 			share = float64(ic[core.AreaSR]) / float64(total)
 		}
 		interworking := false
-		for p, n := range r.TunnelPatterns() {
+		for p, n := range r.Agg.Patterns {
 			if n > 0 && p != core.PatternFullSR && p != core.PatternFullLDP && p != core.PatternOther {
 				interworking = true
 			}

@@ -2,14 +2,16 @@
 // fold implements archive.Visitor — side records fill a per-AS address
 // table, which seals at the first trace; traces are analyzed in fixed-size
 // batches (concurrently, under Config.Workers) and accumulated into that
-// table and array tallies in stream order, which finish publishes into an
-// Agg, so the same records yield bit-identical aggregates at every
-// worker count. DetectStream drives it straight off archive bytes without
-// ever materializing the trace set; Detect in campaign.go drives the same
-// fold from an in-memory archive.Data, which is what pins the two paths
-// deep-equal. Each batch is built in a foldStore that is reset, not
-// reallocated, from one batch to the next, so the fold allocates nothing
-// per trace once its storage has grown to the largest batch.
+// table and the AS's Agg in stream order, and finish publishes the table
+// into the Agg, so the same records yield bit-identical aggregates at
+// every worker count. DetectStream drives it straight off archive bytes
+// without ever materializing the trace set; Detect in campaign.go drives
+// the same fold through archive.Data.Visit, which emits the records of an
+// in-memory Data in the order WriteData encodes them, and that is what
+// pins the two paths deep-equal. Each batch is built in a foldStore that
+// is reset, not reallocated, from one batch to the next, so the fold
+// allocates nothing per trace once its storage has grown to the largest
+// batch.
 package exp
 
 import (
@@ -18,11 +20,9 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"sort"
 
 	"arest/internal/archive"
 	"arest/internal/core"
-	"arest/internal/eval"
 	"arest/internal/fingerprint"
 	"arest/internal/mpls"
 	"arest/internal/obs"
@@ -65,10 +65,9 @@ type fold struct {
 	ttl    map[netip.Addr]mpls.Vendor
 	sealed bool
 
-	// tab is the AS's address table (it lives in store) and tally its
-	// per-trace enum tallies; finish publishes both into agg.
-	tab   *addrTable
-	tally tally
+	// tab is the AS's address table (it lives in store); finish publishes
+	// it into agg.
+	tab *addrTable
 
 	// store holds the pending batch: its first pending slots are filled.
 	store   *foldStore
@@ -124,19 +123,6 @@ func (t *addrTable) row(addr netip.Addr) int32 {
 	t.rows = append(t.rows, addrRow{addr: addr})
 	t.index[addr] = r
 	return r
-}
-
-// tally holds the per-trace enum tallies of an AS, indexed by their keys:
-// enum values, LabelBuckets indexes and stack depths. publish turns them
-// into Agg's maps.
-type tally struct {
-	flags       [core.FlagLSO + 1]int
-	confusion   [core.FlagLSO + 1]eval.Confusion
-	areaTraces  [core.AreaSR + 1]int
-	tunnelTypes [probe.TunnelInvisible + 1]int
-	labels      [len(LabelBuckets)]int
-	stackStrong []int
-	stackOther  []int
 }
 
 // foldStore is the storage a fold builds its batches in: the batch slots,
@@ -321,6 +307,18 @@ func (f *fold) Trace(rec archive.TraceRecord) error {
 	return f.add(rec.VPIndex, tr)
 }
 
+// ownedTraces is the fold as Detect drives it through archive.Data.Visit,
+// whose traces are the Data's own, not lent: it queues each one in place
+// instead of copying it as fold.Trace copies a lent trace.
+type ownedTraces struct{ *fold }
+
+func (o ownedTraces) Trace(rec archive.TraceRecord) error {
+	if err := o.admitTrace(); err != nil {
+		return err
+	}
+	return o.add(rec.VPIndex, rec.Trace)
+}
+
 // admitTrace counts a trace record and seals the side state at the first
 // one.
 func (f *fold) admitTrace() error {
@@ -447,17 +445,16 @@ func (f *fold) analyze(ws *workerSlabs, s *batchSlot) {
 	s.facts.tunnels = ws.tunnels[k:len(ws.tunnels):len(ws.tunnels)]
 }
 
-// accumulate folds one analyzed slot into the address table, the tallies
-// and the Agg, on the fold's goroutine in stream order: the per-trace
-// reference (Agg.addTrace in the tests) restated over table rows and
-// array tallies. res is the analysis of the slot's sub-path, nil when the
-// sub-path is empty.
+// accumulate folds one analyzed slot into the address table and the Agg,
+// on the fold's goroutine in stream order: the per-trace reference
+// (Agg.addTrace in the tests) restated over table rows. res is the
+// analysis of the slot's sub-path, nil when the sub-path is empty.
 func (f *fold) accumulate(s *batchSlot, res *core.Result) {
-	a, t, tab := f.agg, &f.tally, f.tab
+	a, tab := f.agg, f.tab
 	a.Traces++
 	explicit := false
 	for _, tu := range s.facts.tunnels {
-		t.tunnelTypes[tu.Type]++
+		a.TunnelTypes[tu.Type]++
 		explicit = explicit || tu.Type == probe.TunnelExplicit
 	}
 	if explicit {
@@ -480,7 +477,7 @@ func (f *fold) accumulate(s *batchSlot, res *core.Result) {
 	hops := res.Path.Hops
 	rows := s.rows[s.subAt : s.subAt+len(hops)]
 	for _, seg := range res.Segments {
-		t.flags[seg.Flag]++
+		a.Flags[seg.Flag]++
 		if seg.Flag == core.FlagCVR || seg.Flag == core.FlagCO {
 			a.SeqLabels[seg.Label] = true
 			if seg.SuffixMatch {
@@ -498,9 +495,9 @@ func (f *fold) accumulate(s *batchSlot, res *core.Result) {
 			}
 		}
 		if allSR {
-			t.confusion[seg.Flag].TP++
+			a.Confusion[seg.Flag].TP++
 		} else {
-			t.confusion[seg.Flag].FP++
+			a.Confusion[seg.Flag].FP++
 		}
 	}
 
@@ -510,7 +507,7 @@ func (f *fold) accumulate(s *batchSlot, res *core.Result) {
 	}
 	for area, ok := range hit {
 		if ok {
-			t.areaTraces[area]++
+			a.AreaTraces[area]++
 		}
 	}
 
@@ -519,15 +516,15 @@ func (f *fold) accumulate(s *batchSlot, res *core.Result) {
 		flagged, inStrong := segmentsAt(res.Segments, i)
 		if h.HasStack() {
 			if inStrong {
-				t.stackStrong = count(t.stackStrong, h.Stack.Depth())
+				a.StackStrong = count(a.StackStrong, h.Stack.Depth())
 			} else {
-				t.stackOther = count(t.stackOther, h.Stack.Depth())
+				a.StackOther = count(a.StackOther, h.Stack.Depth())
 			}
 		}
 		for _, e := range h.Stack {
 			for b := range LabelBuckets {
 				if LabelBuckets[b].R.Contains(e.Label) {
-					t.labels[b]++
+					a.Labels[b]++
 					break
 				}
 			}
@@ -548,9 +545,9 @@ func (f *fold) accumulate(s *batchSlot, res *core.Result) {
 		}
 		for _, cl := range ta.Clouds {
 			if cl.Kind == core.CloudSR {
-				a.CloudSR[cl.Len]++
+				a.CloudSR = count(a.CloudSR, cl.Len)
 			} else {
-				a.CloudLDP[cl.Len]++
+				a.CloudLDP = count(a.CloudLDP, cl.Len)
 			}
 		}
 	}
@@ -577,12 +574,10 @@ func count(hist []int, k int) []int {
 	return hist
 }
 
-// publish writes the address table and the tallies into the fold's fresh
-// Agg, and the SR ground truth into its result, once per AS. Only non-zero
-// entries become map keys, as they do when the map-based reference
-// increments them, so every map deep-equals the reference's.
+// publish writes the address table into the fold's Agg, and the SR
+// ground truth into its result, once per AS.
 func (f *fold) publish() {
-	a, t := f.agg, &f.tally
+	a := f.agg
 	seen, inAS, sr := 0, 0, 0
 	for i := range f.tab.rows {
 		row := &f.tab.rows[i]
@@ -616,34 +611,10 @@ func (f *fold) publish() {
 			a.Ifaces[row.addr] = ifc
 		}
 	}
-	publishCounts(a.Flags, t.flags[:])
-	publishCounts(a.AreaTraces, t.areaTraces[:])
-	publishCounts(a.TunnelTypes, t.tunnelTypes[:])
-	publishCounts(a.StackStrong, t.stackStrong)
-	publishCounts(a.StackOther, t.stackOther)
-	for b, n := range t.labels {
-		if n != 0 {
-			a.Labels[LabelBuckets[b].Name] = n
-		}
-	}
-	for fl, c := range t.confusion {
-		if c != (eval.Confusion{}) {
-			a.Confusion[core.Flag(fl)] = c
-		}
-	}
 }
 
-// publishCounts sets m's entries from the non-zero counts, indexed by key.
-func publishCounts[K ~int](m map[K]int, counts []int) {
-	for k, n := range counts {
-		if n != 0 {
-			m[K(k)] = n
-		}
-	}
-}
-
-// finish drains the final partial batch, publishes the table and tallies,
-// and returns the completed result.
+// finish drains the final partial batch, publishes the table, and returns
+// the completed result.
 func (f *fold) finish() (*ASResult, error) {
 	if err := f.planBudgetErr(); err != nil {
 		return nil, err
@@ -695,73 +666,4 @@ func detectStreamFile(ctx context.Context, path string, cfg Config, store *foldS
 	}
 	defer file.Close()
 	return detectStream(ctx, file, cfg, store)
-}
-
-// foldData drives a fold from an in-memory archive.Data, emitting exactly
-// the record sequence WriteData would put in an archive — meta, VPs, side
-// data, traces — so Detect over a Data and DetectStream over its encoded
-// bytes produce identical results and identical instrumentation.
-func foldData(f *fold, d *archive.Data) error {
-	if err := f.Meta(d.Meta); err != nil {
-		return err
-	}
-	for i, vp := range d.VPs {
-		if err := f.VP(archive.VPRecord{Index: i, Addr: vp, Traces: len(d.PerVP[i])}); err != nil {
-			return err
-		}
-	}
-	for _, src := range []struct {
-		src archive.FingerprintSource
-		m   map[netip.Addr]mpls.Vendor
-	}{{archive.SourceSNMP, d.SNMP}, {archive.SourceTTL, d.TTL}} {
-		for _, a := range sortedAddrKeys(src.m) {
-			if err := f.Fingerprint(archive.FingerprintRecord{Addr: a, Vendor: src.m[a], Source: src.src}); err != nil {
-				return err
-			}
-		}
-	}
-	for _, set := range d.Aliases {
-		if err := f.AliasSet(archive.AliasSetRecord{Addrs: set}); err != nil {
-			return err
-		}
-	}
-	for _, a := range sortedAddrKeys(d.Borders) {
-		if err := f.Border(archive.BorderRecord{Addr: a, ASN: d.Borders[a]}); err != nil {
-			return err
-		}
-	}
-	for _, a := range d.SREnabled {
-		if err := f.SREnabled(archive.SREnabledRecord{Addr: a}); err != nil {
-			return err
-		}
-	}
-	if d.Degraded != nil {
-		if err := f.Degraded(*d.Degraded); err != nil {
-			return err
-		}
-	}
-	// The traces are owned by d, so the fold reads them in place instead
-	// of copying them as it copies lent ones.
-	for i, ts := range d.PerVP {
-		for _, tr := range ts {
-			if err := f.admitTrace(); err != nil {
-				return err
-			}
-			if err := f.add(i, tr); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// sortedAddrKeys returns a map's keys in address order, for deterministic
-// record emission from in-memory data.
-func sortedAddrKeys[V any](m map[netip.Addr]V) []netip.Addr {
-	out := make([]netip.Addr, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"arest/internal/archive"
@@ -97,7 +98,7 @@ func TestDetectStreamAnalyzeWorkersInvariant(t *testing.T) {
 
 // TestDetectStreamInstrumentationMatchesDetect requires the two Detect
 // fronts to emit bit-identical deterministic metrics: same record counter,
-// same batch boundaries, same in-flight gauge — the foldData drive must be
+// same batch boundaries, same in-flight gauge — the Data.Visit drive must be
 // indistinguishable from the wire drive inside the determinism contract.
 func TestDetectStreamInstrumentationMatchesDetect(t *testing.T) {
 	data, raw := measureArchived(t, 46)
@@ -374,14 +375,17 @@ func encodeData(t testing.TB, d *archive.Data) []byte {
 func freshResponderArchive(t testing.TB, batches int) []byte {
 	t.Helper()
 	d := syntheticData(t, archive.FormatV3, 4, batches*analyzeBatch+17, 4)
-	for _, a := range sortedAddrKeys(d.Borders) {
+	var sr []netip.Addr
+	for a := range d.Borders {
 		if a.As4()[3]%3 == 0 {
-			d.SREnabled = append(d.SREnabled, a)
+			sr = append(sr, a)
 		}
 		if a.As4()[3]%5 == 0 {
 			d.TTL[a] = mpls.VendorCiscoHuawei
 		}
 	}
+	slices.SortFunc(sr, netip.Addr.Compare)
+	d.SREnabled = sr
 	fresh4 := func(batch, k int) probe.Hop {
 		return probe.Hop{Addr: netip.AddrFrom4([4]byte{10, 9, byte(batch), byte(k)})}
 	}

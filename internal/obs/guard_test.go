@@ -60,7 +60,7 @@ func TestNilGuardDeletionCaught(t *testing.T) {
 			}
 		}
 	}
-	if len(sites) < 17 {
+	if len(sites) < 16 {
 		t.Fatalf("found only %d guarded methods; expected the full instrument and watchdog surface", len(sites))
 	}
 

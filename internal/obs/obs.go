@@ -220,15 +220,6 @@ func (s *Span) Start() func() {
 	}
 }
 
-// AddDuration folds an externally measured duration into the span.
-func (s *Span) AddDuration(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.count.Add(1)
-	s.ns.Add(d.Nanoseconds())
-}
-
 // Span returns (creating if needed) the span stage.reason.
 func (r *Registry) Span(stage, reason string) *Span {
 	if r == nil {

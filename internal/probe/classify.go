@@ -78,14 +78,3 @@ func AppendTunnels(dst []Tunnel, tr *Trace) []Tunnel {
 	}
 	return out
 }
-
-// HasExplicitTunnel reports whether the trace contains at least one
-// explicit tunnel (the precondition for the label-sequence AReST flags).
-func HasExplicitTunnel(tr *Trace) bool {
-	for _, tun := range ClassifyTunnels(tr) {
-		if tun.Type == TunnelExplicit {
-			return true
-		}
-	}
-	return false
-}

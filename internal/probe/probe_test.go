@@ -124,9 +124,6 @@ func TestTraceExplicitSRStacks(t *testing.T) {
 	if len(tuns) != 1 || tuns[0].Type != TunnelExplicit {
 		t.Fatalf("tunnels = %+v", tuns)
 	}
-	if !HasExplicitTunnel(tr) {
-		t.Error("HasExplicitTunnel = false")
-	}
 }
 
 func TestTraceImplicitTunnelQTTL(t *testing.T) {
