@@ -1,0 +1,109 @@
+package asgen_test
+
+import (
+	"runtime"
+	"testing"
+
+	"arest/internal/asgen"
+	"arest/internal/exp"
+	"arest/internal/testrace"
+)
+
+// analyzedWorld is one catalogue AS the default campaign measures, with
+// the deployment and build arguments the campaign gives it.
+type analyzedWorld struct {
+	rec    asgen.Record
+	dep    asgen.Deployment
+	numVPs int
+	seed   int64
+}
+
+// analyzedWorlds lists the 41 catalogue ASes the default campaign keeps,
+// each with its deployment clamped to the campaign's router cap.
+func analyzedWorlds() []analyzedWorld {
+	cfg := exp.DefaultConfig()
+	var out []analyzedWorld
+	for _, rec := range asgen.Catalogue {
+		if asgen.ExcludedIDs[rec.ID] {
+			continue
+		}
+		dep := asgen.DeploymentFor(rec, cfg.Seed)
+		if cfg.MaxRouters > 0 && dep.Routers > cfg.MaxRouters {
+			dep.Routers = cfg.MaxRouters
+		}
+		out = append(out, analyzedWorld{rec, dep, cfg.NumVPs, cfg.Seed})
+	}
+	return out
+}
+
+// BenchmarkBuild builds every world of the default campaign once per
+// iteration: topology, control planes (SPF, SIDs, LDP bindings) and
+// policies.
+func BenchmarkBuild(b *testing.B) {
+	worlds := analyzedWorlds()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range worlds {
+			asgen.Build(w.rec, w.dep, w.numVPs, w.seed)
+		}
+	}
+}
+
+// buildCost returns the mean allocations and bytes of one Build of w over
+// runs builds after a warm-up, measured as testing.AllocsPerRun measures
+// allocations.
+func buildCost(w analyzedWorld, runs int) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	asgen.Build(w.rec, w.dep, w.numVPs, w.seed)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		asgen.Build(w.rec, w.dep, w.numVPs, w.seed)
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(runs)
+	return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+}
+
+// TestAllocBudgetBuild pins the allocations and bytes of building three
+// analyzed worlds: a small stub (Iliad Italy), an LDP-only transit AS
+// (Telecom Italia) and an SR/LDP interworking AS with a mapping server
+// (Deutsche Telekom). The build draws labels without keys, keeps LDP
+// bindings in a dense slice per router and next hops in one slab, so a
+// formatted key per binding (~3,500 strings in Telecom Italia) or a map
+// per router for its LDP bindings (~300 allocations) trips the allocation
+// budget, and a slice header per router pair (34² or 76² of them, a fifth
+// of the bytes) the byte budget. Each budget is the larger steady state of
+// two map implementations, Go 1.24's swiss tables and the older buckets
+// (GOEXPERIMENT=noswissmap, the default before Go 1.24), plus 2% for the
+// older maps' spread across hash seeds.
+func TestAllocBudgetBuild(t *testing.T) {
+	if testrace.Enabled {
+		t.Skip("allocation counts are meaningless under -race instrumentation")
+	}
+	budgets := map[int]struct{ allocs, bytes uint64 }{
+		2:  {730, 135_000},  // measured 712 and 131,104
+		38: {2290, 640_000}, // measured 2,242 and 628,208
+		53: {2050, 517_000}, // measured 2,006 and 506,721
+	}
+	for _, w := range analyzedWorlds() {
+		budget, ok := budgets[w.rec.ID]
+		if !ok {
+			continue
+		}
+		delete(budgets, w.rec.ID)
+		t.Run(w.rec.Name, func(t *testing.T) {
+			allocs, bytes := buildCost(w, 5)
+			if allocs > budget.allocs {
+				t.Errorf("Build: %d allocs/op, budget %d", allocs, budget.allocs)
+			}
+			if bytes > budget.bytes {
+				t.Errorf("Build: %d B/op, budget %d", bytes, budget.bytes)
+			}
+		})
+	}
+	if len(budgets) > 0 {
+		t.Fatalf("records %v are not analyzed worlds", budgets)
+	}
+}

@@ -406,10 +406,10 @@ func Build(rec Record, dep Deployment, numVPs int, seed int64) *World {
 	vpn := make(map[netsim.RouterID]uint32)
 	for _, pe := range w.Edges {
 		if w.SRRouter[pe.ID] {
-			svc[pe.ID] = n.AllocateServiceSID(pe, pe.Name)
+			svc[pe.ID] = n.AllocateServiceSID(pe)
 		}
 		if dep.ClassicStackProb > 0 && dep.MPLS {
-			vpn[pe.ID] = n.AllocateServiceSID(pe, "vpn-"+pe.Name)
+			vpn[pe.ID] = n.AllocateServiceSID(pe)
 		}
 	}
 	if dep.ClassicStackProb > 0 {

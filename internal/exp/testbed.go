@@ -85,7 +85,7 @@ func TestbedScenarios() []TestbedScenario {
 				cfg.Profile.TTLPropagate = false // opaque: only the LH shows its stack
 				return testbedChain(5, cfg, func(n *netsim.Network, rs []*netsim.Router) {
 					egress := rs[len(rs)-1]
-					svc := n.AllocateServiceSID(egress, "testbed")
+					svc := n.AllocateServiceSID(egress)
 					id := egress.ID
 					n.SRPolicy = func(ing *netsim.Router, e netsim.RouterID, dst netip.Addr, flow uint64) netsim.SegmentList {
 						if e == id {
@@ -115,7 +115,7 @@ func TestbedScenarios() []TestbedScenario {
 					Profile: prof, LDPEnabled: true, Mode: netsim.ModeLDP}
 				return testbedChain(5, cfg, func(n *netsim.Network, rs []*netsim.Router) {
 					egress := rs[len(rs)-1]
-					vpn := n.AllocateServiceSID(egress, "vpn")
+					vpn := n.AllocateServiceSID(egress)
 					id := egress.ID
 					n.LDPStackPolicy = func(ing *netsim.Router, e netsim.RouterID, dst netip.Addr) (uint32, bool) {
 						if e == id {

@@ -9,41 +9,35 @@ import "fmt"
 //
 // Allocation is pseudo-random within the pool range but deterministic for a
 // given seed, so campaigns are reproducible and false-positive probabilities
-// can be measured.
+// can be measured. The pool only draws: what a label is bound to is the
+// caller's to record, in its own tables.
 type Pool struct {
-	src   labelSource // math/rand's draws for the seed, without its state
-	rng2  LabelRange
-	used  map[uint32]bool
-	bound map[string]uint32 // FEC key -> label
+	src    labelSource // math/rand's draws for the seed, without its state
+	labels LabelRange
+	used   map[uint32]struct{}
 }
 
 // NewPool creates a dynamic label pool over r, seeded deterministically:
 // it draws the labels rand.New(rand.NewSource(seed)) would draw.
 func NewPool(r LabelRange, seed int64) *Pool {
-	return &Pool{src: newLabelSource(seed), rng2: r}
+	return &Pool{src: newLabelSource(seed), labels: r}
 }
 
-// Allocate binds a fresh label to the FEC key and returns it. Repeated
-// calls with the same key return the same label (per-FEC binding, as LDP
-// does). Allocate panics only if the pool is fully exhausted, which cannot
-// happen for realistic pool sizes.
-func (p *Pool) Allocate(fec string) uint32 {
-	if l, ok := p.bound[fec]; ok {
-		return l
-	}
-	size := p.rng2.Size()
+// Draw returns a label no earlier draw returned: the next draw of the
+// seeded source that lands on an unused label. Draw panics only if the
+// pool is fully exhausted, which cannot happen for realistic pool sizes.
+func (p *Pool) Draw() uint32 {
+	size := p.labels.Size()
 	if uint32(len(p.used)) >= size {
-		panic(fmt.Sprintf("mpls: label pool %v exhausted", p.rng2))
+		panic(fmt.Sprintf("mpls: label pool %v exhausted", p.labels))
 	}
 	if p.used == nil {
-		p.used = make(map[uint32]bool)
-		p.bound = make(map[string]uint32)
+		p.used = make(map[uint32]struct{})
 	}
 	for {
-		l := p.rng2.Lo + uint32(p.src.Int63n(int64(size)))
-		if !p.used[l] {
-			p.used[l] = true
-			p.bound[fec] = l
+		l := p.labels.Lo + uint32(p.src.Int63n(int64(size)))
+		if _, taken := p.used[l]; !taken {
+			p.used[l] = struct{}{}
 			return l
 		}
 	}

@@ -1,39 +1,32 @@
 package mpls
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-func TestPoolAllocateStableBinding(t *testing.T) {
-	p := NewPool(DynamicPool(VendorCisco), 1)
-	l1 := p.Allocate("10.0.0.0/24")
-	l2 := p.Allocate("10.0.0.0/24")
-	if l1 != l2 {
-		t.Errorf("re-allocation for same FEC: %d != %d", l1, l2)
-	}
-}
+// The pool draws without keys; that a router's bindings stay put across
+// re-Computes is netsim's to keep, and TestLabelTablesMatchKeyedPool
+// there checks it against the keyed pool these draws replaced.
 
-func TestPoolAllocateWithinRange(t *testing.T) {
+func TestPoolDrawWithinRange(t *testing.T) {
 	r := DynamicPool(VendorCisco)
 	p := NewPool(r, 42)
 	for i := 0; i < 1000; i++ {
-		l := p.Allocate(fmt.Sprintf("fec-%d", i))
-		if !r.Contains(l) {
+		if l := p.Draw(); !r.Contains(l) {
 			t.Fatalf("label %d outside pool %v", l, r)
 		}
 	}
 }
 
-func TestPoolAllocateUnique(t *testing.T) {
+func TestPoolDrawUnique(t *testing.T) {
 	p := NewPool(LabelRange{100, 1099}, 3)
 	seen := make(map[uint32]bool)
 	for i := 0; i < 1000; i++ {
-		l := p.Allocate(fmt.Sprintf("fec-%d", i))
+		l := p.Draw()
 		if seen[l] {
-			t.Fatalf("label %d allocated twice", l)
+			t.Fatalf("label %d drawn twice", l)
 		}
 		seen[l] = true
 	}
@@ -43,23 +36,21 @@ func TestPoolDeterministic(t *testing.T) {
 	a := NewPool(DynamicPool(VendorCisco), 99)
 	b := NewPool(DynamicPool(VendorCisco), 99)
 	for i := 0; i < 50; i++ {
-		fec := fmt.Sprintf("fec-%d", i)
-		if la, lb := a.Allocate(fec), b.Allocate(fec); la != lb {
-			t.Fatalf("same seed diverged at %s: %d vs %d", fec, la, lb)
+		if la, lb := a.Draw(), b.Draw(); la != lb {
+			t.Fatalf("same seed diverged at draw %d: %d vs %d", i, la, lb)
 		}
 	}
 }
 
 func TestPoolDifferentSeedsDiverge(t *testing.T) {
 	// Local significance: two routers (different seeds) should essentially
-	// never agree on the label for the same FEC across many FECs.
+	// never agree on the label of their i-th binding across many draws.
 	a := NewPool(DynamicPool(VendorCisco), 1)
 	b := NewPool(DynamicPool(VendorCisco), 2)
 	agree := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		fec := fmt.Sprintf("fec-%d", i)
-		if a.Allocate(fec) == b.Allocate(fec) {
+		if a.Draw() == b.Draw() {
 			agree++
 		}
 	}
@@ -76,9 +67,9 @@ func TestPoolExhaustionPanics(t *testing.T) {
 		}
 	}()
 	p := NewPool(LabelRange{10, 11}, 1)
-	p.Allocate("a")
-	p.Allocate("b")
-	p.Allocate("c") // pool of size 2 exhausted
+	p.Draw()
+	p.Draw()
+	p.Draw() // pool of size 2 exhausted
 }
 
 // TestPoolSourceMatchesMathRand pins the computed label source to

@@ -11,11 +11,12 @@ import (
 
 // Allocation budgets for the hop-forward path: one scenario per
 // forwarding, reply and drop branch of Send, each built on the topologies
-// the behavioural tests of this package use. A reply costs its wire, the
-// one allocation a Send makes, because the caller owns it; a drop costs
-// nothing. Delivery comes back by value, the destination is resolved from
-// the exact-address index Compute built, and every stack, quote and
-// message under construction lives in the pooled sendScratch.
+// the behavioural tests of this package use. Every scenario costs nothing:
+// the reply is appended to the caller's buffer, Delivery comes back by
+// value, the destination is resolved from the exact-address index Compute
+// built, and every stack, quote and message under construction lives in
+// the pooled sendScratch. One scenario passes a nil buffer instead, and
+// pays 1 for the reply wire it then owns.
 //
 // The budgets are that steady state: AllocsPerRun rounds the mean down,
 // so a sendScratch the pool fails to recycle during a GC stays inside
@@ -37,6 +38,9 @@ type sendCase struct {
 	// record has the scenario run through send with a path to fill, the
 	// form the path-checking tests use.
 	record bool
+	// fresh has the scenario pass a nil reply buffer, so that a reply is
+	// one allocation.
+	fresh bool
 }
 
 // rawProbe builds an IPv4 probe carrying payload under protocol proto.
@@ -112,6 +116,11 @@ func sendCases() []sendCase {
 			setup: func(t *testing.T) (n, addr, []byte) {
 				c := buildChain(t)
 				return c.net, c.vp, udpProbe(c.vp, c.target, 64, 33434)
+			}},
+		{name: "sr: time exceeded into a nil buffer", reply: pkt.ICMPTimeExceeded, fresh: true,
+			setup: func(t *testing.T) (n, addr, []byte) {
+				c := buildChain(t)
+				return c.net, c.vp, udpProbe(c.vp, c.target, 4, 33434)
 			}},
 		{name: "sr: port unreachable from a router loopback", reply: pkt.ICMPDestUnreachable,
 			setup: func(t *testing.T) (n, addr, []byte) {
@@ -246,7 +255,7 @@ func sendCases() []sendCase {
 		{name: "ldp: inner service label from the stack policy", reply: pkt.ICMPDestUnreachable,
 			setup: func(t *testing.T) (n, addr, []byte) {
 				c := ldpChainWith(t, func(n *Network, pe2 *Router) {
-					vpn, id := n.AllocateServiceSID(pe2, "vpn"), pe2.ID
+					vpn, id := n.AllocateServiceSID(pe2), pe2.ID
 					n.LDPStackPolicy = func(_ *Router, e RouterID, _ netip.Addr) (uint32, bool) { return vpn, e == id }
 				})
 				return c.net, c.vp, udpProbe(c.vp, c.target, 64, 33434)
@@ -281,14 +290,14 @@ func sendCases() []sendCase {
 		{name: "sr: service SID under the node SID", reply: pkt.ICMPDestUnreachable,
 			setup: func(t *testing.T) (n, addr, []byte) {
 				c := buildChain(t)
-				segs := SegmentList{{Node: c.pe2.ID}, {Service: true, ServiceLabel: c.net.AllocateServiceSID(c.pe2, "fw-chain")}}
+				segs := SegmentList{{Node: c.pe2.ID}, {Service: true, ServiceLabel: c.net.AllocateServiceSID(c.pe2)}}
 				c.net.SRPolicy = func(*Router, RouterID, netip.Addr, uint64) SegmentList { return segs }
 				return c.net, c.vp, udpProbe(c.vp, c.target, 64, 33434)
 			}},
 		{name: "sr: service SID on top is unknown to the next hop", reply: dropped,
 			setup: func(t *testing.T) (n, addr, []byte) {
 				c := buildChain(t)
-				segs := SegmentList{{Service: true, ServiceLabel: c.net.AllocateServiceSID(c.pe2, "fw-chain")}, {Node: c.pe2.ID}}
+				segs := SegmentList{{Service: true, ServiceLabel: c.net.AllocateServiceSID(c.pe2)}, {Node: c.pe2.ID}}
 				c.net.SRPolicy = func(*Router, RouterID, netip.Addr, uint64) SegmentList { return segs }
 				return c.net, c.vp, udpProbe(c.vp, c.target, 64, 33434)
 			}},
@@ -452,7 +461,7 @@ func sendCases() []sendCase {
 			setup: func(t *testing.T) (n, addr, []byte) {
 				c := buildChain(t)
 				x, hx := c.overrideToIsolated()
-				segs := SegmentList{{Service: true, ServiceLabel: c.net.AllocateServiceSID(x, "svc")}, {Node: x.ID}}
+				segs := SegmentList{{Service: true, ServiceLabel: c.net.AllocateServiceSID(x)}, {Node: x.ID}}
 				pe1 := c.pe1.ID
 				c.net.SRPolicy = func(ing *Router, _ RouterID, _ netip.Addr, _ uint64) SegmentList {
 					if ing.ID == pe1 {
@@ -504,14 +513,18 @@ func TestAllocBudgetSend(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			n, src, wire := c.setup(t)
 			path := make([]RouterID, 0, maxSteps)
+			var buf []byte
+			if !c.fresh {
+				buf = make([]byte, 0, 1024)
+			}
 			send := func() []byte {
 				var d Delivery
 				var err error
 				if c.record {
 					path = path[:0]
-					d, err = n.send(src, wire, &path)
+					d, err = n.send(src, wire, buf, &path)
 				} else {
-					d, err = n.Send(src, wire)
+					d, err = n.Send(src, wire, buf)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -526,7 +539,7 @@ func TestAllocBudgetSend(t *testing.T) {
 				t.Fatalf("reply type %d, want %d", got, c.reply)
 			}
 			budget := 0.0
-			if c.reply != dropped {
+			if c.fresh {
 				budget = 1
 			}
 			if allocs := testing.AllocsPerRun(200, func() { send() }); allocs > budget {

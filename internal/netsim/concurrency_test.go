@@ -61,7 +61,7 @@ func TestConcurrentSendMatchesSequential(t *testing.T) {
 
 	seqReplies := make([]string, len(jobs))
 	for i, j := range jobs {
-		d, err := seqC.net.Send(seqC.vp, udpProbe(seqC.vp, j.dst, j.ttl, j.dport))
+		d, err := seqC.net.Send(seqC.vp, udpProbe(seqC.vp, j.dst, j.ttl, j.dport), nil)
 		if err != nil {
 			t.Fatalf("sequential send %d: %v", i, err)
 		}
@@ -76,7 +76,7 @@ func TestConcurrentSendMatchesSequential(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < len(jobs); i += 8 {
 				j := jobs[i]
-				d, err := parC.net.Send(parC.vp, udpProbe(parC.vp, j.dst, j.ttl, j.dport))
+				d, err := parC.net.Send(parC.vp, udpProbe(parC.vp, j.dst, j.ttl, j.dport), nil)
 				if err != nil {
 					t.Errorf("concurrent send %d: %v", i, err)
 					return
@@ -114,7 +114,7 @@ func TestConcurrentSendStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, j := range jobs {
-				d, err := c.net.Send(c.vp, udpProbe(c.vp, j.dst, j.ttl, j.dport))
+				d, err := c.net.Send(c.vp, udpProbe(c.vp, j.dst, j.ttl, j.dport), nil)
 				if err != nil {
 					t.Errorf("send: %v", err)
 					return

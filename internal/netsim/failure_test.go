@@ -40,7 +40,7 @@ func resilienceNet(t *testing.T) (*Network, netip.Addr, netip.Addr, *Router, *Ro
 func pathOfProbe(t *testing.T, n *Network, vp, tgt netip.Addr) []RouterID {
 	t.Helper()
 	var path []RouterID
-	if _, err := n.send(vp, udpProbe(vp, tgt, 32, 33434), &path); err != nil {
+	if _, err := n.send(vp, udpProbe(vp, tgt, 32, 33434), nil, &path); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -79,7 +79,7 @@ func TestAdjacencySIDOverDeadLinkDrops(t *testing.T) {
 		return SegmentList{{Node: ra.ID}, {From: ra.ID, To: d.ID, Adj: true}, {Node: d.ID}}
 	}
 	n.Compute()
-	del, err := n.Send(vp, udpProbe(vp, tgt, 32, 33434))
+	del, err := n.Send(vp, udpProbe(vp, tgt, 32, 33434), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAdjacencySIDOverDeadLinkDrops(t *testing.T) {
 	// window fast-reroute exists to close.
 	n.SetLinkState(ra.ID, d.ID, false)
 	n.Compute()
-	del, err = n.Send(vp, udpProbe(vp, tgt, 32, 33434))
+	del, err = n.Send(vp, udpProbe(vp, tgt, 32, 33434), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestProtectionPolicyRestoresDelivery(t *testing.T) {
 	}
 	n.Compute()
 	var path []RouterID
-	del, err := n.send(vp, udpProbe(vp, tgt, 32, 33434), &path)
+	del, err := n.send(vp, udpProbe(vp, tgt, 32, 33434), nil, &path)
 	if err != nil {
 		t.Fatal(err)
 	}

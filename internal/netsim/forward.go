@@ -39,10 +39,11 @@ func (f *frame) popStack() {
 }
 
 // Delivery is the outcome of injecting one probe. Send returns it by
-// value: only Reply lives on the heap.
+// value, and Reply lives in the buffer the caller passed.
 type Delivery struct {
 	// Reply holds the serialized IPv4 reply observed at the probing host,
-	// nil when no reply was generated (silent router, drop, or no route).
+	// appended to the caller's buffer, or nil when no reply was generated
+	// (silent router, drop, or no route).
 	Reply []byte
 	// FwdHops and RetHops are the forward and return hop counts, used by
 	// the prober to synthesize RTTs. FwdHops counts the routers the probe
@@ -61,9 +62,12 @@ const maxSteps = 1024
 
 // Send injects the serialized IPv4 probe wire from the attached host with
 // source address src and simulates its journey. The reply (if any) is the
-// serialized IPv4 packet the host would capture; it is freshly allocated
-// and owned by the caller, and it is the only allocation a Send makes.
-// wire is only read during the call — Send does not retain it.
+// serialized IPv4 packet the host would capture, appended to dst as the
+// pkt encoders' AppendMarshal does: Send allocates only when dst lacks the
+// capacity, and a nil dst makes the reply one exact-size allocation the
+// caller owns. dst's spare capacity may follow wire in one array, as the
+// prober's scratch arranges, but must not overlap wire itself. wire is
+// only read during the call — Send does not retain it.
 //
 // Send resolves the probe's destination once, from the exact-address
 // index Compute builds (falling back to a longest-prefix match for
@@ -79,14 +83,14 @@ const maxSteps = 1024
 // overwritten before use, so pooling never leaks one probe's bytes into
 // another's reply. Any topology change, hosts and advertised prefixes
 // included, makes Send return ErrNotComputed until Compute runs again.
-func (n *Network) Send(src netip.Addr, wire []byte) (Delivery, error) {
-	return n.send(src, wire, nil)
+func (n *Network) Send(src netip.Addr, wire, dst []byte) (Delivery, error) {
+	return n.send(src, wire, dst, nil)
 }
 
 // send is Send that, when path is non-nil, also appends every router the
 // probe traverses to *path, in order, including the one that answered or
 // dropped it. Only tests ask for the path; Send counts hops instead.
-func (n *Network) send(src netip.Addr, wire []byte, path *[]RouterID) (Delivery, error) {
+func (n *Network) send(src netip.Addr, wire, dst []byte, path *[]RouterID) (Delivery, error) {
 	if !n.computed {
 		return Delivery{}, ErrNotComputed
 	}
@@ -108,6 +112,7 @@ func (n *Network) send(src netip.Addr, wire []byte, path *[]RouterID) (Delivery,
 		vpGateway: host.Gateway,
 		probeSrc:  src,
 		scr:       s,
+		replyBuf:  dst,
 	}
 	if c.dst.owner < 0 {
 		n.met.dropNoRoute.Inc()
@@ -166,6 +171,7 @@ type sendCtx struct {
 	probeSrc    netip.Addr
 	lastRetDist int
 	scr         *sendScratch
+	replyBuf    []byte // the caller's buffer the reply is appended to
 }
 
 // process runs one router's worth of forwarding. It returns either the next
@@ -218,7 +224,7 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 					c.popTTLAdjust(f, eff)
 					return nh, nil, false
 				}
-				if out, ok := nhr.ldpOut[e.ID]; ok {
+				if out, ok := nhr.LDPLabel(e.ID); ok {
 					f.stack[0].Label = out
 					f.stack[0].TTL = eff
 					return nh, nil, false
@@ -278,7 +284,7 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 						c.popTTLAdjust(f, eff)
 						return nh, nil, false
 					}
-					if out, ok := nhr.ldpOut[e.ID]; ok {
+					if out, ok := nhr.LDPLabel(e.ID); ok {
 						f.stack[0].Label = out
 						f.stack[0].TTL = eff
 						return nh, nil, false
@@ -431,7 +437,7 @@ func (c *sendCtx) pushLDP(r *Router, egress *Router, f *frame, lseTTL uint8) (bo
 	nhr := c.n.routers[nh]
 	var label uint32
 	if nhr.LDPEnabled {
-		label, ok = nhr.ldpOut[egress.ID]
+		label, ok = nhr.LDPLabel(egress.ID)
 		if !ok {
 			return false, 0
 		}
@@ -554,8 +560,8 @@ func (c *sendCtx) icmpLost(r *Router, f *frame) bool {
 }
 
 // icmpError builds a serialized ICMP error reply. All intermediate pieces
-// (quote, RFC 4950 object, ICMP message) live in per-Send scratch; the
-// only allocation is the returned reply wire, which the caller owns.
+// (quote, RFC 4950 object, ICMP message) live in per-Send scratch, and
+// the reply wire is appended to the caller's buffer.
 func (c *sendCtx) icmpError(r *Router, src netip.Addr, typ, code uint8, f *frame, received mpls.Stack, rcvTTL uint8) []byte {
 	s := c.scr
 	s.msg = pkt.ICMP{Type: typ, Code: code, Body: c.quoteBytes(f, rcvTTL)}
@@ -595,7 +601,7 @@ func (c *sendCtx) icmpError(r *Router, src netip.Addr, typ, code uint8, f *frame
 		Dst:      f.ip.Src,
 		Payload:  payload,
 	}
-	b, err := s.out.AppendMarshal(make([]byte, 0, pkt.IPv4HeaderLen+len(payload)))
+	b, err := s.out.AppendMarshal(c.replyBuf)
 	if err != nil {
 		return nil
 	}
@@ -667,7 +673,7 @@ func (c *sendCtx) echoReply(r *Router, f *frame) []byte {
 		Dst:      f.ip.Src,
 		Payload:  payload,
 	}
-	b, err := s.out.AppendMarshal(make([]byte, 0, pkt.IPv4HeaderLen+len(payload)))
+	b, err := s.out.AppendMarshal(c.replyBuf)
 	if err != nil {
 		c.n.met.dropParse.Inc()
 		return nil
@@ -720,7 +726,7 @@ func (c *sendCtx) hostReply(h *Host, gw *Router, f *frame) []byte {
 		Dst:      f.ip.Src,
 		Payload:  payload,
 	}
-	b, err := s.out.AppendMarshal(make([]byte, 0, pkt.IPv4HeaderLen+len(payload)))
+	b, err := s.out.AppendMarshal(c.replyBuf)
 	if err != nil {
 		c.n.met.dropParse.Inc()
 		return nil

@@ -19,7 +19,7 @@ func TestSendRobustAgainstArbitraryBytes(t *testing.T) {
 		b := make([]byte, n)
 		rng.Read(b)
 		// Send must either return an error or a (possibly empty) delivery.
-		if _, err := c.net.Send(c.vp, b); err == nil && n >= pkt.IPv4HeaderLen {
+		if _, err := c.net.Send(c.vp, b, nil); err == nil && n >= pkt.IPv4HeaderLen {
 			continue
 		}
 	}
@@ -35,7 +35,7 @@ func TestSendRobustAgainstMutatedProbes(t *testing.T) {
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			b[rng.Intn(len(b))] ^= byte(1 + rng.Intn(255))
 		}
-		_, _ = c.net.Send(c.vp, b) // must not panic
+		_, _ = c.net.Send(c.vp, b, nil) // must not panic
 	}
 }
 
@@ -74,7 +74,7 @@ func TestForwardingNeverLoops(t *testing.T) {
 		n.Compute()
 		for ttl := 1; ttl <= 40; ttl++ {
 			var path []RouterID
-			if _, err := n.send(vp, udpProbe(vp, tgt, uint8(ttl), uint16(33434+ttl%4)), &path); err != nil {
+			if _, err := n.send(vp, udpProbe(vp, tgt, uint8(ttl), uint16(33434+ttl%4)), nil, &path); err != nil {
 				t.Fatal(err)
 			}
 			if len(path) >= maxSteps {
@@ -96,7 +96,7 @@ func TestReplyAlwaysParseable(t *testing.T) {
 	} {
 		c := buildChain(t, opts...)
 		for ttl := 1; ttl <= 12; ttl++ {
-			d, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, uint8(ttl), 33434))
+			d, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, uint8(ttl), 33434), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

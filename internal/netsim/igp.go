@@ -4,11 +4,13 @@ import "math/bits"
 
 // computeSPF runs Dijkstra from every router, recording IGP distances and
 // the set of equal-cost first hops toward every destination. ECMP next hops
-// are kept sorted so that flow-hash selection is deterministic. The results
-// are dense slices indexed by RouterID (IDs are contiguous from 0): the
-// forwarding fast path does two bounds-checked loads instead of two map
-// probes per hop, and the read-only slices are safe to share across
-// concurrent Sends.
+// are kept sorted so that flow-hash selection is deterministic. Distances
+// are dense slices indexed by RouterID (IDs are contiguous from 0), and
+// the next-hop sets of every (source, destination) pair lie back to back
+// in one slab, in source-major order, found through one offset table: the
+// forwarding fast path does bounds-checked loads instead of map probes per
+// hop, the build makes no slice per pair, and the read-only tables are
+// safe to share across concurrent Sends.
 func (n *Network) computeSPF() {
 	nr := len(n.routers)
 	s := newSPFScratch(nr)
@@ -24,15 +26,26 @@ func (n *Network) computeSPF() {
 		}
 		s.adj[id] = nbs
 	}
-	n.nexthops = make([][][]RouterID, nr)
 	n.dist = make([][]int, nr)
 	dist := make([]int, nr*nr)
-	first := make([][]RouterID, nr*nr)
+	n.nhOff = make([]int32, nr*nr+1)
+	// A reachable pair has at least one next hop, and ECMP sets add at
+	// most 13% to that in the catalogue's worlds: a quarter's headroom
+	// keeps the slab in one allocation, and appends grow it past that.
+	n.nhSlab = make([]RouterID, 0, nr*nr+nr*nr/4)
 	for _, r := range n.routers {
 		lo, hi := int(r.ID)*nr, int(r.ID+1)*nr
-		n.dist[r.ID], n.nexthops[r.ID] = dist[lo:hi:hi], first[lo:hi:hi]
-		n.dijkstra(r.ID, s, n.dist[r.ID], n.nexthops[r.ID])
+		n.dist[r.ID] = dist[lo:hi:hi]
+		n.dijkstra(r.ID, s, n.dist[r.ID], n.nhOff[lo:hi])
 	}
+	n.nhOff[nr*nr] = int32(len(n.nhSlab))
+}
+
+// nextHops returns the ECMP next hops from src toward dst, in ascending
+// order; none when dst is src or unreachable.
+func (n *Network) nextHops(src, dst RouterID) []RouterID {
+	i := int(src)*len(n.dist) + int(dst)
+	return n.nhSlab[n.nhOff[i]:n.nhOff[i+1]]
 }
 
 // spfItem is one priority-queue entry: a tentative cost for a router.
@@ -112,14 +125,14 @@ func (s *spfScratch) row(id RouterID) []uint64 {
 	return s.first[int(id)*s.words : int(id+1)*s.words]
 }
 
-// dijkstra fills cost with the IGP distances from src and first with, per
-// destination, the ECMP set of first-hop router IDs on shortest paths in
-// ascending order; both are indexed by RouterID, with cost -1 for
-// unreachable destinations. Each relaxation either replaces the
-// neighbour's first-hop set (a strictly cheaper path) or unions into it
-// (an equal-cost one), so zero-weight links behave exactly as under a
-// set-per-node formulation.
-func (n *Network) dijkstra(src RouterID, s *spfScratch, cost []int, first [][]RouterID) {
+// dijkstra fills cost with the IGP distances from src, indexed by
+// RouterID with -1 for unreachable destinations, and appends to n.nhSlab,
+// per destination in ID order, the ECMP set of first-hop router IDs on
+// shortest paths in ascending order, recording where each set starts in
+// off. Each relaxation either replaces the neighbour's first-hop set (a
+// strictly cheaper path) or unions into it (an equal-cost one), so
+// zero-weight links behave exactly as under a set-per-node formulation.
+func (n *Network) dijkstra(src RouterID, s *spfScratch, cost []int, off []int32) {
 	const inf = int(^uint(0) >> 2)
 	for i := range cost {
 		cost[i] = inf
@@ -159,16 +172,9 @@ func (n *Network) dijkstra(src RouterID, s *spfScratch, cost []int, first [][]Ro
 			}
 		}
 	}
-	total := 0
+	slab := n.nhSlab
 	for id := range cost {
-		if cost[id] < inf && RouterID(id) != src {
-			for _, w := range s.row(RouterID(id)) {
-				total += bits.OnesCount64(w)
-			}
-		}
-	}
-	slab := make([]RouterID, 0, total)
-	for id := range cost {
+		off[id] = int32(len(slab))
 		if cost[id] >= inf {
 			cost[id] = -1
 			continue
@@ -176,21 +182,20 @@ func (n *Network) dijkstra(src RouterID, s *spfScratch, cost []int, first [][]Ro
 		if RouterID(id) == src {
 			continue
 		}
-		start := len(slab)
 		for w, bitsw := range s.row(RouterID(id)) {
 			for ; bitsw != 0; bitsw &= bitsw - 1 {
 				slab = append(slab, RouterID(w*64+bits.TrailingZeros64(bitsw)))
 			}
 		}
-		first[id] = slab[start:len(slab):len(slab)]
 	}
+	n.nhSlab = slab
 }
 
 // NextHop picks the next hop from src toward dst for a given flow hash,
 // selecting deterministically among ECMP candidates. ok is false when dst
 // is unreachable.
 func (n *Network) NextHop(src, dst RouterID, flow uint64) (RouterID, bool) {
-	hops := n.nexthops[src][dst]
+	hops := n.nextHops(src, dst)
 	switch len(hops) {
 	case 0:
 		return 0, false

@@ -59,7 +59,7 @@ func (iw *interworkNet) trace(t *testing.T, dst netip.Addr) []*hopReply {
 	t.Helper()
 	var hops []*hopReply
 	for ttl := 1; ttl <= 12; ttl++ {
-		d, err := iw.net.Send(iw.vp, udpProbe(iw.vp, dst, uint8(ttl), 33434))
+		d, err := iw.net.Send(iw.vp, udpProbe(iw.vp, dst, uint8(ttl), 33434), nil)
 		if err != nil {
 			t.Fatalf("send ttl=%d: %v", ttl, err)
 		}
@@ -140,7 +140,7 @@ func TestLDPToSRInterworking(t *testing.T) {
 
 	var hops []*hopReply
 	for ttl := 1; ttl <= 12; ttl++ {
-		d, err := iw.net.Send(vp2, udpProbe(vp2, target2, uint8(ttl), 33434))
+		d, err := iw.net.Send(vp2, udpProbe(vp2, target2, uint8(ttl), 33434), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

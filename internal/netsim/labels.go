@@ -73,12 +73,13 @@ func (n *Network) resolveLabel(r *Router, label uint32) (kind labelKind, fec Rou
 	return labelUnknown, 0, 0
 }
 
-// AllocateServiceSID reserves a service SID at router r (service SIDs ride
-// at the bottom of SR stacks and are consumed by the terminating node —
-// the "unshrinking stack" behaviour of advanced SR deployments). The label
-// is drawn from the router's dynamic pool so it collides with nothing.
-func (n *Network) AllocateServiceSID(r *Router, name string) uint32 {
-	l := r.pool.Allocate("svc-" + name)
+// AllocateServiceSID reserves a fresh service SID at router r (service
+// SIDs ride at the bottom of SR stacks and are consumed by the terminating
+// node — the "unshrinking stack" behaviour of advanced SR deployments).
+// The label is drawn from the router's dynamic pool so it collides with
+// nothing.
+func (n *Network) AllocateServiceSID(r *Router) uint32 {
+	l := r.pool.Draw()
 	r.svcSIDs[l] = true
 	return l
 }

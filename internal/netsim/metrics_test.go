@@ -16,11 +16,11 @@ func TestInstrumentCountsForwardingAndReplies(t *testing.T) {
 	c.net.Instrument(reg)
 
 	// TTL 2 expires at pe1 → one time-exceeded.
-	if _, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, 2, 33434)); err != nil {
+	if _, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, 2, 33434), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Full-TTL probe reaches the target host → port unreachable from host.
-	if _, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, 30, 33434)); err != nil {
+	if _, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, 30, 33434), nil); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
@@ -46,7 +46,7 @@ func TestInstrumentCountsDropsByReason(t *testing.T) {
 	c.net.Instrument(reg)
 
 	// Unrouted destination.
-	if _, err := c.net.Send(c.vp, udpProbe(c.vp, a("203.0.113.7"), 8, 33434)); err != nil {
+	if _, err := c.net.Send(c.vp, udpProbe(c.vp, a("203.0.113.7"), 8, 33434), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters["netsim.drop.no_route"]; got != 1 {
@@ -58,7 +58,7 @@ func TestInstrumentCountsDropsByReason(t *testing.T) {
 	for _, r := range c.net.Routers() {
 		r.Profile.ICMPLossProb = 1
 	}
-	if _, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, 2, 33434)); err != nil {
+	if _, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, 2, 33434), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters["netsim.drop.rate_limit"]; got != 1 {
@@ -85,7 +85,7 @@ func TestSelfLoopingFIBEntryAnswersEveryTTL(t *testing.T) {
 	// loop answers from TTL 3 on.
 	var addrs []string
 	for ttl := uint8(3); ttl <= 7; ttl++ {
-		d, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, ttl, 33434))
+		d, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, ttl, 33434), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestSelfLoopingFIBEntryAnswersEveryTTL(t *testing.T) {
 
 	// Clearing the override restores normal delivery.
 	c.net.ClearNextHopOverrides()
-	d, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, 30, 33434))
+	d, err := c.net.Send(c.vp, udpProbe(c.vp, c.target, 30, 33434), nil)
 	if err != nil || d.Reply == nil {
 		t.Fatalf("after clear: delivery failed (err=%v)", err)
 	}

@@ -147,7 +147,7 @@ func (c *chain) traceUDP(t *testing.T, dst netip.Addr, maxTTL int, dport uint16)
 	t.Helper()
 	var hops []*hopReply
 	for ttl := 1; ttl <= maxTTL; ttl++ {
-		d, err := c.net.Send(c.vp, udpProbe(c.vp, dst, uint8(ttl), dport))
+		d, err := c.net.Send(c.vp, udpProbe(c.vp, dst, uint8(ttl), dport), nil)
 		if err != nil {
 			t.Fatalf("send ttl=%d: %v", ttl, err)
 		}
@@ -407,7 +407,7 @@ func TestEchoReplyAndInitialTTLs(t *testing.T) {
 	c := buildChain(t)
 	// Ping p2's interface: Cisco signature is <echo 255, time-exc 255>.
 	p2Iface, _ := c.ps[1].InterfaceTo(c.ps[0].ID)
-	d, err := c.net.Send(c.vp, echoProbe(c.vp, p2Iface, 64, 77))
+	d, err := c.net.Send(c.vp, echoProbe(c.vp, p2Iface, 64, 77), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestRespondsEchoFalse(t *testing.T) {
 	c := buildChain(t)
 	c.ps[1].Profile.RespondsEcho = false
 	p2Iface, _ := c.ps[1].InterfaceTo(c.ps[0].ID)
-	d, err := c.net.Send(c.vp, echoProbe(c.vp, p2Iface, 64, 78))
+	d, err := c.net.Send(c.vp, echoProbe(c.vp, p2Iface, 64, 78), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func TestAdjacencySIDSteering(t *testing.T) {
 	n.Compute()
 
 	var path []RouterID
-	if _, err := n.send(vp, udpProbe(vp, tgt, 32, 33434), &path); err != nil {
+	if _, err := n.send(vp, udpProbe(vp, tgt, 32, 33434), nil, &path); err != nil {
 		t.Fatal(err)
 	}
 	// Path must go s -> a -> d, not via b.
@@ -552,7 +552,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestUnroutedDestination(t *testing.T) {
 	c := buildChain(t)
-	d, err := c.net.Send(c.vp, udpProbe(c.vp, a("203.0.113.99"), 12, 33434))
+	d, err := c.net.Send(c.vp, udpProbe(c.vp, a("203.0.113.99"), 12, 33434), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,16 +563,16 @@ func TestUnroutedDestination(t *testing.T) {
 
 func TestSendErrors(t *testing.T) {
 	c := buildChain(t)
-	if _, err := c.net.Send(a("9.9.9.9"), udpProbe(a("9.9.9.9"), c.target, 3, 33434)); err == nil {
+	if _, err := c.net.Send(a("9.9.9.9"), udpProbe(a("9.9.9.9"), c.target, 3, 33434), nil); err == nil {
 		t.Error("unknown host accepted")
 	}
-	if _, err := c.net.Send(c.vp, []byte{1, 2, 3}); err == nil {
+	if _, err := c.net.Send(c.vp, []byte{1, 2, 3}, nil); err == nil {
 		t.Error("garbage probe accepted")
 	}
 	fresh := New(1)
 	r := fresh.AddRouter(RouterConfig{ASN: 1, Vendor: mpls.VendorCisco, Profile: DefaultProfile(mpls.VendorCisco)})
 	fresh.AddHost(a("172.16.5.5"), r.ID)
-	if _, err := fresh.Send(a("172.16.5.5"), udpProbe(a("172.16.5.5"), a("10.1.0.1"), 3, 33434)); err != ErrNotComputed {
+	if _, err := fresh.Send(a("172.16.5.5"), udpProbe(a("172.16.5.5"), a("10.1.0.1"), 3, 33434), nil); err != ErrNotComputed {
 		t.Errorf("err = %v, want ErrNotComputed", err)
 	}
 }
@@ -585,11 +585,11 @@ func TestAdvertiseAfterComputeNeedsCompute(t *testing.T) {
 	c := buildChain(t)
 	dst := a("100.2.17.9")
 	c.net.AdvertisePrefix(c.pe2.ID, netip.MustParsePrefix("100.2.16.0/20"))
-	if _, err := c.net.Send(c.vp, udpProbe(c.vp, dst, 32, 33434)); err != ErrNotComputed {
+	if _, err := c.net.Send(c.vp, udpProbe(c.vp, dst, 32, 33434), nil); err != ErrNotComputed {
 		t.Fatalf("Send into a /20 advertised after Compute: err = %v, want ErrNotComputed", err)
 	}
 	c.net.Compute()
-	d, err := c.net.Send(c.vp, udpProbe(c.vp, dst, 32, 33434))
+	d, err := c.net.Send(c.vp, udpProbe(c.vp, dst, 32, 33434), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,11 +599,11 @@ func TestAdvertiseAfterComputeNeedsCompute(t *testing.T) {
 
 	host := a("100.2.17.10")
 	c.net.AddHost(host, c.pe2.ID)
-	if _, err := c.net.Send(c.vp, udpProbe(c.vp, host, 32, 33434)); err != ErrNotComputed {
+	if _, err := c.net.Send(c.vp, udpProbe(c.vp, host, 32, 33434), nil); err != ErrNotComputed {
 		t.Fatalf("Send to a host added after Compute: err = %v, want ErrNotComputed", err)
 	}
 	c.net.Compute()
-	d, err = c.net.Send(c.vp, udpProbe(c.vp, host, 32, 33434))
+	d, err = c.net.Send(c.vp, udpProbe(c.vp, host, 32, 33434), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +617,7 @@ func TestIPIDMonotone(t *testing.T) {
 	p2Iface, _ := c.ps[1].InterfaceTo(c.ps[0].ID)
 	var ids []uint16
 	for i := 0; i < 5; i++ {
-		d, err := c.net.Send(c.vp, udpProbe(c.vp, p2Iface, 32, uint16(33434+i)))
+		d, err := c.net.Send(c.vp, udpProbe(c.vp, p2Iface, 32, uint16(33434+i)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -636,7 +636,7 @@ func TestIPIDMonotone(t *testing.T) {
 
 func TestServiceSIDUnshrinkingStack(t *testing.T) {
 	c := buildChain(t)
-	svc := c.net.AllocateServiceSID(c.pe2, "fw-chain")
+	svc := c.net.AllocateServiceSID(c.pe2)
 	pe2 := c.pe2.ID
 	c.net.SRPolicy = func(ing *Router, egress RouterID, dst netip.Addr, flow uint64) SegmentList {
 		if egress == pe2 {
@@ -764,11 +764,11 @@ func TestICMPLossAndRetries(t *testing.T) {
 	c.ps[1].Profile.ICMPLossProb = 0.6
 	// Deterministic: the same probe is lost (or not) every time.
 	probe := udpProbe(c.vp, c.target, 4, 33434)
-	d1, err := c.net.Send(c.vp, probe)
+	d1, err := c.net.Send(c.vp, probe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := c.net.Send(c.vp, probe)
+	d2, err := c.net.Send(c.vp, probe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -782,7 +782,7 @@ func TestICMPLossAndRetries(t *testing.T) {
 		ub, _ := u.Marshal(c.vp, c.target)
 		ip := &pkt.IPv4{TTL: 4, Protocol: pkt.ProtoUDP, ID: uint16(i * 17), Src: c.vp, Dst: c.target, Payload: ub}
 		w, _ := ip.Marshal()
-		d, err := c.net.Send(c.vp, w)
+		d, err := c.net.Send(c.vp, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,10 +65,13 @@ type Network struct {
 	sidOwner []RouterID
 
 	computed bool
-	// nexthops[src][dst] lists ECMP next hops from src toward dst router;
-	// dense slices indexed by RouterID (IDs are contiguous from 0).
-	nexthops [][][]RouterID
-	dist     [][]int
+	// dist[src][dst] is the IGP distance from src to dst, -1 when
+	// unreachable, over the len(dist) routers SPF ran on. nhSlab holds
+	// the ECMP next hops of every (src, dst) pair back to back: those of
+	// pair i = src*len(dist)+dst are nhSlab[nhOff[i]:nhOff[i+1]].
+	dist   [][]int
+	nhSlab []RouterID
+	nhOff  []int32
 }
 
 // New creates an empty network. All stochastic choices (label pool draws,
@@ -151,8 +154,6 @@ func (n *Network) AddRouter(cfg RouterConfig) *Router {
 		svcSIDs:    make(map[uint32]bool),
 		adjSIDs:    make(map[RouterID]uint32),
 		adjByL:     make(map[uint32]RouterID),
-		ldpIn:      make(map[uint32]RouterID),
-		ldpOut:     make(map[RouterID]uint32),
 		ifaces:     make(map[RouterID]netip.Addr),
 		ipIDBase:   uint16(h),
 		ipIDStride: uint16(1 + (h>>16)%8),
@@ -401,15 +402,17 @@ func (n *Network) assignSIDs() {
 		sort.Slice(nbs, func(i, j int) bool { return nbs[i].id < nbs[j].id })
 		seq := uint32(0)
 		for _, nb := range nbs {
-			var label uint32
-			if r.SRLB.Size() > 0 {
+			label, bound := r.adjSIDs[nb.id]
+			switch {
+			case r.SRLB.Size() > 0:
 				label = r.SRLB.Lo + seq
 				if label > r.SRLB.Hi {
 					panic(fmt.Sprintf("netsim: SRLB of %s exhausted", r.Name))
 				}
-			} else {
-				// Juniper-style: adjacency SIDs from the dynamic pool.
-				label = r.pool.Allocate(fmt.Sprintf("adj-%d", nb.id))
+			case !bound:
+				// Juniper-style: adjacency SIDs from the dynamic pool,
+				// drawn once per neighbor.
+				label = r.pool.Draw()
 			}
 			r.adjSIDs[nb.id] = label
 			r.adjByL[label] = nb.id
@@ -421,9 +424,10 @@ func (n *Network) assignSIDs() {
 // distributeLDP makes every LDP-enabled router allocate a label from its
 // dynamic pool for every reachable egress router FEC, mirroring per-prefix
 // downstream-unsolicited LDP. SR border routers also generate LDP bindings
-// that mirror the node SIDs they learned (LDP→SR interworking).
+// that mirror the node SIDs they learned (LDP→SR interworking). A binding
+// outlives reconvergence: a re-run keeps every label already advertised
+// and draws only for FECs without one.
 func (n *Network) distributeLDP() {
-	fec := make([]string, len(n.routers)) // FEC keys, formatted on first use
 	for _, r := range n.routers {
 		if !r.LDPEnabled && !r.SREnabled {
 			continue
@@ -443,17 +447,21 @@ func (n *Network) distributeLDP() {
 				continue
 			}
 		}
+		if grow := len(n.routers) - len(r.ldpOut); grow > 0 {
+			r.ldpOut = append(r.ldpOut, make([]uint32, grow)...)
+		}
+		if r.ldpIn == nil {
+			// Sized once for a binding per router of the AS.
+			r.ldpIn = make(map[uint32]RouterID, n.nextLoop[n.asIndex[r.ASN]])
+		}
 		for _, e := range n.routers {
 			if e.ID == r.ID || e.ASN != r.ASN {
 				continue
 			}
-			if n.dist[r.ID][e.ID] < 0 {
+			if n.dist[r.ID][e.ID] < 0 || r.ldpOut[e.ID] != 0 {
 				continue
 			}
-			if fec[e.ID] == "" {
-				fec[e.ID] = "fec-" + e.Loopback.String()
-			}
-			l := r.pool.Allocate(fec[e.ID])
+			l := r.pool.Draw()
 			r.ldpIn[l] = e.ID
 			r.ldpOut[e.ID] = l
 		}

@@ -13,9 +13,8 @@ import (
 // the decoded probe, the forwarding context (with the destination record
 // resolved once per Send) and frame, the working label stacks, and the
 // byte buffers the per-hop quote/reply construction appends into.
-// Pooling it makes the wire path (near-)zero-allocation: the only
-// per-Send heap traffic left is the reply wire handed to the caller
-// (Delivery itself is returned by value).
+// Pooling it makes the wire path zero-allocation: the reply wire goes
+// into the caller's buffer, and Delivery itself is returned by value.
 //
 // The pool sits OUTSIDE the determinism contract on purpose (DESIGN.md
 // §11): which scratch a Send draws depends on scheduling, but every

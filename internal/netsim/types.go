@@ -162,12 +162,15 @@ type Router struct {
 	// nodeIndex is the SR node-SID index; -1 when the router has none.
 	nodeIndex int
 
-	pool    *mpls.Pool              // dynamic label pool (LDP labels, Juniper adj SIDs)
+	// pool draws the router's dynamic labels: service SIDs, LDP labels
+	// and Juniper-style adjacency SIDs. Each drawn label is bound in one
+	// of the tables below, which also keep it across re-Computes.
+	pool    *mpls.Pool
 	svcSIDs map[uint32]bool         // service SIDs terminating at this router
 	adjSIDs map[RouterID]uint32     // neighbor -> adjacency SID label
 	adjByL  map[uint32]RouterID     // adjacency SID label -> neighbor
 	ldpIn   map[uint32]RouterID     // incoming LDP label -> FEC (egress router)
-	ldpOut  map[RouterID]uint32     // FEC -> label this router advertised
+	ldpOut  []uint32                // FEC (egress RouterID) -> label this router advertised; 0: none
 	ifaces  map[RouterID]netip.Addr // neighbor -> local interface address
 
 	// ipIDBase and ipIDStride parameterize the router's shared IP-ID
@@ -213,10 +216,13 @@ func (r *Router) AdjacencySID(n RouterID) (uint32, bool) {
 }
 
 // LDPLabel returns the label this router advertised for the FEC of egress
-// router e.
+// router e. No dynamic pool starts below label 16, so 0 marks a FEC
+// without a binding.
 func (r *Router) LDPLabel(e RouterID) (uint32, bool) {
-	l, ok := r.ldpOut[e]
-	return l, ok
+	if e < 0 || int(e) >= len(r.ldpOut) || r.ldpOut[e] == 0 {
+		return 0, false
+	}
+	return r.ldpOut[e], true
 }
 
 // Host is an end host attached to an edge router: a vantage point or a

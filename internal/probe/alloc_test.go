@@ -12,13 +12,14 @@ import (
 
 // Allocation budgets for the probe-send path, one scenario per branch of
 // the sweep. A trace costs its result — the Trace, its exact Hops slice
-// and, when any hop quotes labels, one LSE slab every hop's stack slices —
-// plus the reply wire of each netsim exchange that answered; hops, stacks,
-// loop detection and revelation are built in the pooled scratch, and probe
-// construction, encoding and reply decoding contribute nothing. Each
-// budget is its scenario's steady state: AllocsPerRun rounds the mean
-// down, so a scratch the pool fails to recycle during a GC stays inside
-// it, while a per-trace map, a per-hop stack or a heap Delivery trips it
+// and, when any hop quotes labels, one LSE slab every hop's stack slices;
+// hops, stacks, loop detection and revelation are built in the pooled
+// scratch, every netsim reply lands in the spare capacity of the probe's
+// wire buffer, and probe construction, encoding and reply decoding
+// contribute nothing. Each budget is its scenario's steady state:
+// AllocsPerRun rounds the mean down, so a scratch the pool fails to
+// recycle during a GC stays inside it, while a per-trace map, a per-hop
+// stack, a heap Delivery or a reply that misses the wire buffer trips it
 // at once.
 
 func skipUnderRace(t *testing.T) {
@@ -28,40 +29,43 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-func TestAllocBudgetTrace(t *testing.T) {
-	skipUnderRace(t)
-	cases := []struct {
-		name string
-		// setup returns the tracer and destination of the scenario.
-		setup  func(t *testing.T) (*Tracer, netip.Addr)
-		halt   HaltReason
-		budget float64
-	}{
+// traceCase is one Trace scenario: setup builds a fresh network and
+// returns the tracer and destination, halt is how the trace ends, and
+// budget is its allocations per trace.
+type traceCase struct {
+	name   string
+	setup  func(t *testing.T) (*Tracer, netip.Addr)
+	halt   HaltReason
+	budget float64
+}
+
+func traceCases() []traceCase {
+	return []traceCase{
 		// 7 replies, each hop quoting its label stack.
 		{"explicit SR tunnel", func(t *testing.T) (*Tracer, netip.Addr) {
 			tn := build(t, netsim.ModeSR, true, true)
 			return tn.tracer(), tn.target
-		}, HaltReached, 3 + 7},
+		}, HaltReached, 3},
 		// Echo probes: the target host ends the trace with an echo reply.
 		{"ICMP echo method", func(t *testing.T) (*Tracer, netip.Addr) {
 			tn := build(t, netsim.ModeSR, true, true)
 			tc := tn.tracer()
 			tc.Method = MethodICMP
 			return tc, tn.target
-		}, HaltReached, 3 + 7},
+		}, HaltReached, 3},
 		// Pipe model with RFC 4950: the egress quotes an opaque LSE, and DPR
 		// toward it reveals the 3 hidden LSRs. The main sweep's 4 replies
-		// and the auxiliary trace's 6 ride on the result.
+		// and the auxiliary trace's 6 land in the two scratches' wires.
 		{"opaque tunnel revealed", func(t *testing.T) (*Tracer, netip.Addr) {
 			tn := build(t, netsim.ModeSR, false, true)
 			return tn.tracer(), tn.target
-		}, HaltReached, 3 + 10},
+		}, HaltReached, 3},
 		// Pipe model without quotes: the return-path jump triggers DPR. No
 		// hop quotes labels, so there is no slab.
 		{"invisible tunnel revealed", func(t *testing.T) (*Tracer, netip.Addr) {
 			tn := build(t, netsim.ModeSR, false, false)
 			return tn.tracer(), tn.target
-		}, HaltReached, 2 + 10},
+		}, HaltReached, 2},
 		// gw and pe1 answer; p1, p2 and p3 stay silent through their
 		// retries, and the third gap halts the sweep.
 		{"gap halt", func(t *testing.T) (*Tracer, netip.Addr) {
@@ -71,7 +75,7 @@ func TestAllocBudgetTrace(t *testing.T) {
 			}
 			tn.pe2.Profile.RespondsICMP = false
 			return tn.tracer(), tn.ps[2].Loopback
-		}, HaltGaps, 2 + 2},
+		}, HaltGaps, 2},
 		// A self-looping FIB entry at pe1: gw, then pe1 answering from one
 		// interface until three identical responders halt the sweep.
 		{"period-1 loop halt", func(t *testing.T) (*Tracer, netip.Addr) {
@@ -82,9 +86,9 @@ func TestAllocBudgetTrace(t *testing.T) {
 			}
 			tn.net.SetNextHopOverride(tn.pe1.ID, owner, tn.pe1.ID)
 			return tn.tracer(), tn.target
-		}, HaltLoop, 2 + 5},
+		}, HaltLoop, 2},
 		// Half the LSRs' replies are lost per probe; retries recover them.
-		// The flow's coins give 7 replies, and retried probes cost nothing.
+		// Retried probes cost nothing.
 		{"retries over lossy hops", func(t *testing.T) (*Tracer, netip.Addr) {
 			tn := build(t, netsim.ModeIP, true, true)
 			for _, p := range tn.ps {
@@ -93,7 +97,7 @@ func TestAllocBudgetTrace(t *testing.T) {
 			tc := tn.tracer()
 			tc.Retries = 3
 			return tc, tn.target
-		}, HaltReached, 2 + 7},
+		}, HaltReached, 2},
 		// Every exchange fails: the sweep halts at TTL 1 with no hop kept.
 		// The cost is the Trace, and the wrapped error and its text for
 		// each of the 3 attempts.
@@ -102,7 +106,11 @@ func TestAllocBudgetTrace(t *testing.T) {
 			return NewTracer(FaultConn{Conn: NetsimConn{tn.net}}, tn.vp), tn.target
 		}, HaltError, 1 + 3*2},
 	}
-	for _, c := range cases {
+}
+
+func TestAllocBudgetTrace(t *testing.T) {
+	skipUnderRace(t)
+	for _, c := range traceCases() {
 		t.Run(c.name, func(t *testing.T) {
 			tc, dst := c.setup(t)
 			run := func() {
@@ -129,17 +137,50 @@ func (c cannedConn) Exchange(context.Context, netip.Addr, []byte) ([]byte, float
 	return c.reply, 1, nil
 }
 
-// Ping and SampleIPID ride the same scratch pool: an answered probe costs
-// its reply wire, and an unanswered or discarded one nothing.
-func TestAllocBudgetPingAndIPID(t *testing.T) {
-	skipUnderRace(t)
+// probeCase is one Ping or SampleIPID scenario: tc probes dst, and want
+// is whether an answer comes back.
+type probeCase struct {
+	name string
+	tc   *Tracer
+	dst  netip.Addr
+	ipid bool // SampleIPID rather than Ping
+	want bool
+}
+
+// probeResult is what a Ping or SampleIPID returns.
+type probeResult struct {
+	replyTTL uint8
+	sample   IPIDSample
+	ok       bool
+}
+
+func (c probeCase) send() (probeResult, error) {
+	var r probeResult
+	var err error
+	if c.ipid {
+		r.sample, r.ok, err = c.tc.SampleIPID(context.Background(), c.dst, 3)
+	} else {
+		r.replyTTL, r.ok, err = c.tc.Ping(context.Background(), c.dst, 7)
+	}
+	return r, err
+}
+
+// probeCases builds the Ping and SampleIPID scenarios on a fresh chain,
+// every tracer probing through wrap(conn) when wrap is non-nil.
+func probeCases(t *testing.T, wrap func(Conn) Conn) []probeCase {
 	tn := build(t, netsim.ModeIP, true, true)
 	tn.ps[1].Profile.RespondsEcho = false
 	tn.ps[2].Profile.RespondsICMP = false
-	tr := tn.tracer()
+	tracer := func(c Conn) *Tracer {
+		if wrap != nil {
+			c = wrap(c)
+		}
+		return NewTracer(c, tn.vp)
+	}
+	tr := tracer(NetsimConn{tn.net})
 	// A tracer whose BasePort lies outside the traceroute range probes
 	// from the range's base instead.
-	lowPort := tn.tracer()
+	lowPort := tracer(NetsimConn{tn.net})
 	lowPort.BasePort = 80
 	// A ping answered by a time-exceeded message is no echo reply.
 	echo, err := (&pkt.ICMP{Type: pkt.ICMPEchoRequest, ID: 7, Seq: 1, Body: pingPayload}).Marshal()
@@ -150,47 +191,88 @@ func TestAllocBudgetPingAndIPID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	teConn := NewTracer(cannedConn{timeExceededFrom(t, tn.gw.Loopback, probe)}, tn.vp)
+	teConn := tracer(cannedConn{timeExceededFrom(t, tn.gw.Loopback, probe)})
+	return []probeCase{
+		{"Ping", tr, tn.target, false, true},
+		{"Ping/echo dropped", tr, tn.ps[1].Loopback, false, false},
+		{"Ping/time exceeded instead of echo reply", teConn, tn.target, false, false},
+		{"SampleIPID", tr, tn.target, true, true},
+		{"SampleIPID/silent router", tr, tn.ps[2].Loopback, true, false},
+		{"SampleIPID/BasePort below the traceroute range", lowPort, tn.target, true, true},
+	}
+}
 
-	ping := func(tc *Tracer, dst netip.Addr, want bool) func(t *testing.T) {
-		return func(t *testing.T) {
-			if _, ok, err := tc.Ping(context.Background(), dst, 7); err != nil || ok != want {
-				t.Fatalf("ping %s: ok=%v err=%v, want ok=%v", dst, ok, err, want)
+// Ping and SampleIPID ride the same scratch pool, and the reply lands in
+// the probe's wire buffer: no probe costs anything.
+func TestAllocBudgetPingAndIPID(t *testing.T) {
+	skipUnderRace(t)
+	for _, c := range probeCases(t, nil) {
+		t.Run(c.name, func(t *testing.T) {
+			run := func() {
+				if r, err := c.send(); err != nil || r.ok != c.want {
+					t.Fatalf("%s: ok=%v err=%v, want ok=%v", c.dst, r.ok, err, c.want)
+				}
 			}
-		}
-	}
-	ipid := func(tc *Tracer, dst netip.Addr, want bool) func(t *testing.T) {
-		return func(t *testing.T) {
-			if _, ok, err := tc.SampleIPID(context.Background(), dst, 3); err != nil || ok != want {
-				t.Fatalf("ipid %s: ok=%v err=%v, want ok=%v", dst, ok, err, want)
+			run()
+			if got := testing.AllocsPerRun(200, run); got > 0 {
+				t.Errorf("%s: %.1f allocs/op, budget 0", c.name, got)
 			}
-		}
+		})
 	}
-	cases := []struct {
-		name   string
-		run    func(t *testing.T)
-		budget float64
-	}{
-		{"Ping", ping(tr, tn.target, true), 1},
-		{"Ping/echo dropped", ping(tr, tn.ps[1].Loopback, false), 0},
-		{"Ping/time exceeded instead of echo reply", ping(teConn, tn.target, false), 0},
-		{"SampleIPID", ipid(tr, tn.target, true), 1},
-		{"SampleIPID/silent router", ipid(tr, tn.ps[2].Loopback, false), 0},
-		{"SampleIPID/BasePort below the traceroute range", ipid(lowPort, tn.target, true), 1},
-		{"InferInitialTTL", func(t *testing.T) {
+	t.Run("InferInitialTTL", func(t *testing.T) {
+		run := func() {
 			for _, c := range [][2]uint8{{20, 32}, {50, 64}, {100, 128}, {200, 255}} {
 				if got := InferInitialTTL(c[0]); got != c[1] {
 					t.Fatalf("InferInitialTTL(%d) = %d, want %d", c[0], got, c[1])
 				}
 			}
-		}, 0},
-	}
-	for _, c := range cases {
+		}
+		run()
+		if got := testing.AllocsPerRun(200, run); got > 0 {
+			t.Errorf("InferInitialTTL: %.1f allocs/op, budget 0", got)
+		}
+	})
+}
+
+// NetsimConn answers into the spare capacity of the probe's wire buffer,
+// and into one allocation when there is none.
+func TestAllocBudgetExchange(t *testing.T) {
+	skipUnderRace(t)
+	tn := build(t, netsim.ModeSR, true, true)
+	probe := udpProbeWire(t, tn.vp, tn.target, 4)
+	conn := NetsimConn{tn.net}
+	for _, c := range []struct {
+		name   string
+		wire   []byte
+		budget float64
+	}{
+		{"spare capacity", append(make([]byte, 0, wireCap), probe...), 0},
+		{"no spare capacity", probe[:len(probe):len(probe)], 1},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			c.run(t)
-			if got := testing.AllocsPerRun(200, func() { c.run(t) }); got > c.budget {
-				t.Errorf("%s: %.1f allocs/op, budget %.0f", c.name, got, c.budget)
+			run := func() {
+				if reply, _, err := conn.Exchange(context.Background(), tn.vp, c.wire); err != nil || reply == nil {
+					t.Fatalf("reply %v, err %v", reply, err)
+				}
+			}
+			run()
+			if got := testing.AllocsPerRun(200, run); got != c.budget {
+				t.Errorf("Exchange: %.1f allocs/op, want %.0f", got, c.budget)
 			}
 		})
 	}
+}
+
+// udpProbeWire serializes the tracer's UDP probe toward dst at ttl.
+func udpProbeWire(t *testing.T, src, dst netip.Addr, ttl uint8) []byte {
+	t.Helper()
+	udp, err := (&pkt.UDP{SrcPort: 33434, DstPort: 33434, Payload: probePayload}).AppendMarshal(nil, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := (&pkt.IPv4{TTL: ttl, Protocol: pkt.ProtoUDP, ID: 9, Src: src, Dst: dst, Payload: udp}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
 }

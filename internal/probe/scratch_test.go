@@ -1,8 +1,10 @@
 package probe
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/netip"
 	"reflect"
 	"slices"
 	"sync"
@@ -98,6 +100,86 @@ func TestTraceOwnsItsMemory(t *testing.T) {
 	for i, h := range first.Hops {
 		if cap(h.Stack) != len(h.Stack) {
 			t.Errorf("hop %d stack: cap %d, len %d", i, cap(h.Stack), len(h.Stack))
+		}
+	}
+}
+
+// NetsimConn appends the reply behind the probe, in wire's spare capacity.
+// The probe's bytes stay as they were though that capacity held poison,
+// and the reply equals the one an identical network answers into fresh
+// memory: every byte of it is written.
+func TestNetsimConnReplyInSpareCapacity(t *testing.T) {
+	ctx := context.Background()
+	for _, ttl := range []uint8{3, 64} { // a quoted time exceeded; the target's port unreachable
+		tn, twin := build(t, netsim.ModeSR, true, true), build(t, netsim.ModeSR, true, true)
+		probe := udpProbeWire(t, tn.vp, tn.target, ttl)
+		wire := append(make([]byte, 0, wireCap), probe...)
+		spare := wire[len(wire):cap(wire)]
+		for i := range spare {
+			spare[i] = 0xa5
+		}
+		reply, _, err := NetsimConn{tn.net}.Exchange(ctx, tn.vp, wire)
+		if err != nil || reply == nil {
+			t.Fatalf("ttl %d: reply %v, err %v", ttl, reply, err)
+		}
+		if !bytes.Equal(wire, probe) {
+			t.Errorf("ttl %d: the exchange rewrote the probe", ttl)
+		}
+		if &reply[0] != &spare[0] {
+			t.Errorf("ttl %d: the reply is not in the wire's spare capacity", ttl)
+		}
+		fresh, _, err := NetsimConn{twin.net}.Exchange(ctx, twin.vp, probe[:len(probe):len(probe)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reply, fresh) {
+			t.Errorf("ttl %d: reply in spare capacity\n% x\ndiffers from reply in fresh memory\n% x", ttl, reply, fresh)
+		}
+	}
+}
+
+// freshConn hands every reply back in fresh memory, as the Conn contract
+// had it before a reply could share the probe's wire buffer.
+type freshConn struct{ Conn }
+
+func (c freshConn) Exchange(ctx context.Context, src netip.Addr, wire []byte) ([]byte, float64, error) {
+	reply, rtt, err := c.Conn.Exchange(ctx, src, wire)
+	return bytes.Clone(reply), rtt, err
+}
+
+// The tracer keeps nothing of a reply past its next probe, so replies in
+// the wire buffer give the same traces, pings and IP-ID samples as replies
+// in fresh memory, on every scenario of the allocation budgets. Each side
+// probes its own copy of the network, whose IP-ID counters the probes
+// advance alike.
+func TestTracerSameOverFreshReplies(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range traceCases() {
+		t.Run(c.name, func(t *testing.T) {
+			tc, dst := c.setup(t)
+			old, oldDst := c.setup(t)
+			old.Conn = freshConn{old.Conn}
+			for flow := uint16(0); flow < 4; flow++ {
+				got, err := tc.Trace(ctx, dst, flow)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := old.Trace(ctx, oldDst, flow)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("flow %d: over the wire buffer\n%s\nover fresh replies\n%s", flow, got, want)
+				}
+			}
+		})
+	}
+	probes, old := probeCases(t, nil), probeCases(t, func(c Conn) Conn { return freshConn{c} })
+	for i, c := range probes {
+		got, err := c.send()
+		want, oldErr := old[i].send()
+		if got != want || (err == nil) != (oldErr == nil) {
+			t.Errorf("%s: over the wire buffer %+v (err %v), over fresh replies %+v (err %v)", c.name, got, err, want, oldErr)
 		}
 	}
 }

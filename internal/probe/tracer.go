@@ -25,9 +25,12 @@ import (
 //
 // Ownership: wire is only valid for the duration of the call — the tracer
 // reuses the buffer for the next probe, so implementations must not retain
-// it. The returned reply, conversely, passes to the tracer, which may hold
-// references into it (quoted label stacks); implementations must hand back
-// a buffer they will not reuse or mutate.
+// it, and must not write wire[:len(wire)]. A reply may occupy
+// wire[len(wire):cap(wire)], the spare capacity the tracer sizes for it;
+// it stays valid until the caller next writes that buffer. The tracer
+// decodes each reply before its next probe and keeps nothing of it: the
+// hop's fields are values and its quoted label stack is copied into
+// scratch.
 type Conn interface {
 	Exchange(ctx context.Context, src netip.Addr, wire []byte) (reply []byte, rttMs float64, err error)
 }
@@ -42,13 +45,14 @@ type NetsimConn struct {
 	Net *netsim.Network
 }
 
-// Exchange implements Conn over the simulator. The simulated exchange is
-// instantaneous, so ctx is deliberately unread: checking it here would let
-// a racy cancellation perturb which probes of an in-flight trace complete,
-// while the trace/TTL-boundary checks in Trace keep cancellation points
-// schedule-independent.
+// Exchange implements Conn over the simulator, appending the reply to
+// wire's spare capacity; it allocates only when the reply does not fit
+// there. The simulated exchange is instantaneous, so ctx is deliberately
+// unread: checking it here would let a racy cancellation perturb which
+// probes of an in-flight trace complete, while the trace/TTL-boundary
+// checks in Trace keep cancellation points schedule-independent.
 func (c NetsimConn) Exchange(_ context.Context, src netip.Addr, wire []byte) ([]byte, float64, error) {
-	d, err := c.Net.Send(src, wire)
+	d, err := c.Net.Send(src, wire, wire[len(wire):])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -88,7 +92,7 @@ var (
 // back to the pool.
 type probeScratch struct {
 	payload []byte     // serialized probe payload (UDP datagram or ICMP echo)
-	wire    []byte     // serialized probe IP packet
+	wire    []byte     // serialized probe IP packet; its spare capacity takes the reply
 	ip      pkt.IPv4   // probe under construction
 	echo    pkt.ICMP   // echo request under construction
 	udp     pkt.UDP    // UDP datagram under construction
@@ -139,7 +143,16 @@ func (s *probeScratch) ownedHops() []Hop {
 	return out.Hops
 }
 
-var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
+// wireCap is the capacity a scratch's wire buffer is made with: room for
+// a probe (at most 43 bytes: an IPv4 header, an 8-byte UDP or ICMP header
+// and a 15-byte payload) and, behind it, the largest reply, an ICMP error,
+// which RFC 1812 (4.3.2.3) caps at 576 bytes. A reply that does not fit
+// still arrives, at the cost of one allocation.
+const wireCap = 64 + 576
+
+var probeScratchPool = sync.Pool{New: func() any {
+	return &probeScratch{wire: make([]byte, 0, wireCap)}
+}}
 
 // Tracer is a Paris traceroute engine with TNT extensions.
 type Tracer struct {
