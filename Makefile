@@ -46,8 +46,15 @@ lint: arestlint
 arestlint:
 	$(GO) run ./cmd/arestlint -tests ./...
 
-# CI entry point.
+# CI entry point: vet, lint and the race-enabled suite, then the two
+# checks CI's check job adds on top: gofmt lists no file, and the
+# committed transcript is what the campaign prints (a stale transcript
+# shows as a diff after the regeneration).
 check: vet lint race
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	$(MAKE) experiments-output
+	git diff --exit-code experiments_output.txt
 
 # Full benchmark sweep: every package, with allocation columns — the
 # wire-path allocation budgets (DESIGN.md §11) are regression-gated by

@@ -69,23 +69,27 @@ func buildCost(w analyzedWorld, runs int) (allocs, bytes uint64) {
 // TestAllocBudgetBuild pins the allocations and bytes of building three
 // analyzed worlds: a small stub (Iliad Italy), an LDP-only transit AS
 // (Telecom Italia) and an SR/LDP interworking AS with a mapping server
-// (Deutsche Telekom). The build draws labels without keys, keeps LDP
-// bindings in a dense slice per router and next hops in one slab, so a
-// formatted key per binding (~3,500 strings in Telecom Italia) or a map
-// per router for its LDP bindings (~300 allocations) trips the allocation
-// budget, and a slice header per router pair (34² or 76² of them, a fifth
-// of the bytes) the byte budget. Each budget is the larger steady state of
-// two map implementations, Go 1.24's swiss tables and the older buckets
-// (GOEXPERIMENT=noswissmap, the default before Go 1.24), plus 2% for the
-// older maps' spread across hash seeds.
+// (Deutsche Telekom). A router keeps its links in one slice and every
+// incoming label it binds in one table, made at its first binding and
+// sized for the LDP labels only a router that binds them will hold; its
+// label pool keeps no set of its own, its outgoing LDP labels sit in a
+// dense slice, and next hops in one slab. So a formatted key per binding
+// (~3,500 strings in Telecom Italia), a used-label set per pool or a map
+// per router per kind of binding trips the allocation budget, and a
+// slice header per router pair (34² or 76² of them, a fifth of the
+// bytes) or an LDP-sized table on every SR router the byte budget. Each
+// budget is the larger steady state of two map implementations, Go
+// 1.24's swiss tables and the older buckets (GOEXPERIMENT=noswissmap, the
+// default before Go 1.24), plus 2% for the older maps' spread across hash
+// seeds.
 func TestAllocBudgetBuild(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("allocation counts are meaningless under -race instrumentation")
 	}
 	budgets := map[int]struct{ allocs, bytes uint64 }{
-		2:  {730, 135_000},  // measured 712 and 131,104
-		38: {2290, 640_000}, // measured 2,242 and 628,208
-		53: {2050, 517_000}, // measured 2,006 and 506,721
+		2:  {455, 109_000},  // measured 446 (swiss) and 106,020 (noswissmap)
+		38: {1035, 446_000}, // measured 1,012 (swiss) and 436,339 (noswissmap)
+		53: {1050, 385_000}, // measured 1,026 (swiss) and 376,872 (noswissmap)
 	}
 	for _, w := range analyzedWorlds() {
 		budget, ok := budgets[w.rec.ID]

@@ -9,12 +9,12 @@ import "fmt"
 //
 // Allocation is pseudo-random within the pool range but deterministic for a
 // given seed, so campaigns are reproducible and false-positive probabilities
-// can be measured. The pool only draws: what a label is bound to is the
-// caller's to record, in its own tables.
+// can be measured. The pool only draws: which labels are taken, and what
+// each is bound to, is the caller's to record, in its own tables.
 type Pool struct {
 	src    labelSource // math/rand's draws for the seed, without its state
 	labels LabelRange
-	used   map[uint32]struct{}
+	drawn  uint32 // labels Draw has returned
 }
 
 // NewPool creates a dynamic label pool over r, seeded deterministically:
@@ -23,21 +23,21 @@ func NewPool(r LabelRange, seed int64) *Pool {
 	return &Pool{src: newLabelSource(seed), labels: r}
 }
 
-// Draw returns a label no earlier draw returned: the next draw of the
-// seeded source that lands on an unused label. Draw panics only if the
-// pool is fully exhausted, which cannot happen for realistic pool sizes.
-func (p *Pool) Draw() uint32 {
+// Draw returns the next draw of the seeded source that taken reports
+// free. taken must report every label an earlier draw returned, so no
+// label is returned twice. Draw panics once it has returned every label
+// of the pool, which cannot happen for realistic pool sizes; a taken
+// that also reports labels no draw returned must leave one free, or the
+// draw never ends.
+func (p *Pool) Draw(taken func(uint32) bool) uint32 {
 	size := p.labels.Size()
-	if uint32(len(p.used)) >= size {
+	if p.drawn >= size {
 		panic(fmt.Sprintf("mpls: label pool %v exhausted", p.labels))
-	}
-	if p.used == nil {
-		p.used = make(map[uint32]struct{})
 	}
 	for {
 		l := p.labels.Lo + uint32(p.src.Int63n(int64(size)))
-		if _, taken := p.used[l]; !taken {
-			p.used[l] = struct{}{}
+		if !taken(l) {
+			p.drawn++
 			return l
 		}
 	}

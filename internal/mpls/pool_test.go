@@ -6,37 +6,47 @@ import (
 	"testing"
 )
 
-// The pool draws without keys; that a router's bindings stay put across
-// re-Computes is netsim's to keep, and TestLabelTablesMatchKeyedPool
-// there checks it against the keyed pool these draws replaced.
+// The pool draws without keys and keeps no record of its labels; that a
+// router's bindings stay put across re-Computes is netsim's to keep, and
+// TestLabelTablesMatchKeyedPool there checks it against the keyed pool
+// these draws replaced.
+
+// drawnSet is the taken-check a caller keeps: every label drawn so far.
+type drawnSet map[uint32]bool
+
+// draw draws from p and records the label as taken.
+func (s drawnSet) draw(p *Pool) uint32 {
+	l := p.Draw(func(l uint32) bool { return s[l] })
+	s[l] = true
+	return l
+}
 
 func TestPoolDrawWithinRange(t *testing.T) {
 	r := DynamicPool(VendorCisco)
-	p := NewPool(r, 42)
+	p, s := NewPool(r, 42), drawnSet{}
 	for i := 0; i < 1000; i++ {
-		if l := p.Draw(); !r.Contains(l) {
+		if l := s.draw(p); !r.Contains(l) {
 			t.Fatalf("label %d outside pool %v", l, r)
 		}
 	}
 }
 
 func TestPoolDrawUnique(t *testing.T) {
-	p := NewPool(LabelRange{100, 1099}, 3)
-	seen := make(map[uint32]bool)
+	p, s := NewPool(LabelRange{100, 1099}, 3), drawnSet{}
 	for i := 0; i < 1000; i++ {
-		l := p.Draw()
-		if seen[l] {
+		l := p.Draw(func(l uint32) bool { return s[l] })
+		if s[l] {
 			t.Fatalf("label %d drawn twice", l)
 		}
-		seen[l] = true
+		s[l] = true
 	}
 }
 
 func TestPoolDeterministic(t *testing.T) {
-	a := NewPool(DynamicPool(VendorCisco), 99)
-	b := NewPool(DynamicPool(VendorCisco), 99)
+	a, sa := NewPool(DynamicPool(VendorCisco), 99), drawnSet{}
+	b, sb := NewPool(DynamicPool(VendorCisco), 99), drawnSet{}
 	for i := 0; i < 50; i++ {
-		if la, lb := a.Draw(), b.Draw(); la != lb {
+		if la, lb := sa.draw(a), sb.draw(b); la != lb {
 			t.Fatalf("same seed diverged at draw %d: %d vs %d", i, la, lb)
 		}
 	}
@@ -45,12 +55,12 @@ func TestPoolDeterministic(t *testing.T) {
 func TestPoolDifferentSeedsDiverge(t *testing.T) {
 	// Local significance: two routers (different seeds) should essentially
 	// never agree on the label of their i-th binding across many draws.
-	a := NewPool(DynamicPool(VendorCisco), 1)
-	b := NewPool(DynamicPool(VendorCisco), 2)
+	a, sa := NewPool(DynamicPool(VendorCisco), 1), drawnSet{}
+	b, sb := NewPool(DynamicPool(VendorCisco), 2), drawnSet{}
 	agree := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if a.Draw() == b.Draw() {
+		if sa.draw(a) == sb.draw(b) {
 			agree++
 		}
 	}
@@ -66,10 +76,10 @@ func TestPoolExhaustionPanics(t *testing.T) {
 			t.Error("exhausted pool did not panic")
 		}
 	}()
-	p := NewPool(LabelRange{10, 11}, 1)
-	p.Draw()
-	p.Draw()
-	p.Draw() // pool of size 2 exhausted
+	p, s := NewPool(LabelRange{10, 11}, 1), drawnSet{}
+	s.draw(p)
+	s.draw(p)
+	s.draw(p) // pool of size 2 exhausted
 }
 
 // TestPoolSourceMatchesMathRand pins the computed label source to

@@ -30,8 +30,36 @@ func Seed(n *Network) int64 { return n.seed }
 // ServiceSIDs returns the service SIDs terminating at r, in ascending
 // order.
 func ServiceSIDs(r *Router) []uint32 {
-	out := make([]uint32, 0, len(r.svcSIDs))
-	for l := range r.svcSIDs {
+	var out []uint32
+	for l, b := range r.labels {
+		if b.kind == labelService {
+			out = append(out, l)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// LabelKind is what resolveLabel reports a label to be.
+type LabelKind = labelKind
+
+// The label kinds a router's label table binds.
+const (
+	LabelAdjSID  = labelAdjSID
+	LabelLDP     = labelLDP
+	LabelService = labelService
+)
+
+// ResolveLabel returns the kind and target resolveLabel finds for an
+// incoming label at r.
+func ResolveLabel(n *Network, r *Router, l uint32) (LabelKind, RouterID) {
+	return n.resolveLabel(r, l)
+}
+
+// BoundLabels returns every label in r's label table, in ascending order.
+func BoundLabels(r *Router) []uint32 {
+	out := make([]uint32, 0, len(r.labels))
+	for l := range r.labels {
 		out = append(out, l)
 	}
 	slices.Sort(out)

@@ -72,6 +72,19 @@ func TestLinkFailureReconvergence(t *testing.T) {
 	}
 }
 
+// TestSetLinkStateWithoutLinkPanics: s and d share no link, and setting
+// the state of a link that does not exist is a bug in the caller, as
+// connecting two routers twice is.
+func TestSetLinkStateWithoutLinkPanics(t *testing.T) {
+	n, _, _, s, _, _, d := resilienceNet(t)
+	defer func() {
+		if recover() == nil {
+			t.Error("SetLinkState on two routers without a link did not panic")
+		}
+	}()
+	n.SetLinkState(s.ID, d.ID, false)
+}
+
 func TestAdjacencySIDOverDeadLinkDrops(t *testing.T) {
 	n, vp, tgt, _, ra, _, d := resilienceNet(t)
 	// Policy pins the a->d adjacency.

@@ -194,10 +194,10 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 		f.stack[0].TTL--
 		for len(f.stack) > 0 {
 			eff := f.stack[0].TTL
-			kind, fec, nbr := c.n.resolveLabel(r, f.stack[0].Label)
+			kind, to := c.n.resolveLabel(r, f.stack[0].Label)
 			switch kind {
 			case labelNodeSID:
-				e := c.n.routers[fec]
+				e := c.n.routers[to]
 				if e.ID == r.ID {
 					// Active segment completed at this node: pop.
 					f.popStack()
@@ -253,17 +253,17 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 				c.popTTLAdjust(f, eff)
 				continue
 			case labelAdjSID:
-				if c.n.linkDown(r.ID, nbr) {
+				if r.link(to).down {
 					c.n.met.dropLinkDown.Inc()
 					return 0, nil, true // adjacency segment over a dead link
 				}
 				f.popStack()
 				c.popTTLAdjust(f, eff)
-				return nbr, nil, false
+				return to, nil, false
 			case labelLDP:
 				// distributeLDP never binds a label to the router's own
 				// FEC, so an LDP label always leads on toward its egress.
-				e := c.n.routers[fec]
+				e := c.n.routers[to]
 				nh, ok := c.n.NextHop(r.ID, e.ID, c.flow)
 				if !ok {
 					c.n.met.dropNoRoute.Inc()
@@ -485,12 +485,11 @@ func (c *sendCtx) popTTLAdjust(f *frame, eff uint8) {
 	}
 }
 
-// inIface resolves the address of r's interface facing the previous hop.
+// inIface resolves the address of r's interface facing the previous hop
+// (none at the first hop, where prev is -1).
 func (c *sendCtx) inIface(r *Router, prev RouterID) netip.Addr {
-	if prev >= 0 {
-		if a, ok := r.ifaces[prev]; ok {
-			return a
-		}
+	if l := r.link(prev); l != nil {
+		return l.iface
 	}
 	return r.Loopback
 }

@@ -14,18 +14,6 @@ import "math/bits"
 func (n *Network) computeSPF() {
 	nr := len(n.routers)
 	s := newSPFScratch(nr)
-	for id, nbs := range n.adj {
-		if len(n.downLinks) > 0 {
-			up := make([]neighbor, 0, len(nbs))
-			for _, nb := range nbs {
-				if !n.linkDown(id, nb.id) {
-					up = append(up, nb)
-				}
-			}
-			nbs = up
-		}
-		s.adj[id] = nbs
-	}
 	n.dist = make([][]int, nr)
 	dist := make([]int, nr*nr)
 	n.nhOff = make([]int32, nr*nr+1)
@@ -100,11 +88,9 @@ func (h *spfHeap) pop() spfItem {
 }
 
 // spfScratch is dijkstra's working state, reused across the sources of one
-// computeSPF. adj lists each router's links that are up, so relaxation
-// touches no map. first holds one bitset row of ⌈n/64⌉ words per router:
-// row v is the set of equal-cost first hops (as RouterID bits) toward v.
+// computeSPF. first holds one bitset row of ⌈n/64⌉ words per router: row v
+// is the set of equal-cost first hops (as RouterID bits) toward v.
 type spfScratch struct {
-	adj   [][]neighbor
 	words int
 	first []uint64
 	done  []bool
@@ -114,7 +100,6 @@ type spfScratch struct {
 func newSPFScratch(nr int) *spfScratch {
 	words := (nr + 63) / 64
 	return &spfScratch{
-		adj:   make([][]neighbor, nr),
 		words: words,
 		first: make([]uint64, nr*words),
 		done:  make([]bool, nr),
@@ -129,9 +114,10 @@ func (s *spfScratch) row(id RouterID) []uint64 {
 // RouterID with -1 for unreachable destinations, and appends to n.nhSlab,
 // per destination in ID order, the ECMP set of first-hop router IDs on
 // shortest paths in ascending order, recording where each set starts in
-// off. Each relaxation either replaces the neighbour's first-hop set (a
-// strictly cheaper path) or unions into it (an equal-cost one), so
-// zero-weight links behave exactly as under a set-per-node formulation.
+// off. It relaxes each router's links that are up, in Connect order. Each
+// relaxation either replaces the neighbour's first-hop set (a strictly
+// cheaper path) or unions into it (an equal-cost one), so zero-weight
+// links behave exactly as under a set-per-node formulation.
 func (n *Network) dijkstra(src RouterID, s *spfScratch, cost []int, off []int32) {
 	const inf = int(^uint(0) >> 2)
 	for i := range cost {
@@ -148,22 +134,25 @@ func (n *Network) dijkstra(src RouterID, s *spfScratch, cost []int, off []int32)
 		}
 		s.done[it.id] = true
 		from := s.row(it.id)
-		for _, nb := range s.adj[it.id] {
-			c := it.cost + nb.weight
-			to := s.row(nb.id)
+		for _, l := range n.routers[it.id].links {
+			if l.down {
+				continue
+			}
+			c := it.cost + l.weight
+			to := s.row(l.to)
 			switch {
-			case c < cost[nb.id]:
-				cost[nb.id] = c
+			case c < cost[l.to]:
+				cost[l.to] = c
 				if it.id == src {
 					clear(to)
-					to[nb.id/64] = 1 << (nb.id % 64)
+					to[l.to/64] = 1 << (l.to % 64)
 				} else {
 					copy(to, from)
 				}
-				s.q.push(spfItem{c, nb.id})
-			case c == cost[nb.id] && c < inf:
+				s.q.push(spfItem{c, l.to})
+			case c == cost[l.to] && c < inf:
 				if it.id == src {
-					to[nb.id/64] |= 1 << (nb.id % 64)
+					to[l.to/64] |= 1 << (l.to % 64)
 				} else {
 					for w, bitsw := range from {
 						to[w] |= bitsw

@@ -6,18 +6,6 @@ import (
 	"arest/internal/mpls"
 )
 
-// sidIndexOwner returns the router holding the given node-SID index.
-func (n *Network) sidIndexOwner(idx int) (*Router, bool) {
-	if idx < 0 || idx >= len(n.sidOwner) {
-		return nil, false
-	}
-	id := n.sidOwner[idx]
-	if id < 0 {
-		return nil, false
-	}
-	return n.routers[id], true
-}
-
 // srLabelAt computes the MPLS label that router "at" understands as the
 // node SID of egress e: at's SRGB base plus e's index. ok is false when at
 // is not SR-capable or e has no node SID.
@@ -32,11 +20,8 @@ func (n *Network) srLabelAt(at *Router, e *Router) (uint32, bool) {
 	return l, true
 }
 
-// resolveLabel interprets an incoming label at router r. Resolution order:
-// the router's own SRGB (node SIDs), its adjacency SIDs, then its LDP
-// bindings; the dynamic pool is range-disjoint from the SR blocks for every
-// modeled vendor, so the order only matters for operator-customized SRGBs.
-type labelKind int
+// labelKind is what an incoming label means at the router reading it.
+type labelKind uint8
 
 const (
 	labelUnknown      labelKind = iota
@@ -48,29 +33,30 @@ const (
 	labelELI                    // entropy label indicator (RFC 6790): pop it and the EL
 )
 
-func (n *Network) resolveLabel(r *Router, label uint32) (kind labelKind, fec RouterID, nbr RouterID) {
+// resolveLabel interprets an incoming label at router r and returns its
+// kind and target: the egress router of a node SID or LDP label, the
+// neighbor of an adjacency SID, r itself otherwise. The reserved labels
+// come first, then r's own SRGB (node SIDs), then one lookup in r's label
+// table. A label inside the SRGB resolves as a node SID even when the
+// table binds it too, which only an operator-customized SRGB overlapping
+// the dynamic pool allows.
+func (n *Network) resolveLabel(r *Router, label uint32) (labelKind, RouterID) {
 	switch label {
 	case mpls.LabelIPv4ExplicitNull:
-		return labelExplicitNull, r.ID, 0
+		return labelExplicitNull, r.ID
 	case mpls.LabelELI:
-		return labelELI, r.ID, 0
+		return labelELI, r.ID
 	}
 	if r.SREnabled && r.SRGB.Contains(label) {
-		if e, ok := n.sidIndexOwner(int(label - r.SRGB.Lo)); ok {
-			return labelNodeSID, e.ID, 0
+		if i := int(label - r.SRGB.Lo); i < len(n.sidOwner) {
+			return labelNodeSID, n.sidOwner[i]
 		}
-		return labelUnknown, 0, 0
+		return labelUnknown, 0
 	}
-	if nb, ok := r.adjByL[label]; ok {
-		return labelAdjSID, 0, nb
+	if b, ok := r.labels[label]; ok {
+		return b.kind, RouterID(b.to)
 	}
-	if r.svcSIDs[label] {
-		return labelService, r.ID, 0
-	}
-	if e, ok := r.ldpIn[label]; ok {
-		return labelLDP, e, 0
-	}
-	return labelUnknown, 0, 0
+	return labelUnknown, 0
 }
 
 // AllocateServiceSID reserves a fresh service SID at router r (service
@@ -79,8 +65,8 @@ func (n *Network) resolveLabel(r *Router, label uint32) (kind labelKind, fec Rou
 // The label is drawn from the router's dynamic pool so it collides with
 // nothing.
 func (n *Network) AllocateServiceSID(r *Router) uint32 {
-	l := r.pool.Draw()
-	r.svcSIDs[l] = true
+	l := r.pool.Draw(r.bound)
+	n.bind(r, l, labelService, r.ID)
 	return l
 }
 

@@ -14,12 +14,14 @@ import (
 // keyedLabels restates the label allocation the routers' tables replaced
 // as the reference they are checked against: one string-keyed map per
 // router, keyed "fec-<loopback>", "adj-<neighbor id>" and "svc-<name>",
-// over the draws of a pool seeded as the router's. A key already bound
-// returns its label without a draw, so a binding is stable across
-// re-Computes. It records the tables the keyed allocation filled.
+// over the draws of a pool seeded as the router's, which skip the labels
+// drawn before as the pool's own set of used labels once did. A key
+// already bound returns its label without a draw, so a binding is stable
+// across re-Computes. It records the tables the keyed allocation filled.
 type keyedLabels struct {
 	seed  int64
 	pools map[netsim.RouterID]*mpls.Pool
+	drawn map[netsim.RouterID]map[uint32]bool
 	bound map[netsim.RouterID]map[string]uint32
 
 	ldp map[[2]netsim.RouterID]uint32 // (router, egress) -> LDP label
@@ -31,6 +33,7 @@ func newKeyedLabels(n *netsim.Network) *keyedLabels {
 	return &keyedLabels{
 		seed:  netsim.Seed(n),
 		pools: map[netsim.RouterID]*mpls.Pool{},
+		drawn: map[netsim.RouterID]map[uint32]bool{},
 		bound: map[netsim.RouterID]map[string]uint32{},
 		ldp:   map[[2]netsim.RouterID]uint32{},
 		adj:   map[[2]netsim.RouterID]uint32{},
@@ -42,12 +45,15 @@ func newKeyedLabels(n *netsim.Network) *keyedLabels {
 func (k *keyedLabels) allocate(r *netsim.Router, key string) uint32 {
 	if k.pools[r.ID] == nil {
 		k.pools[r.ID] = mpls.NewPool(mpls.DynamicPool(r.Vendor), k.seed^int64(r.ID)*2654435761)
+		k.drawn[r.ID] = map[uint32]bool{}
 		k.bound[r.ID] = map[string]uint32{}
 	}
 	if l, ok := k.bound[r.ID][key]; ok {
 		return l
 	}
-	l := k.pools[r.ID].Draw()
+	drawn := k.drawn[r.ID]
+	l := k.pools[r.ID].Draw(func(l uint32) bool { return drawn[l] })
+	drawn[l] = true
 	k.bound[r.ID][key] = l
 	return l
 }
@@ -94,26 +100,56 @@ func (k *keyedLabels) compute(n *netsim.Network) {
 }
 
 // check requires every router's LDP labels, adjacency SIDs and service
-// SIDs to equal the reference's, binding for binding.
+// SIDs to equal the reference's, binding for binding. On the incoming
+// side, each of those labels must resolve to its own kind and target,
+// unless it lies inside the router's SRGB, which resolves first; and the
+// router's label table must hold those labels, each once, and no other.
 func (k *keyedLabels) check(t *testing.T, name string, n *netsim.Network) {
 	t.Helper()
 	rs := n.Routers()
 	for _, r := range rs {
+		var bound []uint32
+		resolves := func(l uint32, what string, kind netsim.LabelKind, to netsim.RouterID) {
+			t.Helper()
+			bound = append(bound, l)
+			if r.SREnabled && r.SRGB.Contains(l) {
+				return
+			}
+			if gk, gt := netsim.ResolveLabel(n, r, l); gk != kind || gt != to {
+				t.Fatalf("%s: %s resolves its %s label %d to kind %v toward %d, want kind %v toward %d",
+					name, r.Name, what, l, gk, gt, kind, to)
+			}
+		}
 		for _, e := range rs {
 			pair := [2]netsim.RouterID{r.ID, e.ID}
 			want, wantOK := k.ldp[pair]
-			if got, ok := r.LDPLabel(e.ID); got != want || ok != wantOK {
+			got, ok := r.LDPLabel(e.ID)
+			if got != want || ok != wantOK {
 				t.Fatalf("%s: %s LDPLabel(%s) = %d %v, keyed pool %d %v", name, r.Name, e.Name, got, ok, want, wantOK)
 			}
+			if ok {
+				resolves(got, "LDP", netsim.LabelLDP, e.ID)
+			}
 			want, wantOK = k.adj[pair]
-			if got, ok := r.AdjacencySID(e.ID); got != want || ok != wantOK {
+			got, ok = r.AdjacencySID(e.ID)
+			if got != want || ok != wantOK {
 				t.Fatalf("%s: %s AdjacencySID(%s) = %d %v, keyed pool %d %v", name, r.Name, e.Name, got, ok, want, wantOK)
+			}
+			if ok {
+				resolves(got, "adjacency", netsim.LabelAdjSID, e.ID)
 			}
 		}
 		want := slices.Clone(k.svc[r.ID])
 		slices.Sort(want)
 		if got := netsim.ServiceSIDs(r); !slices.Equal(got, want) {
 			t.Fatalf("%s: %s service SIDs %v, keyed pool %v", name, r.Name, got, want)
+		}
+		for _, l := range want {
+			resolves(l, "service", netsim.LabelService, r.ID)
+		}
+		slices.Sort(bound)
+		if got := netsim.BoundLabels(r); !slices.Equal(got, bound) {
+			t.Fatalf("%s: %s label table holds %v, its bindings are %v", name, r.Name, got, bound)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 // planes (IGP shortest paths, LDP bindings, SR SIDs).
 type Network struct {
 	routers []*Router
-	adj     map[RouterID][]neighbor
 	hosts   map[netip.Addr]*Host
 
 	// prefixes maps advertised prefixes, masked, to their owner router.
@@ -52,9 +51,6 @@ type Network struct {
 	// by its 32-bit value, with everything Send needs to know about it as
 	// a destination.
 	addrs map[uint32]dstInfo
-	// downLinks holds administratively/operationally down links (both
-	// orientations), for failure and fast-reroute studies.
-	downLinks map[[2]RouterID]bool
 	// nhOverride holds static FIB entries (fault injection): (at, owner)
 	// → forced next hop; see SetNextHopOverride.
 	nhOverride map[[2]RouterID]RouterID
@@ -78,7 +74,6 @@ type Network struct {
 // IP-ID strides) derive from seed.
 func New(seed int64) *Network {
 	return &Network{
-		adj:       make(map[RouterID][]neighbor),
 		hosts:     make(map[netip.Addr]*Host),
 		prefixes:  make(map[netip.Prefix]RouterID),
 		asIndex:   make(map[int]int),
@@ -127,14 +122,9 @@ func (n *Network) AddRouter(cfg RouterConfig) *Router {
 	}
 	lb := u32ToAddr(10<<24 | uint32(idx)<<16 | seq)
 
-	srgb, srlb := cfg.SRGB, cfg.SRLB
+	srgb, srlb := cfg.SRGB, mpls.LabelRange{}
 	if srgb == (mpls.LabelRange{}) {
-		if g, l, ok := mpls.SRBlocks(cfg.Vendor); ok {
-			srgb = g
-			if srlb == (mpls.LabelRange{}) {
-				srlb = l
-			}
-		}
+		srgb, srlb, _ = mpls.SRBlocks(cfg.Vendor)
 	}
 	id := RouterID(len(n.routers))
 	h := idHash(n.seed, id)
@@ -151,10 +141,6 @@ func (n *Network) AddRouter(cfg RouterConfig) *Router {
 		SRLB:       srlb,
 		Mode:       cfg.Mode,
 		nodeIndex:  -1,
-		svcSIDs:    make(map[uint32]bool),
-		adjSIDs:    make(map[RouterID]uint32),
-		adjByL:     make(map[uint32]RouterID),
-		ifaces:     make(map[RouterID]netip.Addr),
 		ipIDBase:   uint16(h),
 		ipIDStride: uint16(1 + (h>>16)%8),
 	}
@@ -178,7 +164,7 @@ func (n *Network) Routers() []*Router { return n.routers }
 // point-to-point interface address on each side from a's AS block.
 func (n *Network) Connect(a, b RouterID, weight int) {
 	ra, rb := n.routers[a], n.routers[b]
-	if _, dup := ra.ifaces[b]; dup {
+	if ra.link(b) != nil {
 		panic(fmt.Sprintf("netsim: duplicate link %d-%d", a, b))
 	}
 	idx := n.asIdx(ra.ASN)
@@ -188,10 +174,8 @@ func (n *Network) Connect(a, b RouterID, weight int) {
 		panic(fmt.Sprintf("netsim: interface space exhausted in AS %d", ra.ASN))
 	}
 	aAddr, bAddr := u32ToAddr(base), u32ToAddr(base+1)
-	ra.ifaces[b] = aAddr
-	rb.ifaces[a] = bAddr
-	n.adj[a] = append(n.adj[a], neighbor{id: b, weight: weight})
-	n.adj[b] = append(n.adj[b], neighbor{id: a, weight: weight})
+	ra.links = append(ra.links, link{to: b, weight: weight, iface: aAddr})
+	rb.links = append(rb.links, link{to: a, weight: weight, iface: bAddr})
 	n.prefixes[netip.PrefixFrom(aAddr, 32)] = a
 	n.prefixes[netip.PrefixFrom(bAddr, 32)] = b
 	n.computed = false
@@ -202,29 +186,20 @@ func (n *Network) Connect(a, b RouterID, weight int) {
 // over an adjacency SID bound to a down link drops the packet immediately,
 // as a real LSR would until protection kicks in.
 func (n *Network) SetLinkState(a, b RouterID, up bool) {
-	if n.downLinks == nil {
-		n.downLinks = make(map[[2]RouterID]bool)
+	la, lb := n.routers[a].link(b), n.routers[b].link(a)
+	if la == nil {
+		panic(fmt.Sprintf("netsim: no link %d-%d", a, b))
 	}
-	if up {
-		delete(n.downLinks, [2]RouterID{a, b})
-		delete(n.downLinks, [2]RouterID{b, a})
-	} else {
-		n.downLinks[[2]RouterID{a, b}] = true
-		n.downLinks[[2]RouterID{b, a}] = true
-	}
+	la.down, lb.down = !up, !up
 	n.computed = false
 }
 
-// linkDown reports whether the a-b link is down.
-func (n *Network) linkDown(a, b RouterID) bool {
-	return n.downLinks[[2]RouterID{a, b}]
-}
-
-// Neighbors returns the IDs of routers adjacent to id.
+// Neighbors returns the IDs of routers adjacent to id, in Connect order.
 func (n *Network) Neighbors(id RouterID) []RouterID {
-	out := make([]RouterID, len(n.adj[id]))
-	for i, nb := range n.adj[id] {
-		out[i] = nb.id
+	links := n.routers[id].links
+	out := make([]RouterID, len(links))
+	for i, l := range links {
+		out[i] = l.to
 	}
 	return out
 }
@@ -351,11 +326,11 @@ func (n *Network) buildAddrIndex() {
 			n.prefixLens = append(n.prefixLens, b)
 		}
 	}
-	addrs := make(map[uint32]dstInfo, len(n.routers)+2*len(n.adj)+len(n.hosts))
+	addrs := make(map[uint32]dstInfo, 3*len(n.routers)+len(n.hosts))
 	for _, r := range n.routers {
 		addrs[addrKey(r.Loopback)] = dstInfo{router: r.ID}
-		for _, a := range r.ifaces {
-			addrs[addrKey(a)] = dstInfo{router: r.ID}
+		for _, l := range r.links {
+			addrs[addrKey(l.iface)] = dstInfo{router: r.ID}
 		}
 	}
 	for a, h := range n.hosts {
@@ -393,32 +368,47 @@ func (n *Network) assignSIDs() {
 			r.nodeIndex = -1
 		}
 	}
+	var order []int // one router's link indexes, by neighbor ID
 	for _, r := range n.routers {
 		if !r.SREnabled {
 			continue
 		}
 		// Deterministic neighbor order for reproducible adjacency SIDs.
-		nbs := append([]neighbor(nil), n.adj[r.ID]...)
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i].id < nbs[j].id })
-		seq := uint32(0)
-		for _, nb := range nbs {
-			label, bound := r.adjSIDs[nb.id]
+		order = order[:0]
+		for i := range r.links {
+			order = append(order, i)
+		}
+		sort.Slice(order, func(i, j int) bool { return r.links[order[i]].to < r.links[order[j]].to })
+		for seq, i := range order {
+			l := &r.links[i]
 			switch {
 			case r.SRLB.Size() > 0:
-				label = r.SRLB.Lo + seq
-				if label > r.SRLB.Hi {
+				l.adjSID = r.SRLB.Lo + uint32(seq)
+				if l.adjSID > r.SRLB.Hi {
 					panic(fmt.Sprintf("netsim: SRLB of %s exhausted", r.Name))
 				}
-			case !bound:
+			case l.adjSID == 0:
 				// Juniper-style: adjacency SIDs from the dynamic pool,
-				// drawn once per neighbor.
-				label = r.pool.Draw()
+				// drawn once per link.
+				l.adjSID = r.pool.Draw(r.bound)
 			}
-			r.adjSIDs[nb.id] = label
-			r.adjByL[label] = nb.id
-			seq++
+			n.bind(r, l.adjSID, labelAdjSID, l.to)
 		}
 	}
+}
+
+// bind binds r's incoming label l to kind and target to. The table is
+// made at the router's first binding, sized for an adjacency SID per link
+// plus, if r binds LDP labels, one per router of its AS.
+func (n *Network) bind(r *Router, l uint32, kind labelKind, to RouterID) {
+	if r.labels == nil {
+		size := len(r.links)
+		if n.bindsLDP(r) {
+			size += int(n.nextLoop[n.asIndex[r.ASN]])
+		}
+		r.labels = make(map[uint32]binding, size)
+	}
+	r.labels[l] = binding{to: int32(to), kind: kind}
 }
 
 // distributeLDP makes every LDP-enabled router allocate a label from its
@@ -429,30 +419,11 @@ func (n *Network) assignSIDs() {
 // and draws only for FECs without one.
 func (n *Network) distributeLDP() {
 	for _, r := range n.routers {
-		if !r.LDPEnabled && !r.SREnabled {
+		if !n.bindsLDP(r) {
 			continue
-		}
-		if !r.LDPEnabled {
-			// Pure-SR router: generates LDP bindings only when adjacent to
-			// an LDP-only neighbor (interworking), and only then.
-			ldpNeighbor := false
-			for _, nb := range n.adj[r.ID] {
-				o := n.routers[nb.id]
-				if o.LDPEnabled && !o.SREnabled {
-					ldpNeighbor = true
-					break
-				}
-			}
-			if !ldpNeighbor {
-				continue
-			}
 		}
 		if grow := len(n.routers) - len(r.ldpOut); grow > 0 {
 			r.ldpOut = append(r.ldpOut, make([]uint32, grow)...)
-		}
-		if r.ldpIn == nil {
-			// Sized once for a binding per router of the AS.
-			r.ldpIn = make(map[uint32]RouterID, n.nextLoop[n.asIndex[r.ASN]])
 		}
 		for _, e := range n.routers {
 			if e.ID == r.ID || e.ASN != r.ASN {
@@ -461,11 +432,25 @@ func (n *Network) distributeLDP() {
 			if n.dist[r.ID][e.ID] < 0 || r.ldpOut[e.ID] != 0 {
 				continue
 			}
-			l := r.pool.Draw()
-			r.ldpIn[l] = e.ID
+			l := r.pool.Draw(r.bound)
+			n.bind(r, l, labelLDP, e.ID)
 			r.ldpOut[e.ID] = l
 		}
 	}
+}
+
+// bindsLDP reports whether r binds LDP labels: it runs LDP, or it is a
+// pure-SR router adjacent to an LDP-only neighbor (interworking).
+func (n *Network) bindsLDP(r *Router) bool {
+	if r.LDPEnabled || !r.SREnabled {
+		return r.LDPEnabled
+	}
+	for _, l := range r.links {
+		if o := n.routers[l.to]; o.LDPEnabled && !o.SREnabled {
+			return true
+		}
+	}
+	return false
 }
 
 // Dist returns the IGP hop distance between two routers, or -1 when

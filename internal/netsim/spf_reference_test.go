@@ -6,9 +6,10 @@ import (
 )
 
 // This file keeps the map-based Dijkstra that computeSPF replaced, verbatim
-// but for its name, as the reference the bitset implementation is checked
-// against (spf_test.go): one first-hop set per node as a map, boxed heap
-// items through container/heap, and a sort per destination.
+// but for its name and for reading each router's links, as the reference
+// the bitset implementation is checked against (spf_test.go): one
+// first-hop set per node as a map, boxed heap items through
+// container/heap, and a sort per destination.
 
 type pqItem struct {
 	id   RouterID
@@ -50,32 +51,32 @@ func (n *Network) refDijkstra(src RouterID) ([]int, [][]RouterID) {
 			continue
 		}
 		done[it.id] = true
-		for _, nb := range n.adj[it.id] {
-			if n.linkDown(it.id, nb.id) {
+		for _, nb := range n.routers[it.id].links {
+			if nb.down {
 				continue
 			}
 			c := it.cost + nb.weight
 			switch {
-			case c < cost[nb.id]:
-				cost[nb.id] = c
+			case c < cost[nb.to]:
+				cost[nb.to] = c
 				fs := make(map[RouterID]bool)
 				if it.id == src {
-					fs[nb.id] = true
+					fs[nb.to] = true
 				} else {
 					for f := range firstSet[it.id] {
 						fs[f] = true
 					}
 				}
-				firstSet[nb.id] = fs
-				heap.Push(q, pqItem{nb.id, c})
-			case c == cost[nb.id] && c < inf:
-				fs := firstSet[nb.id]
+				firstSet[nb.to] = fs
+				heap.Push(q, pqItem{nb.to, c})
+			case c == cost[nb.to] && c < inf:
+				fs := firstSet[nb.to]
 				if fs == nil {
 					fs = make(map[RouterID]bool)
-					firstSet[nb.id] = fs
+					firstSet[nb.to] = fs
 				}
 				if it.id == src {
-					fs[nb.id] = true
+					fs[nb.to] = true
 				} else {
 					for f := range firstSet[it.id] {
 						fs[f] = true

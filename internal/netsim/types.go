@@ -136,15 +136,16 @@ type RouterConfig struct {
 	SREnabled bool
 	// LDPEnabled programs LDP on this router.
 	LDPEnabled bool
-	// SRGB overrides the vendor default SRGB (zero value keeps default).
+	// SRGB overrides the vendor default SRGB and SRLB (zero value keeps
+	// both defaults).
 	SRGB mpls.LabelRange
-	// SRLB overrides the vendor default SRLB (zero value keeps default).
-	SRLB mpls.LabelRange
 	// Mode is the encapsulation this router applies as ingress LER.
 	Mode TunnelMode
 }
 
-// Router is a simulated router.
+// Router is a simulated router. Its link state is one slice, links, and
+// its incoming-label state one table, labels; node SIDs need no table, as
+// they follow from the SRGB.
 type Router struct {
 	ID       RouterID
 	Name     string
@@ -162,16 +163,15 @@ type Router struct {
 	// nodeIndex is the SR node-SID index; -1 when the router has none.
 	nodeIndex int
 
-	// pool draws the router's dynamic labels: service SIDs, LDP labels
-	// and Juniper-style adjacency SIDs. Each drawn label is bound in one
-	// of the tables below, which also keep it across re-Computes.
-	pool    *mpls.Pool
-	svcSIDs map[uint32]bool         // service SIDs terminating at this router
-	adjSIDs map[RouterID]uint32     // neighbor -> adjacency SID label
-	adjByL  map[uint32]RouterID     // adjacency SID label -> neighbor
-	ldpIn   map[uint32]RouterID     // incoming LDP label -> FEC (egress router)
-	ldpOut  []uint32                // FEC (egress RouterID) -> label this router advertised; 0: none
-	ifaces  map[RouterID]netip.Addr // neighbor -> local interface address
+	// links holds one end per link, in Connect order.
+	links []link
+	// labels binds each incoming label the router allocated (adjacency
+	// SID, LDP label or service SID) to its kind and target, and keeps
+	// it across re-Computes. pool draws the dynamic ones among them,
+	// skipping every label labels already holds.
+	labels map[uint32]binding
+	pool   *mpls.Pool
+	ldpOut []uint32 // FEC (egress RouterID) -> label this router advertised; 0: none
 
 	// ipIDBase and ipIDStride parameterize the router's shared IP-ID
 	// counter (monotone, wrapping), the signal MIDAR-style alias
@@ -188,21 +188,58 @@ type Router struct {
 // NodeIndex returns the router's SR node-SID index, or -1.
 func (r *Router) NodeIndex() int { return r.nodeIndex }
 
+// link is one end of a point-to-point link: the neighbor at the far end,
+// the IGP weight, this router's interface address, the adjacency SID it
+// bound for the link (0, a reserved label, for none) and whether the link
+// is down.
+type link struct {
+	to     RouterID
+	weight int
+	iface  netip.Addr
+	adjSID uint32
+	down   bool
+}
+
+// link returns r's end of its link to neighbor nb, or nil.
+func (r *Router) link(nb RouterID) *link {
+	for i := range r.links {
+		if r.links[i].to == nb {
+			return &r.links[i]
+		}
+	}
+	return nil
+}
+
+// binding is what an incoming label is bound to: the egress FEC of an LDP
+// label, the neighbor of an adjacency SID, or the router itself for a
+// service SID.
+type binding struct {
+	to   int32
+	kind labelKind
+}
+
+// bound reports whether r has bound label l.
+func (r *Router) bound(l uint32) bool {
+	_, ok := r.labels[l]
+	return ok
+}
+
 // InterfaceTo returns the router's interface address on the link to
 // neighbor n, if such a link exists.
 func (r *Router) InterfaceTo(n RouterID) (netip.Addr, bool) {
-	a, ok := r.ifaces[n]
-	return a, ok
+	if l := r.link(n); l != nil {
+		return l.iface, true
+	}
+	return netip.Addr{}, false
 }
 
 // Interfaces returns all interface addresses of the router: the loopback
-// first, then the link interfaces in ascending address order, so the
-// slice is identical run to run regardless of map iteration.
+// first, then the link interfaces in ascending address order.
 func (r *Router) Interfaces() []netip.Addr {
-	out := make([]netip.Addr, 0, len(r.ifaces)+1)
+	out := make([]netip.Addr, 0, len(r.links)+1)
 	out = append(out, r.Loopback)
-	for _, a := range r.ifaces {
-		out = append(out, a)
+	for _, l := range r.links {
+		out = append(out, l.iface)
 	}
 	sort.Slice(out[1:], func(i, j int) bool { return out[1+i].Less(out[1+j]) })
 	return out
@@ -211,8 +248,10 @@ func (r *Router) Interfaces() []netip.Addr {
 // AdjacencySID returns the adjacency SID this router allocated for the IGP
 // link to neighbor n.
 func (r *Router) AdjacencySID(n RouterID) (uint32, bool) {
-	l, ok := r.adjSIDs[n]
-	return l, ok
+	if l := r.link(n); l != nil && l.adjSID != 0 {
+		return l.adjSID, true
+	}
+	return 0, false
 }
 
 // LDPLabel returns the label this router advertised for the FEC of egress
@@ -230,9 +269,4 @@ func (r *Router) LDPLabel(e RouterID) (uint32, bool) {
 type Host struct {
 	Addr    netip.Addr
 	Gateway RouterID
-}
-
-type neighbor struct {
-	id     RouterID
-	weight int
 }

@@ -63,9 +63,13 @@ func (t *Tracer) reveal(ctx context.Context, s *probeScratch) ([]string, error) 
 			// because the DPR path is broken; abort rather than record it.
 			return nil, context.Cause(ctx)
 		}
-		t.Metrics.countReveal(true, n)
+		t.Metrics.revealTriggers.Inc()
+		if n > 0 {
+			t.Metrics.revealSuccess.Inc()
+			t.Metrics.revealedHops.Add(uint64(n))
+		}
 		if err != nil {
-			t.Metrics.countRevealError()
+			t.Metrics.revealErr.Inc()
 			errs = append(errs, fmt.Sprintf("dpr %s: %v", trigger, err))
 			continue
 		}

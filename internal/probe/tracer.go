@@ -159,7 +159,8 @@ type Tracer struct {
 	Conn Conn
 	// VP is the source address probes are sent from.
 	VP netip.Addr
-	// Method selects UDP (default) or ICMP-echo probing.
+	// Method selects UDP (default) or ICMP-echo probing: MethodUDP or
+	// MethodICMP.
 	Method Method
 	// MaxTTL bounds the forward TTL sweep.
 	MaxTTL int
@@ -173,10 +174,11 @@ type Tracer struct {
 	// Retries is how many extra probes a silent hop gets before being
 	// recorded as a gap (rate-limited routers often answer a retry).
 	Retries int
-	// Metrics, when non-nil, receives per-probe accounting (probes sent,
-	// replies, retries, gaps, decode failures, revelation outcomes); see
-	// NewMetrics. Recording never changes probe bytes or trace results.
-	Metrics *Metrics
+	// Metrics receives per-probe accounting (probes sent, replies,
+	// retries, gaps, decode failures, revelation outcomes); see
+	// NewMetrics. The zero value records nothing, and recording never
+	// changes probe bytes or trace results.
+	Metrics Metrics
 }
 
 // NewTracer returns a tracer with TNT-like defaults.
@@ -293,7 +295,7 @@ sweep:
 			if ctx.Err() != nil {
 				return 0, "", context.Cause(ctx)
 			}
-			t.Metrics.countRetry()
+			t.Metrics.retries.Inc()
 			hop, err = t.probeOnce(ctx, s, dst, uint8(ttl), dport, retry+1)
 		}
 		if err != nil {
@@ -308,7 +310,7 @@ sweep:
 		}
 		s.keep(hop)
 		if !hop.Responded() {
-			t.Metrics.countGap()
+			t.Metrics.gaps.Inc()
 			gaps++
 			run = 0
 			if gaps >= t.MaxGaps {
@@ -337,7 +339,7 @@ sweep:
 			break sweep
 		}
 	}
-	t.Metrics.countHalt(halt)
+	t.Metrics.halts[halt].Inc()
 	return halt, errText, nil
 }
 
@@ -384,10 +386,10 @@ func (t *Tracer) probeOnce(ctx context.Context, s *probeScratch, dst netip.Addr,
 	if err != nil {
 		return Hop{}, fmt.Errorf("probe: %w", err)
 	}
-	t.Metrics.countSent(t.Method)
+	t.Metrics.sent[t.Method].Inc()
 	reply, rtt, err := t.Conn.Exchange(ctx, t.VP, s.wire)
 	if err != nil {
-		t.Metrics.countExchangeError()
+		t.Metrics.exchangeErr.Inc()
 		return Hop{}, fmt.Errorf("probe: %w", err)
 	}
 	hop := Hop{TTL: int(ttl)}
@@ -396,13 +398,14 @@ func (t *Tracer) probeOnce(ctx context.Context, s *probeScratch, dst netip.Addr,
 	}
 	if err := pkt.UnmarshalIPv4Into(&s.rip, reply); err != nil {
 		// The IP header itself is mangled: no responder address to keep.
-		t.Metrics.countDecodeError()
+		t.Metrics.decodeErr.Inc()
 		return hop, nil
 	}
 	hop.Addr = s.rip.Src
 	hop.ReplyTTL = s.rip.TTL
 	hop.RTT = rtt
-	t.Metrics.countReply(rtt)
+	t.Metrics.replies.Inc()
+	t.Metrics.rttUs.Observe(uint64(rtt * 1000))
 	if err := pkt.UnmarshalICMPInto(&s.rm, s.rip.Payload); err != nil {
 		// Something answered but its ICMP payload fails strict parsing
 		// (bad checksum, malformed RFC 4884 structure, …). Discarding the
@@ -410,7 +413,7 @@ func (t *Tracer) probeOnce(ctx context.Context, s *probeScratch, dst netip.Addr,
 		// retries on a router that did answer — keep the responder address
 		// and RTT, flag the hop, and account for the decode failure.
 		hop.DecodeError = true
-		t.Metrics.countDecodeError()
+		t.Metrics.decodeErr.Inc()
 		return hop, nil
 	}
 	hop.ICMPType = s.rm.Type
@@ -445,27 +448,27 @@ func (t *Tracer) Ping(ctx context.Context, dst netip.Addr, id uint16) (replyTTL 
 	if err != nil {
 		return 0, false, err
 	}
-	t.Metrics.countPing()
+	t.Metrics.pings.Inc()
 	reply, _, err := t.Conn.Exchange(ctx, t.VP, s.wire)
 	if err != nil {
-		t.Metrics.countExchangeError()
+		t.Metrics.exchangeErr.Inc()
 		return 0, false, err
 	}
 	if reply == nil {
 		return 0, false, nil
 	}
 	if err := pkt.UnmarshalIPv4Into(&s.rip, reply); err != nil {
-		t.Metrics.countDecodeError()
+		t.Metrics.decodeErr.Inc()
 		return 0, false, nil
 	}
 	if err := pkt.UnmarshalICMPInto(&s.rm, s.rip.Payload); err != nil {
-		t.Metrics.countDecodeError()
+		t.Metrics.decodeErr.Inc()
 		return 0, false, nil
 	}
 	if s.rm.Type != pkt.ICMPEchoReply {
 		return 0, false, nil
 	}
-	t.Metrics.countPingReply()
+	t.Metrics.pingReplies.Inc()
 	return s.rip.TTL, true, nil
 }
 
@@ -518,19 +521,19 @@ func (t *Tracer) SampleIPID(ctx context.Context, dst netip.Addr, seq uint32) (IP
 	if err != nil {
 		return IPIDSample{}, false, err
 	}
-	t.Metrics.countIPIDSample()
+	t.Metrics.ipidSamples.Inc()
 	reply, _, err := t.Conn.Exchange(ctx, t.VP, s.wire)
 	if err != nil {
-		t.Metrics.countExchangeError()
+		t.Metrics.exchangeErr.Inc()
 		return IPIDSample{}, false, err
 	}
 	if reply == nil {
 		return IPIDSample{}, false, nil
 	}
 	if err := pkt.UnmarshalIPv4Into(&s.rip, reply); err != nil {
-		t.Metrics.countDecodeError()
+		t.Metrics.decodeErr.Inc()
 		return IPIDSample{}, false, nil
 	}
-	t.Metrics.countIPIDReply()
+	t.Metrics.ipidReplies.Inc()
 	return IPIDSample{ID: s.rip.ID, ReplyTTL: s.rip.TTL}, true, nil
 }
