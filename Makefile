@@ -46,15 +46,21 @@ lint: arestlint
 arestlint:
 	$(GO) run ./cmd/arestlint -tests ./...
 
-# CI entry point: vet, lint and the race-enabled suite, then the two
-# checks CI's check job adds on top: gofmt lists no file, and the
-# committed transcript is what the campaign prints (a stale transcript
-# shows as a diff after the regeneration).
+# CI entry point: vet, lint and the race-enabled suite, then the checks
+# CI's check job adds on top: gofmt lists no file, the committed
+# transcript is what the campaign prints (a stale transcript shows as a
+# diff after the regeneration), arest reads a tntsim archive from a
+# non-seekable stdin, and every example runs to completion.
 check: vet lint race
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(MAKE) experiments-output
 	git diff --exit-code experiments_output.txt
+	$(GO) run ./cmd/tntsim -as 2 -vps 3 -targets 8 | $(GO) run ./cmd/arest -v > /dev/null
+	@for ex in examples/*/; do \
+		echo "$(GO) run ./$${ex%/}"; \
+		$(GO) run "./$${ex%/}" > /dev/null || exit 1; \
+	done
 
 # Full benchmark sweep: every package, with allocation columns — the
 # wire-path allocation budgets (DESIGN.md §11) are regression-gated by

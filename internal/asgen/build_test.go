@@ -73,23 +73,26 @@ func buildCost(w analyzedWorld, runs int) (allocs, bytes uint64) {
 // incoming label it binds in one table, made at its first binding and
 // sized for the LDP labels only a router that binds them will hold; its
 // label pool keeps no set of its own, its outgoing LDP labels sit in a
-// dense slice, and next hops in one slab. So a formatted key per binding
+// dense slice, and next hops in one slab. The network keeps each address
+// once, in one table written where the address is made, and the IGP
+// distances in one flat int32 table. So a formatted key per binding
 // (~3,500 strings in Telecom Italia), a used-label set per pool or a map
-// per router per kind of binding trips the allocation budget, and a
-// slice header per router pair (34² or 76² of them, a fifth of the
-// bytes) or an LDP-sized table on every SR router the byte budget. Each
-// budget is the larger steady state of two map implementations, Go
-// 1.24's swiss tables and the older buckets (GOEXPERIMENT=noswissmap, the
-// default before Go 1.24), plus 2% for the older maps' spread across hash
-// seeds.
+// per router per kind of binding trips the allocation budget; a slice
+// header per router pair (34² or 76² of them), an LDP-sized table on
+// every SR router, a /32 per address in the prefix table, an address
+// table rebuilt at every Compute or an int per distance trips the byte
+// budget. Each budget is the larger steady state of two map
+// implementations, Go 1.24's swiss tables and the older buckets
+// (GOEXPERIMENT=noswissmap, the default before Go 1.24), plus 2% for the
+// older maps' spread across hash seeds.
 func TestAllocBudgetBuild(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("allocation counts are meaningless under -race instrumentation")
 	}
 	budgets := map[int]struct{ allocs, bytes uint64 }{
-		2:  {455, 109_000},  // measured 446 (swiss) and 106,020 (noswissmap)
-		38: {1035, 446_000}, // measured 1,012 (swiss) and 436,339 (noswissmap)
-		53: {1050, 385_000}, // measured 1,026 (swiss) and 376,872 (noswissmap)
+		2:  {450, 86_000},   // measured 439 (swiss) and 84,225 (noswissmap)
+		38: {1030, 387_000}, // measured 1,008 (swiss) and 378,972 (noswissmap)
+		53: {1045, 328_000}, // measured 1,023 (swiss) and 320,665 (noswissmap)
 	}
 	for _, w := range analyzedWorlds() {
 		budget, ok := budgets[w.rec.ID]

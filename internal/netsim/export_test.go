@@ -15,8 +15,20 @@ func RefSPF(n *Network, src RouterID) ([]int, [][]RouterID) { return n.refDijkst
 // NextHops returns the computed ECMP next hops from src toward dst.
 func NextHops(n *Network, src, dst RouterID) []RouterID { return n.nextHops(src, dst) }
 
-// Prefixes returns the advertised prefix table.
+// Prefixes returns the routed prefix table.
 func Prefixes(n *Network) map[netip.Prefix]RouterID { return n.prefixes }
+
+// Hosts returns every attached host, in ascending address order.
+func Hosts(n *Network) []*Host {
+	var out []*Host
+	for _, d := range n.addrs {
+		if d.host != nil {
+			out = append(out, d.host)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Host) int { return a.Addr.Compare(b.Addr) })
+	return out
+}
 
 // Resolve returns the destination record Send resolves for a.
 func Resolve(n *Network, a netip.Addr) (owner, router RouterID, host *Host, eligible bool) {

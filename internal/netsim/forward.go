@@ -69,11 +69,12 @@ const maxSteps = 1024
 // prober's scratch arranges, but must not overlap wire itself. wire is
 // only read during the call — Send does not retain it.
 //
-// Send resolves the probe's destination once, from the exact-address
-// index Compute builds (falling back to a longest-prefix match for
-// routed prefixes without an attached host): its owner, the router whose
-// own address it is, its tunnel eligibility and its attached host. The
-// per-hop loop then reads that record instead of probing maps.
+// Send finds the sending host in the network's address table and
+// resolves the probe's destination once, from the same table (falling
+// back to a longest-prefix match over the routed prefixes for an address
+// the table does not hold): its owner, the router whose own address it
+// is, its tunnel eligibility and its attached host. The per-hop loop then
+// reads that record instead of probing maps.
 //
 // Send is safe for concurrent use after Compute (which establishes the
 // happens-before edge for all control-plane state) and mutates nothing but
@@ -94,8 +95,9 @@ func (n *Network) send(src netip.Addr, wire, dst []byte, path *[]RouterID) (Deli
 	if !n.computed {
 		return Delivery{}, ErrNotComputed
 	}
-	host, ok := n.hosts[src]
-	if !ok {
+	sender, _ := n.indexed(src)
+	host := sender.host
+	if host == nil {
 		return Delivery{}, fmt.Errorf("%w: %s", ErrUnknownHost, src)
 	}
 	s := sendScratchPool.Get().(*sendScratch)

@@ -5,17 +5,17 @@ import "math/bits"
 // computeSPF runs Dijkstra from every router, recording IGP distances and
 // the set of equal-cost first hops toward every destination. ECMP next hops
 // are kept sorted so that flow-hash selection is deterministic. Distances
-// are dense slices indexed by RouterID (IDs are contiguous from 0), and
-// the next-hop sets of every (source, destination) pair lie back to back
-// in one slab, in source-major order, found through one offset table: the
-// forwarding fast path does bounds-checked loads instead of map probes per
-// hop, the build makes no slice per pair, and the read-only tables are
-// safe to share across concurrent Sends.
+// lie in one flat table indexed src*stride+dst (IDs are contiguous from
+// 0), and the next-hop sets of every (source, destination) pair lie back
+// to back in one slab, in source-major order, found through one offset
+// table: the forwarding fast path does bounds-checked loads instead of
+// map probes per hop, the build makes no slice per pair, and the
+// read-only tables are safe to share across concurrent Sends.
 func (n *Network) computeSPF() {
 	nr := len(n.routers)
 	s := newSPFScratch(nr)
-	n.dist = make([][]int, nr)
-	dist := make([]int, nr*nr)
+	n.stride = nr
+	n.dist = make([]int32, nr*nr)
 	n.nhOff = make([]int32, nr*nr+1)
 	// A reachable pair has at least one next hop, and ECMP sets add at
 	// most 13% to that in the catalogue's worlds: a quarter's headroom
@@ -23,8 +23,7 @@ func (n *Network) computeSPF() {
 	n.nhSlab = make([]RouterID, 0, nr*nr+nr*nr/4)
 	for _, r := range n.routers {
 		lo, hi := int(r.ID)*nr, int(r.ID+1)*nr
-		n.dist[r.ID] = dist[lo:hi:hi]
-		n.dijkstra(r.ID, s, n.dist[r.ID], n.nhOff[lo:hi])
+		n.dijkstra(r.ID, s, n.dist[lo:hi], n.nhOff[lo:hi])
 	}
 	n.nhOff[nr*nr] = int32(len(n.nhSlab))
 }
@@ -32,7 +31,7 @@ func (n *Network) computeSPF() {
 // nextHops returns the ECMP next hops from src toward dst, in ascending
 // order; none when dst is src or unreachable.
 func (n *Network) nextHops(src, dst RouterID) []RouterID {
-	i := int(src)*len(n.dist) + int(dst)
+	i := int(src)*n.stride + int(dst)
 	return n.nhSlab[n.nhOff[i]:n.nhOff[i+1]]
 }
 
@@ -88,10 +87,12 @@ func (h *spfHeap) pop() spfItem {
 }
 
 // spfScratch is dijkstra's working state, reused across the sources of one
-// computeSPF. first holds one bitset row of ⌈n/64⌉ words per router: row v
-// is the set of equal-cost first hops (as RouterID bits) toward v.
+// computeSPF. cost holds the tentative distance to each router, and first
+// one bitset row of ⌈n/64⌉ words per router: row v is the set of
+// equal-cost first hops (as RouterID bits) toward v.
 type spfScratch struct {
 	words int
+	cost  []int
 	first []uint64
 	done  []bool
 	q     spfHeap
@@ -101,6 +102,7 @@ func newSPFScratch(nr int) *spfScratch {
 	words := (nr + 63) / 64
 	return &spfScratch{
 		words: words,
+		cost:  make([]int, nr),
 		first: make([]uint64, nr*words),
 		done:  make([]bool, nr),
 	}
@@ -110,7 +112,7 @@ func (s *spfScratch) row(id RouterID) []uint64 {
 	return s.first[int(id)*s.words : int(id+1)*s.words]
 }
 
-// dijkstra fills cost with the IGP distances from src, indexed by
+// dijkstra fills dist with the IGP distances from src, indexed by
 // RouterID with -1 for unreachable destinations, and appends to n.nhSlab,
 // per destination in ID order, the ECMP set of first-hop router IDs on
 // shortest paths in ascending order, recording where each set starts in
@@ -118,8 +120,9 @@ func (s *spfScratch) row(id RouterID) []uint64 {
 // relaxation either replaces the neighbour's first-hop set (a strictly
 // cheaper path) or unions into it (an equal-cost one), so zero-weight
 // links behave exactly as under a set-per-node formulation.
-func (n *Network) dijkstra(src RouterID, s *spfScratch, cost []int, off []int32) {
+func (n *Network) dijkstra(src RouterID, s *spfScratch, dist, off []int32) {
 	const inf = int(^uint(0) >> 2)
+	cost := s.cost
 	for i := range cost {
 		cost[i] = inf
 	}
@@ -162,12 +165,13 @@ func (n *Network) dijkstra(src RouterID, s *spfScratch, cost []int, off []int32)
 		}
 	}
 	slab := n.nhSlab
-	for id := range cost {
+	for id, c := range cost {
 		off[id] = int32(len(slab))
-		if cost[id] >= inf {
-			cost[id] = -1
+		if c >= inf {
+			dist[id] = -1
 			continue
 		}
+		dist[id] = int32(c)
 		if RouterID(id) == src {
 			continue
 		}

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"net/netip"
-
-	"arest/internal/mpls"
-)
+import "arest/internal/mpls"
 
 // srLabelAt computes the MPLS label that router "at" understands as the
 // node SID of egress e: at's SRGB base plus e's index. ok is false when at
@@ -132,15 +128,4 @@ func (n *Network) buildSRStack(dst mpls.Stack, ingress *Router, segs SegmentList
 		}
 	}
 	return stack, len(stack) > 0
-}
-
-// TunnelEligible reports whether a destination address is carried over an
-// LSP: loopback FECs and routed (customer/host) prefixes are; bare
-// interface addresses are not, because neither LDP nor SR binds labels to
-// point-to-point interface prefixes. This FEC granularity is what lets
-// TNT's DPR/BRPR reveal invisible tunnel interiors by tracing toward
-// interface addresses.
-func (n *Network) TunnelEligible(dst netip.Addr) bool {
-	d, ok := n.indexed(dst)
-	return !ok || d.eligible // routed prefixes and hosts are label-switched
 }

@@ -74,8 +74,8 @@ func TestSelfLoopingFIBEntryAnswersEveryTTL(t *testing.T) {
 	// Plain-IP chain: the override hooks the IP forwarding decision, so the
 	// looping router must not label-push the packet first.
 	c := buildChain(t, withMode(ModeIP), withPlanes(false, false))
-	owner, ok := c.net.Owner(c.target)
-	if !ok {
+	owner := c.net.resolve(c.target).owner
+	if owner < 0 {
 		t.Fatal("target has no owner")
 	}
 	// pe1 (hop 2 from the VP) forwards the target's traffic to itself.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"net/netip"
 	"testing"
 
@@ -563,8 +564,10 @@ func TestUnroutedDestination(t *testing.T) {
 
 func TestSendErrors(t *testing.T) {
 	c := buildChain(t)
-	if _, err := c.net.Send(a("9.9.9.9"), udpProbe(a("9.9.9.9"), c.target, 3, 33434), nil); err == nil {
-		t.Error("unknown host accepted")
+	for _, src := range []netip.Addr{a("9.9.9.9"), c.pe1.Loopback} { // no address; a router's, no host's
+		if _, err := c.net.Send(src, udpProbe(src, c.target, 3, 33434), nil); !errors.Is(err, ErrUnknownHost) {
+			t.Errorf("Send from %v: err = %v, want ErrUnknownHost", src, err)
+		}
 	}
 	if _, err := c.net.Send(c.vp, []byte{1, 2, 3}, nil); err == nil {
 		t.Error("garbage probe accepted")
@@ -579,8 +582,8 @@ func TestSendErrors(t *testing.T) {
 
 // Hosts and advertised prefixes join forwarding at the next Compute, as
 // routers, links and link states do: until then Send refuses with
-// ErrNotComputed rather than forward on a stale index, where a prefix of
-// a length Compute never saw would be dropped as unrouted.
+// ErrNotComputed, so every topology change reaches forwarding the same
+// way, whether or not Compute rebuilds the state it touched.
 func TestAdvertiseAfterComputeNeedsCompute(t *testing.T) {
 	c := buildChain(t)
 	dst := a("100.2.17.9")
@@ -798,31 +801,31 @@ func TestICMPLossAndRetries(t *testing.T) {
 }
 
 func TestOwnerCacheConsistency(t *testing.T) {
-	// Owner must follow a re-advertisement once Compute has run: attach
-	// the target's address behind a different router and re-resolve.
+	// The owner must follow a re-advertisement: advertise the target
+	// host's address as a /32 behind a different router and re-resolve.
 	c := buildChain(t)
 	dst := c.target
-	if id, ok := c.net.Owner(dst); !ok || id != c.pe2.ID {
-		t.Fatalf("owner = %v,%v, want %v", id, ok, c.pe2.ID)
+	if id := c.net.resolve(dst).owner; id != c.pe2.ID {
+		t.Fatalf("owner = %v, want %v", id, c.pe2.ID)
 	}
 	other := c.ps[0]
 	c.net.AdvertisePrefix(other.ID, netip.PrefixFrom(dst, 32))
 	c.net.Compute()
-	if id, _ := c.net.Owner(dst); id != other.ID {
+	if id := c.net.resolve(dst).owner; id != other.ID {
 		t.Errorf("stale owner after Compute: got %v want %v", id, other.ID)
 	}
 }
 
 func TestTunnelEligible(t *testing.T) {
 	c := buildChain(t)
-	if !c.net.TunnelEligible(c.target) {
+	if !c.net.resolve(c.target).eligible {
 		t.Error("host target should be tunnel-eligible")
 	}
-	if !c.net.TunnelEligible(c.pe2.Loopback) {
+	if !c.net.resolve(c.pe2.Loopback).eligible {
 		t.Error("loopback should be tunnel-eligible")
 	}
 	iface, _ := c.ps[0].InterfaceTo(c.pe1.ID)
-	if c.net.TunnelEligible(iface) {
+	if c.net.resolve(iface).eligible {
 		t.Error("interface address should not be tunnel-eligible")
 	}
 }

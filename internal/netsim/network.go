@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"arest/internal/mpls"
@@ -10,22 +11,28 @@ import (
 
 // Network is a simulated internetwork: routers (possibly spanning several
 // ASes), point-to-point links, attached hosts, and the computed control
-// planes (IGP shortest paths, LDP bindings, SR SIDs).
+// planes (IGP shortest paths, LDP bindings, SR SIDs). It knows each
+// address once: the call that makes an address writes its record into
+// the address table, and the prefix table holds routed prefixes only, so
+// Compute reads no address.
 type Network struct {
 	routers []*Router
-	hosts   map[netip.Addr]*Host
 
-	// prefixes maps advertised prefixes, masked, to their owner router.
-	prefixes map[netip.Prefix]RouterID
-	// prefixLens lists the distinct lengths in prefixes, longest first;
-	// recorded by Compute for Owner's exact-match lookups.
+	// addrs holds every router loopback and interface address and every
+	// host address, keyed by its 32-bit value, with everything Send needs
+	// to know about it as a destination. AddRouter, Connect, AddHost and
+	// AdvertisePrefix of an IPv4 /32 write it; a later write for the same
+	// address takes over its owner.
+	addrs map[uint32]dstInfo
+	// prefixes maps the advertised prefixes that are not a single IPv4
+	// address, masked, to their owner router; prefixLens lists their
+	// distinct lengths, longest first, for routeOwner's exact-match
+	// lookups.
+	prefixes   map[netip.Prefix]RouterID
 	prefixLens []int
 
-	// asIndex assigns a small stable index per ASN for address allocation.
-	asIndex map[int]int
-	// nextIface tracks per-AS interface address allocation.
-	nextIface map[int]uint32
-	nextLoop  map[int]uint32
+	// ases holds each AS's block of the address plan, by ASN.
+	ases map[int]*asBlock
 
 	// MappingServer enables SR↔LDP interworking: an SRMS advertises prefix
 	// SIDs on behalf of LDP-only routers, giving them node-SID indexes.
@@ -46,11 +53,6 @@ type Network struct {
 
 	seed int64
 
-	// addrs is the exact-address index Compute builds: every router
-	// loopback and interface address and every IPv4 host address, keyed
-	// by its 32-bit value, with everything Send needs to know about it as
-	// a destination.
-	addrs map[uint32]dstInfo
 	// nhOverride holds static FIB entries (fault injection): (at, owner)
 	// → forced next hop; see SetNextHopOverride.
 	nhOverride map[[2]RouterID]RouterID
@@ -61,11 +63,12 @@ type Network struct {
 	sidOwner []RouterID
 
 	computed bool
-	// dist[src][dst] is the IGP distance from src to dst, -1 when
-	// unreachable, over the len(dist) routers SPF ran on. nhSlab holds
-	// the ECMP next hops of every (src, dst) pair back to back: those of
-	// pair i = src*len(dist)+dst are nhSlab[nhOff[i]:nhOff[i+1]].
-	dist   [][]int
+	// dist holds the IGP distance of every (src, dst) pair at
+	// src*stride+dst, -1 when unreachable, where stride is the number of
+	// routers SPF ran on. nhSlab holds the ECMP next hops of every pair
+	// back to back: those of pair i are nhSlab[nhOff[i]:nhOff[i+1]].
+	stride int
+	dist   []int32
 	nhSlab []RouterID
 	nhOff  []int32
 }
@@ -74,12 +77,10 @@ type Network struct {
 // IP-ID strides) derive from seed.
 func New(seed int64) *Network {
 	return &Network{
-		hosts:     make(map[netip.Addr]*Host),
-		prefixes:  make(map[netip.Prefix]RouterID),
-		asIndex:   make(map[int]int),
-		nextIface: make(map[int]uint32),
-		nextLoop:  make(map[int]uint32),
-		seed:      seed,
+		addrs:    make(map[uint32]dstInfo),
+		prefixes: make(map[netip.Prefix]RouterID),
+		ases:     make(map[int]*asBlock),
+		seed:     seed,
 	}
 }
 
@@ -95,16 +96,24 @@ func idHash(seed int64, id RouterID) uint64 {
 	return v ^ (v >> 31)
 }
 
-func (n *Network) asIdx(asn int) int {
-	if i, ok := n.asIndex[asn]; ok {
-		return i
+// asBlock is one AS's block of the address plan, 10.<index>.0.0/16, with
+// the loopbacks and interface addresses allocated from it so far.
+type asBlock struct {
+	index, loopbacks, interfaces uint32
+}
+
+// block returns asn's address block, giving an AS seen for the first time
+// the next index.
+func (n *Network) block(asn int) *asBlock {
+	b, ok := n.ases[asn]
+	if !ok {
+		if len(n.ases) == 250 {
+			panic("netsim: too many ASes for the addressing plan")
+		}
+		b = &asBlock{index: uint32(len(n.ases) + 1)}
+		n.ases[asn] = b
 	}
-	i := len(n.asIndex) + 1
-	if i > 250 {
-		panic("netsim: too many ASes for the addressing plan")
-	}
-	n.asIndex[asn] = i
-	return i
+	return b
 }
 
 func u32ToAddr(v uint32) netip.Addr {
@@ -112,15 +121,14 @@ func u32ToAddr(v uint32) netip.Addr {
 }
 
 // AddRouter creates a router, allocating its loopback from the AS block
-// 10.<as-index>.0.0/16 and advertising the loopback /32.
+// 10.<as-index>.0.0/16.
 func (n *Network) AddRouter(cfg RouterConfig) *Router {
-	idx := n.asIdx(cfg.ASN)
-	n.nextLoop[idx]++
-	seq := n.nextLoop[idx]
-	if seq > 999 {
+	as := n.block(cfg.ASN)
+	as.loopbacks++
+	if as.loopbacks > 999 {
 		panic(fmt.Sprintf("netsim: more than 999 routers in AS %d", cfg.ASN))
 	}
-	lb := u32ToAddr(10<<24 | uint32(idx)<<16 | seq)
+	lb := u32ToAddr(10<<24 | as.index<<16 | as.loopbacks)
 
 	srgb, srlb := cfg.SRGB, mpls.LabelRange{}
 	if srgb == (mpls.LabelRange{}) {
@@ -149,7 +157,7 @@ func (n *Network) AddRouter(cfg RouterConfig) *Router {
 		r.Name = fmt.Sprintf("r%d-as%d", r.ID, r.ASN)
 	}
 	n.routers = append(n.routers, r)
-	n.prefixes[netip.PrefixFrom(lb, 32)] = r.ID
+	n.ownAddr(lb, id, true)
 	n.computed = false
 	return r
 }
@@ -167,17 +175,17 @@ func (n *Network) Connect(a, b RouterID, weight int) {
 	if ra.link(b) != nil {
 		panic(fmt.Sprintf("netsim: duplicate link %d-%d", a, b))
 	}
-	idx := n.asIdx(ra.ASN)
-	n.nextIface[idx] += 2
-	base := 10<<24 | uint32(idx)<<16 | 0x1000 + n.nextIface[idx]
+	as := n.block(ra.ASN)
+	as.interfaces += 2
+	base := 10<<24 | as.index<<16 | 0x1000 + as.interfaces
 	if base&0xffff >= 0xff00 {
 		panic(fmt.Sprintf("netsim: interface space exhausted in AS %d", ra.ASN))
 	}
 	aAddr, bAddr := u32ToAddr(base), u32ToAddr(base+1)
 	ra.links = append(ra.links, link{to: b, weight: weight, iface: aAddr})
 	rb.links = append(rb.links, link{to: a, weight: weight, iface: bAddr})
-	n.prefixes[netip.PrefixFrom(aAddr, 32)] = a
-	n.prefixes[netip.PrefixFrom(bAddr, 32)] = b
+	n.ownAddr(aAddr, a, false)
+	n.ownAddr(bAddr, b, false)
 	n.computed = false
 }
 
@@ -208,42 +216,41 @@ func (n *Network) Neighbors(id RouterID) []RouterID {
 // prefix behind an edge router). Probes to any address inside it are
 // delivered at that router. The prefix is stored masked, so two spellings
 // of one prefix (100.1.2.0/24, 100.1.2.7/24) are one entry and the later
-// advertisement wins. An invalid prefix never matches. The prefix takes
-// effect at the next Compute.
+// advertisement wins; an IPv4 /32 is an address, and its owner is the
+// later of this advertisement and any host or router address made there.
+// An invalid prefix is not stored. The prefix takes effect at the next
+// Compute.
 func (n *Network) AdvertisePrefix(id RouterID, p netip.Prefix) {
-	n.prefixes[p.Masked()] = id
+	switch {
+	case p.Addr().Is4() && p.Bits() == 32:
+		k := addrKey(p.Addr())
+		n.addrs[k] = n.routeAddr(k, id)
+	case p.IsValid():
+		p = p.Masked()
+		n.prefixes[p] = id
+		if !slices.Contains(n.prefixLens, p.Bits()) {
+			n.prefixLens = append(n.prefixLens, p.Bits())
+			slices.SortFunc(n.prefixLens, func(a, b int) int { return b - a })
+		}
+	}
 	n.computed = false
 }
 
 // AddHost attaches an end host (vantage point or target) to a gateway
-// router and routes its /32 there. The host is reachable after the next
-// Compute.
+// router, which then owns the host's address. The host is reachable after
+// the next Compute. The simulator forwards IPv4 only, so a host address
+// of any other kind is a bug in the caller and panics.
 func (n *Network) AddHost(a netip.Addr, gw RouterID) *Host {
+	if !a.Is4() {
+		panic(fmt.Sprintf("netsim: host address %v is not IPv4", a))
+	}
 	h := &Host{Addr: a, Gateway: gw}
-	n.hosts[a] = h
-	n.prefixes[netip.PrefixFrom(a, 32)] = gw
+	k := addrKey(a)
+	d := n.routeAddr(k, gw)
+	d.host = h
+	n.addrs[k] = d
 	n.computed = false
 	return h
-}
-
-// Owner resolves the router owning the longest advertised prefix that
-// covers a, with ok=false when no prefix does. It makes one exact-match
-// lookup per advertised prefix length, longest first, so it is defined
-// only after Compute, which records those lengths.
-func (n *Network) Owner(a netip.Addr) (RouterID, bool) {
-	if !a.IsValid() {
-		return 0, false
-	}
-	for _, bits := range n.prefixLens {
-		p, err := a.Prefix(bits)
-		if err != nil {
-			continue // a prefix of the other address family
-		}
-		if id, ok := n.prefixes[p]; ok {
-			return id, true
-		}
-	}
-	return 0, false
 }
 
 // RouterByAddr returns the router owning a as one of its own interface or
@@ -259,11 +266,15 @@ func (n *Network) RouterByAddr(a netip.Addr) (*Router, bool) {
 // Send resolves it once per probe, so neither the per-hop loop, the
 // ingress push decision nor reply construction probes a map for it.
 type dstInfo struct {
-	owner  RouterID // owner of the longest covering prefix (Owner); -1: no route
+	owner  RouterID // router the address is delivered at; -1: no route
 	router RouterID // router whose own interface or loopback it is; -1: none
 	host   *Host    // attached host with this address; nil: none
-	// eligible reports that the address is a label-switched FEC
-	// (TunnelEligible).
+	// eligible reports that the address is a FEC an ingress label-switches
+	// toward: loopbacks and routed (customer and host) addresses are,
+	// bare interface addresses are not, because neither LDP nor SR binds
+	// labels to point-to-point interface prefixes. This FEC granularity is
+	// what lets TNT's DPR reveal invisible tunnel interiors by tracing
+	// toward interface addresses.
 	eligible bool
 }
 
@@ -272,7 +283,7 @@ func addrKey(a netip.Addr) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// indexed returns a's record in the exact-address index, if it has one.
+// indexed returns a's record in the address table, if it has one.
 func (n *Network) indexed(a netip.Addr) (dstInfo, bool) {
 	if !a.Is4() {
 		return dstInfo{}, false
@@ -281,10 +292,30 @@ func (n *Network) indexed(a netip.Addr) (dstInfo, bool) {
 	return d, ok
 }
 
-// resolve looks a up in the exact-address index and falls back to
-// Owner's longest-prefix match for addresses the index does not hold
-// (routed prefixes without an attached host). Like Owner, it is defined
-// only after Compute.
+// ownAddr records a as an address of router id, which owns it. Only a
+// loopback is a label-switched FEC. A host attached at a keeps its place.
+func (n *Network) ownAddr(a netip.Addr, id RouterID, loopback bool) {
+	k := addrKey(a)
+	d := n.addrs[k]
+	d.owner, d.router, d.eligible = id, id, loopback
+	n.addrs[k] = d
+}
+
+// routeAddr returns the record of address k with its owner set to id: the
+// record k has, or a new one of an address no router holds, which is
+// label-switched.
+func (n *Network) routeAddr(k uint32, id RouterID) dstInfo {
+	d, ok := n.addrs[k]
+	if !ok {
+		d = dstInfo{router: -1, eligible: true}
+	}
+	d.owner = id
+	return d
+}
+
+// resolve returns a's record in the address table and, for an address
+// the table does not hold, one routed by the longest routed prefix
+// covering it.
 func (n *Network) resolve(a netip.Addr) dstInfo {
 	if d, ok := n.indexed(a); ok {
 		return d
@@ -292,10 +323,18 @@ func (n *Network) resolve(a netip.Addr) dstInfo {
 	return dstInfo{owner: n.routeOwner(a), router: -1, eligible: true}
 }
 
-// routeOwner is Owner with -1 for an address no prefix covers.
+// routeOwner returns the owner of the longest routed prefix covering a,
+// or -1 when none does. It makes one exact-match lookup per routed prefix
+// length, longest first.
 func (n *Network) routeOwner(a netip.Addr) RouterID {
-	if id, ok := n.Owner(a); ok {
-		return id
+	for _, bits := range n.prefixLens {
+		p, err := a.Prefix(bits)
+		if err != nil {
+			continue // a prefix of the other address family
+		}
+		if id, ok := n.prefixes[p]; ok {
+			return id
+		}
 	}
 	return -1
 }
@@ -304,53 +343,10 @@ func (n *Network) routeOwner(a netip.Addr) RouterID {
 // label distribution. It must be called after topology changes and before
 // injecting traffic.
 func (n *Network) Compute() {
-	n.buildAddrIndex()
 	n.computeSPF()
 	n.assignSIDs()
 	n.distributeLDP()
 	n.computed = true
-}
-
-// buildAddrIndex records the advertised prefix lengths for Owner and
-// builds the exact-address index resolve reads.
-func (n *Network) buildAddrIndex() {
-	var present [129]bool // indexed by prefix length; invalid prefixes (-1) never match
-	for p := range n.prefixes {
-		if b := p.Bits(); b >= 0 {
-			present[b] = true
-		}
-	}
-	n.prefixLens = nil
-	for b := len(present) - 1; b >= 0; b-- {
-		if present[b] {
-			n.prefixLens = append(n.prefixLens, b)
-		}
-	}
-	addrs := make(map[uint32]dstInfo, 3*len(n.routers)+len(n.hosts))
-	for _, r := range n.routers {
-		addrs[addrKey(r.Loopback)] = dstInfo{router: r.ID}
-		for _, l := range r.links {
-			addrs[addrKey(l.iface)] = dstInfo{router: r.ID}
-		}
-	}
-	for a, h := range n.hosts {
-		if !a.Is4() {
-			continue
-		}
-		d, ok := addrs[addrKey(a)]
-		if !ok {
-			d.router = -1
-		}
-		d.host = h
-		addrs[addrKey(a)] = d
-	}
-	for k, d := range addrs {
-		a := u32ToAddr(k)
-		d.owner = n.routeOwner(a)
-		d.eligible = d.router < 0 || n.routers[d.router].Loopback == a
-		addrs[k] = d
-	}
-	n.addrs = addrs
 }
 
 // assignSIDs gives every SR-enabled router a node-SID index and allocates
@@ -404,7 +400,7 @@ func (n *Network) bind(r *Router, l uint32, kind labelKind, to RouterID) {
 	if r.labels == nil {
 		size := len(r.links)
 		if n.bindsLDP(r) {
-			size += int(n.nextLoop[n.asIndex[r.ASN]])
+			size += int(n.ases[r.ASN].loopbacks)
 		}
 		r.labels = make(map[uint32]binding, size)
 	}
@@ -425,11 +421,12 @@ func (n *Network) distributeLDP() {
 		if grow := len(n.routers) - len(r.ldpOut); grow > 0 {
 			r.ldpOut = append(r.ldpOut, make([]uint32, grow)...)
 		}
+		dist := n.dist[int(r.ID)*n.stride:]
 		for _, e := range n.routers {
 			if e.ID == r.ID || e.ASN != r.ASN {
 				continue
 			}
-			if n.dist[r.ID][e.ID] < 0 || r.ldpOut[e.ID] != 0 {
+			if dist[e.ID] < 0 || r.ldpOut[e.ID] != 0 {
 				continue
 			}
 			l := r.pool.Draw(r.bound)
@@ -459,15 +456,5 @@ func (n *Network) Dist(a, b RouterID) int {
 	if !n.computed {
 		panic("netsim: Compute not called")
 	}
-	return n.dist[a][b]
-}
-
-// Hosts returns all attached hosts.
-func (n *Network) Hosts() []*Host {
-	out := make([]*Host, 0, len(n.hosts))
-	for _, h := range n.hosts {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Less(out[j].Addr) })
-	return out
+	return int(n.dist[int(a)*n.stride+int(b)])
 }

@@ -80,11 +80,7 @@ func traceCases() []traceCase {
 		// interface until three identical responders halt the sweep.
 		{"period-1 loop halt", func(t *testing.T) (*Tracer, netip.Addr) {
 			tn := build(t, netsim.ModeIP, true, true)
-			owner, ok := tn.net.Owner(tn.target)
-			if !ok {
-				t.Fatal("target unrouted")
-			}
-			tn.net.SetNextHopOverride(tn.pe1.ID, owner, tn.pe1.ID)
+			tn.net.SetNextHopOverride(tn.pe1.ID, tn.pe2.ID, tn.pe1.ID) // pe2 owns the target
 			return tn.tracer(), tn.target
 		}, HaltLoop, 2},
 		// Half the LSRs' replies are lost per probe; retries recover them.

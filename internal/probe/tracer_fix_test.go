@@ -82,11 +82,7 @@ func TestFlowPortStaysInTracerouteRange(t *testing.T) {
 // whole MaxTTL sweep.
 func TestTraceHaltsOnPeriod1Loop(t *testing.T) {
 	tn := build(t, netsim.ModeIP, true, true)
-	owner, ok := tn.net.Owner(tn.target)
-	if !ok {
-		t.Fatal("target unrouted")
-	}
-	tn.net.SetNextHopOverride(tn.pe1.ID, owner, tn.pe1.ID)
+	tn.net.SetNextHopOverride(tn.pe1.ID, tn.pe2.ID, tn.pe1.ID) // pe2 owns the target
 
 	reg := obs.New()
 	tr := tn.tracer()
