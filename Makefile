@@ -5,7 +5,7 @@ GO ?= go
 # suite with goroutine dumps instead of wedging make or CI forever.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: build test vet lint arestlint race check bench fuzz experiments-output
+.PHONY: build test vet lint arestlint race budgets check bench fuzz experiments-output
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,13 @@ vet:
 # the parallel-vs-sequential campaign equivalence tests.
 race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...
+
+# The allocation and memory budgets, the wire-path coverage ceilings and
+# the injected-allocation check (DESIGN.md §10, §11 and §13). They skip
+# under -race, so the race suite never runs them; CI's bench-smoke job
+# calls this target.
+budgets:
+	$(GO) test -run 'AllocBudget|MemoryBudget|TestWirePathBudgetCoverage|TestHotPathInjectionCaught' -count 1 -timeout $(TEST_TIMEOUT) ./internal/pkt ./internal/netsim ./internal/probe ./internal/core ./internal/archive ./internal/exp ./internal/asgen ./internal/obs
 
 # Static analysis beyond vet. arestlint (the in-tree determinism-contract
 # checker, DESIGN.md §10) always runs — it needs no external install.
@@ -46,12 +53,12 @@ lint: arestlint
 arestlint:
 	$(GO) run ./cmd/arestlint -tests ./...
 
-# CI entry point: vet, lint and the race-enabled suite, then the checks
-# CI's check job adds on top: gofmt lists no file, the committed
+# CI entry point: vet, lint, the race-enabled suite and the budgets, then
+# the checks CI's check job adds on top: gofmt lists no file, the committed
 # transcript is what the campaign prints (a stale transcript shows as a
 # diff after the regeneration), arest reads a tntsim archive from a
 # non-seekable stdin, and every example runs to completion.
-check: vet lint race
+check: vet lint race budgets
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(MAKE) experiments-output

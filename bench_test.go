@@ -410,56 +410,26 @@ func BenchmarkMultipathDiscovery(b *testing.B) {
 }
 
 // BenchmarkWireCodecs measures the hot codec paths the prober exercises on
-// every probe: probe marshal plus reply unmarshal (IPv4+ICMP+RFC4950).
+// every probe: probe marshal plus reply unmarshal (IPv4+ICMP+RFC 4950)
+// with caller-held buffers, the zero-allocation path the prober and
+// simulator run.
 func BenchmarkWireCodecs(b *testing.B) {
 	src := mustAddr("10.0.0.1")
 	dst := mustAddr("192.0.2.9")
 	u := &pkt.UDP{SrcPort: 33434, DstPort: 33435, Payload: []byte("arest-tnt-probe")}
-	ub, _ := u.Marshal(src, dst)
+	ub, _ := u.AppendMarshal(nil, src, dst)
 	probeIP := &pkt.IPv4{TTL: 6, Protocol: pkt.ProtoUDP, Src: src, Dst: dst, Payload: ub}
-	pw, _ := probeIP.Marshal()
-	obj, _ := pkt.NewMPLSExtension(mpls.Stack{{Label: 16005, TTL: 1}, {Label: 37000, TTL: 1}})
+	pw, _ := probeIP.AppendMarshal(nil)
+	stack, _ := mpls.Stack{{Label: 16005, TTL: 1}, {Label: 37000, TTL: 1}}.AppendMarshal(nil)
+	obj := pkt.ExtensionObject{Class: pkt.ClassMPLSLabelStack, CType: pkt.CTypeIncomingStack, Payload: stack}
 	icmp := &pkt.ICMP{Type: pkt.ICMPTimeExceeded, Body: pw, Extensions: []pkt.ExtensionObject{obj}}
-	ib, _ := icmp.Marshal()
+	ib, _ := icmp.AppendMarshal(nil)
 	reply := &pkt.IPv4{TTL: 250, Protocol: pkt.ProtoICMP, Src: dst, Dst: src, Payload: ib}
-	rw, _ := reply.Marshal()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := probeIP.Marshal(); err != nil {
-			b.Fatal(err)
-		}
-		rip, err := pkt.UnmarshalIPv4(rw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := pkt.UnmarshalICMP(rip.Payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, ok := m.MPLSStack(); !ok {
-			b.Fatal("stack lost")
-		}
-	}
-}
-
-// BenchmarkWireCodecsFastPath measures the same probe-marshal +
-// reply-unmarshal round trip through the append/Into APIs with caller-held
-// buffers — the zero-allocation path the prober and simulator actually run.
-func BenchmarkWireCodecsFastPath(b *testing.B) {
-	src := mustAddr("10.0.0.1")
-	dst := mustAddr("192.0.2.9")
-	u := &pkt.UDP{SrcPort: 33434, DstPort: 33435, Payload: []byte("arest-tnt-probe")}
-	ub, _ := u.Marshal(src, dst)
-	probeIP := &pkt.IPv4{TTL: 6, Protocol: pkt.ProtoUDP, Src: src, Dst: dst, Payload: ub}
-	pw, _ := probeIP.Marshal()
-	obj, _ := pkt.NewMPLSExtension(mpls.Stack{{Label: 16005, TTL: 1}, {Label: 37000, TTL: 1}})
-	icmp := &pkt.ICMP{Type: pkt.ICMPTimeExceeded, Body: pw, Extensions: []pkt.ExtensionObject{obj}}
-	ib, _ := icmp.Marshal()
-	reply := &pkt.IPv4{TTL: 250, Protocol: pkt.ProtoICMP, Src: dst, Dst: src, Payload: ib}
-	rw, _ := reply.Marshal()
+	rw, _ := reply.AppendMarshal(nil)
 	wire := make([]byte, 0, 128)
 	var rip pkt.IPv4
 	var m pkt.ICMP
+	lses := make(mpls.Stack, 0, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -474,7 +444,8 @@ func BenchmarkWireCodecsFastPath(b *testing.B) {
 		if err := pkt.UnmarshalICMPInto(&m, rip.Payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := m.MPLSStack(); !ok {
+		var ok bool
+		if lses, ok = m.AppendMPLSStack(lses[:0]); !ok {
 			b.Fatal("stack lost")
 		}
 	}

@@ -72,27 +72,27 @@ func buildCost(w analyzedWorld, runs int) (allocs, bytes uint64) {
 // (Deutsche Telekom). A router keeps its links in one slice and every
 // incoming label it binds in one table, made at its first binding and
 // sized for the LDP labels only a router that binds them will hold; its
-// label pool keeps no set of its own, its outgoing LDP labels sit in a
-// dense slice, and next hops in one slab. The network keeps each address
-// once, in one table written where the address is made, and the IGP
-// distances in one flat int32 table. So a formatted key per binding
-// (~3,500 strings in Telecom Italia), a used-label set per pool or a map
-// per router per kind of binding trips the allocation budget; a slice
-// header per router pair (34² or 76² of them), an LDP-sized table on
-// every SR router, a /32 per address in the prefix table, an address
-// table rebuilt at every Compute or an int per distance trips the byte
-// budget. Each budget is the larger steady state of two map
-// implementations, Go 1.24's swiss tables and the older buckets
-// (GOEXPERIMENT=noswissmap, the default before Go 1.24), plus 2% for the
-// older maps' spread across hash seeds.
+// label pool keeps no set of its own, and its outgoing LDP labels sit in
+// a dense slice. The network keeps each address once, in one table
+// written where the address is made, the IGP distances in one flat int32
+// table and the next hops in one slab of int32 router IDs. So a formatted
+// key per binding (~3,500 strings in Telecom Italia), a used-label set
+// per pool or a map per router per kind of binding trips the allocation
+// budget; a slice header per router pair (34² or 76² of them), an
+// LDP-sized table on every SR router, a /32 per address in the prefix
+// table, an address table rebuilt at every Compute or an int per distance
+// or next hop trips the byte budget. Each budget is the larger steady
+// state of two map implementations, Go 1.24's swiss tables and the older
+// buckets (GOEXPERIMENT=noswissmap, the default before Go 1.24), plus 2%
+// for the older maps' spread across hash seeds.
 func TestAllocBudgetBuild(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("allocation counts are meaningless under -race instrumentation")
 	}
 	budgets := map[int]struct{ allocs, bytes uint64 }{
-		2:  {450, 86_000},   // measured 439 (swiss) and 84,225 (noswissmap)
-		38: {1030, 387_000}, // measured 1,008 (swiss) and 378,972 (noswissmap)
-		53: {1045, 328_000}, // measured 1,023 (swiss) and 320,665 (noswissmap)
+		2:  {450, 80_000},   // measured 439 (swiss) and 77,876 (noswissmap)
+		38: {1030, 353_000}, // measured 1,006 (swiss) and 345,379 (noswissmap)
+		53: {1045, 294_000}, // measured 1,023 (swiss) and 287,908 (noswissmap)
 	}
 	for _, w := range analyzedWorlds() {
 		budget, ok := budgets[w.rec.ID]

@@ -106,18 +106,10 @@ func (e LSE) String() string {
 // Stack is an ordered MPLS label stack; index 0 is the top (active) entry.
 type Stack []LSE
 
-// Marshal encodes the stack top-first, forcing the S bit so that only the
-// bottom entry carries it, as RFC 3032 requires.
-func (s Stack) Marshal() ([]byte, error) {
-	if len(s) == 0 {
-		return nil, nil
-	}
-	return s.AppendMarshal(nil)
-}
-
-// AppendMarshal encodes the stack onto dst and returns the extended slice,
-// allocating only when dst lacks capacity. The appended bytes are
-// identical to Marshal's output (an empty stack appends nothing).
+// AppendMarshal encodes the stack onto dst top-first and returns the
+// extended slice, allocating only when dst lacks capacity. It forces the
+// S bit so that only the bottom entry carries it, as RFC 3032 requires;
+// an empty stack appends nothing.
 func (s Stack) AppendMarshal(dst []byte) ([]byte, error) {
 	off := len(dst)
 	if cap(dst) >= off+len(s)*LSESize {

@@ -95,11 +95,11 @@ func TestLSEQuickRoundTrip(t *testing.T) {
 
 func TestStackMarshalSetsBottomBitOnlyOnLast(t *testing.T) {
 	s := Stack{
-		{Label: 16005, TTL: 254, S: true}, // wrong S on purpose; Marshal must fix
+		{Label: 16005, TTL: 254, S: true}, // wrong S on purpose; AppendMarshal must fix
 		{Label: 3001, TTL: 254},
 		{Label: 16008, TTL: 254},
 	}
-	b, err := s.Marshal()
+	b, err := s.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestStackMarshalSetsBottomBitOnlyOnLast(t *testing.T) {
 }
 
 func TestStackMarshalEmpty(t *testing.T) {
-	b, err := Stack(nil).Marshal()
+	b, err := Stack(nil).AppendMarshal(nil)
 	if err != nil || b != nil {
 		t.Errorf("empty stack: b=%v err=%v", b, err)
 	}
@@ -133,7 +133,7 @@ func TestStackMarshalEmpty(t *testing.T) {
 
 func TestUnmarshalStackStopsAtBottom(t *testing.T) {
 	s := Stack{{Label: 100}, {Label: 200}}
-	b, _ := s.Marshal()
+	b, _ := s.AppendMarshal(nil)
 	// Append garbage after the bottom entry; decoding must not consume it.
 	b = append(b, 0xde, 0xad, 0xbe, 0xef)
 	out, n, err := AppendUnmarshalStack(nil, b)
@@ -158,7 +158,7 @@ func TestUnmarshalStackRunaway(t *testing.T) {
 
 func TestUnmarshalStackTruncatedMidEntry(t *testing.T) {
 	s := Stack{{Label: 100}, {Label: 200}}
-	b, _ := s.Marshal()
+	b, _ := s.AppendMarshal(nil)
 	if _, _, err := AppendUnmarshalStack(nil, b[:LSESize+2]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", err)
 	}
@@ -176,7 +176,7 @@ func TestStackQuickRoundTrip(t *testing.T) {
 				TTL:   uint8(rng.Intn(256)),
 			}
 		}
-		b, err := in.Marshal()
+		b, err := in.AppendMarshal(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

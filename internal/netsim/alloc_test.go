@@ -45,7 +45,7 @@ type sendCase struct {
 
 // rawProbe builds an IPv4 probe carrying payload under protocol proto.
 func rawProbe(src, dst netip.Addr, ttl, proto uint8, payload []byte) []byte {
-	b, err := (&pkt.IPv4{TTL: ttl, Protocol: proto, ID: 11, Src: src, Dst: dst, Payload: payload}).Marshal()
+	b, err := (&pkt.IPv4{TTL: ttl, Protocol: proto, ID: 11, Src: src, Dst: dst, Payload: payload}).AppendMarshal(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -55,7 +55,7 @@ func rawProbe(src, dst netip.Addr, ttl, proto uint8, payload []byte) []byte {
 // echoReplyProbe builds an echo reply addressed to dst, which no router or
 // host answers.
 func echoReplyProbe(src, dst netip.Addr) []byte {
-	m, err := (&pkt.ICMP{Type: pkt.ICMPEchoReply, ID: 5, Seq: 1, Body: []byte("ping")}).Marshal()
+	m, err := (&pkt.ICMP{Type: pkt.ICMPEchoReply, ID: 5, Seq: 1, Body: []byte("ping")}).AppendMarshal(nil)
 	if err != nil {
 		panic(err)
 	}

@@ -37,12 +37,12 @@ func normalizeReply(t *testing.T, b []byte) string {
 	if b == nil {
 		return "<none>"
 	}
-	ip, err := pkt.UnmarshalIPv4(b)
-	if err != nil {
+	var ip pkt.IPv4
+	if err := pkt.UnmarshalIPv4Into(&ip, b); err != nil {
 		t.Fatalf("bad reply: %v", err)
 	}
 	ip.ID = 0
-	nb, err := ip.Marshal()
+	nb, err := ip.AppendMarshal(nil)
 	if err != nil {
 		t.Fatalf("re-marshal reply: %v", err)
 	}
@@ -120,7 +120,8 @@ func TestConcurrentSendStress(t *testing.T) {
 					return
 				}
 				if d.Reply != nil {
-					if _, err := pkt.UnmarshalIPv4(d.Reply); err != nil {
+					var ip pkt.IPv4
+					if err := pkt.UnmarshalIPv4Into(&ip, d.Reply); err != nil {
 						t.Errorf("mangled reply: %v", err)
 						return
 					}

@@ -13,7 +13,13 @@ import (
 func RefSPF(n *Network, src RouterID) ([]int, [][]RouterID) { return n.refDijkstra(src) }
 
 // NextHops returns the computed ECMP next hops from src toward dst.
-func NextHops(n *Network, src, dst RouterID) []RouterID { return n.nextHops(src, dst) }
+func NextHops(n *Network, src, dst RouterID) []RouterID {
+	var out []RouterID
+	for _, id := range n.nextHops(src, dst) {
+		out = append(out, RouterID(id))
+	}
+	return out
+}
 
 // Prefixes returns the routed prefix table.
 func Prefixes(n *Network) map[netip.Prefix]RouterID { return n.prefixes }

@@ -109,8 +109,9 @@ func TestAdjacencySIDOverDeadLinkDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	if del.Reply != nil {
-		rip, _ := pkt.UnmarshalIPv4(del.Reply)
-		t.Fatalf("stale adjacency segment still delivered (reply from %v)", rip.Src)
+		var rip pkt.IPv4
+		err := pkt.UnmarshalIPv4Into(&rip, del.Reply)
+		t.Fatalf("stale adjacency segment still delivered (reply from %v, %v)", rip.Src, err)
 	}
 }
 

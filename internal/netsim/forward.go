@@ -9,6 +9,7 @@ import (
 	"net/netip"
 
 	"arest/internal/mpls"
+	"arest/internal/obs"
 	"arest/internal/pkt"
 )
 
@@ -112,7 +113,6 @@ func (n *Network) send(src netip.Addr, wire, dst []byte, path *[]RouterID) (Deli
 		flow:      flowHash(&s.ip),
 		dst:       n.resolve(s.ip.Dst),
 		vpGateway: host.Gateway,
-		probeSrc:  src,
 		scr:       s,
 		replyBuf:  dst,
 	}
@@ -170,7 +170,6 @@ type sendCtx struct {
 	flow        uint64
 	dst         dstInfo // the probe's destination, resolved once per Send
 	vpGateway   RouterID
-	probeSrc    netip.Addr
 	lastRetDist int
 	scr         *sendScratch
 	replyBuf    []byte // the caller's buffer the reply is appended to
@@ -191,7 +190,7 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 		// MPLS stage: one LSE-TTL decrement per router.
 		if f.stack[0].TTL <= 1 {
 			c.n.met.ttlExpired.Inc()
-			return 0, c.timeExceeded(r, c.inIface(r, prev), f, received, rcvIPTTL), true
+			return 0, c.icmpError(r, c.inIface(r, prev), pkt.ICMPTimeExceeded, pkt.CodeTTLExceeded, f, received, rcvIPTTL), true
 		}
 		f.stack[0].TTL--
 		for len(f.stack) > 0 {
@@ -325,7 +324,7 @@ func (c *sendCtx) process(r *Router, prev RouterID, f *frame) (next RouterID, re
 	if !ttlDone {
 		if f.ip.TTL <= 1 {
 			c.n.met.ttlExpired.Inc()
-			return 0, c.timeExceeded(r, c.inIface(r, prev), f, received, rcvIPTTL), true
+			return 0, c.icmpError(r, c.inIface(r, prev), pkt.ICMPTimeExceeded, pkt.CodeTTLExceeded, f, received, rcvIPTTL), true
 		}
 		f.ip.TTL--
 	}
@@ -531,20 +530,6 @@ func (c *sendCtx) quoteBytes(f *frame, rcvTTL uint8) []byte {
 	return b
 }
 
-// timeExceeded builds the ICMP time-exceeded reply from router r, quoting
-// the received label stack when the router implements RFC 4950.
-func (c *sendCtx) timeExceeded(r *Router, src netip.Addr, f *frame, received mpls.Stack, rcvTTL uint8) []byte {
-	if !r.Profile.RespondsICMP {
-		c.n.met.dropSilent.Inc()
-		return nil
-	}
-	if c.icmpLost(r, f) {
-		c.n.met.dropRateLim.Inc()
-		return nil
-	}
-	return c.icmpError(r, src, pkt.ICMPTimeExceeded, pkt.CodeTTLExceeded, f, received, rcvTTL)
-}
-
 // icmpLost models ICMP rate limiting: a deterministic per-probe coin flip
 // keyed on the router and the probe's IP-ID, so a retry (new IP-ID) draws
 // a fresh coin.
@@ -560,10 +545,20 @@ func (c *sendCtx) icmpLost(r *Router, f *frame) bool {
 	return float64(h%10000)/10000 < p
 }
 
-// icmpError builds a serialized ICMP error reply. All intermediate pieces
-// (quote, RFC 4950 object, ICMP message) live in per-Send scratch, and
-// the reply wire is appended to the caller's buffer.
+// icmpError answers the probe in f from router r, sourced from src, with
+// an ICMP error of type typ and code code. It quotes the datagram as r
+// received it (IP TTL rcvTTL) and, when r implements RFC 4950, the label
+// stack it received. A router that never answers, or whose reply rate
+// limiting loses, sends nothing.
 func (c *sendCtx) icmpError(r *Router, src netip.Addr, typ, code uint8, f *frame, received mpls.Stack, rcvTTL uint8) []byte {
+	if !r.Profile.RespondsICMP {
+		c.n.met.dropSilent.Inc()
+		return nil
+	}
+	if c.icmpLost(r, f) {
+		c.n.met.dropRateLim.Inc()
+		return nil
+	}
 	s := c.scr
 	s.msg = pkt.ICMP{Type: typ, Code: code, Body: c.quoteBytes(f, rcvTTL)}
 	if r.Profile.RFC4950 && len(received) > 0 {
@@ -575,163 +570,98 @@ func (c *sendCtx) icmpError(r *Router, src netip.Addr, typ, code uint8, f *frame
 			s.msg.Extensions = s.extObjs[:1]
 		}
 	}
-	payload, err := s.msg.AppendMarshal(s.payload[:0])
-	if err != nil {
-		c.n.met.dropParse.Inc()
-		return nil
+	sent := c.n.met.icmpTimeEx
+	if typ == pkt.ICMPDestUnreachable {
+		sent = c.n.met.icmpUnreach
 	}
-	s.payload = payload
-	switch typ {
-	case pkt.ICMPTimeExceeded:
-		c.n.met.icmpTimeEx.Inc()
-	case pkt.ICMPDestUnreachable:
-		c.n.met.icmpUnreach.Inc()
-	}
-	ret := c.retDist(r)
-	c.lastRetDist = ret
-	initTTL := int(r.Profile.InitialTTLTimeExceeded)
-	outTTL := initTTL - ret
-	if outTTL < 1 {
-		outTTL = 1
-	}
-	s.out = pkt.IPv4{
-		TTL:      uint8(outTTL),
-		Protocol: pkt.ProtoICMP,
-		ID:       c.nextIPID(r),
-		Src:      src,
-		Dst:      f.ip.Src,
-		Payload:  payload,
-	}
-	b, err := s.out.AppendMarshal(c.replyBuf)
-	if err != nil {
-		return nil
-	}
-	return b
+	return c.reply(src, r.Profile.InitialTTLTimeExceeded, c.retDist(r), c.nextIPID(r), sent)
 }
 
 // deliver handles a probe that reached the router owning its destination:
-// either a directly attached host answers, or the router itself does.
+// either a directly attached host answers, or the router itself does,
+// sourcing its reply from the probed address as most stacks do, or from
+// its loopback for a routed prefix with no attached host. A UDP probe
+// draws port unreachable and an echo request an echo reply.
 func (c *sendCtx) deliver(r *Router, f *frame, received mpls.Stack, rcvTTL uint8) []byte {
 	if c.dst.host != nil {
 		return c.hostReply(c.dst.host, r, f)
-	}
-	// Addressed to the router itself (loopback or interface) or to a
-	// routed prefix with no attached host; the router answers either way,
-	// sourcing the reply from the probed address as most stacks do.
-	switch f.ip.Protocol {
-	case pkt.ProtoUDP:
-		if !r.Profile.RespondsICMP {
-			c.n.met.dropSilent.Inc()
-			return nil
-		}
-		if c.icmpLost(r, f) {
-			c.n.met.dropRateLim.Inc()
-			return nil
-		}
-		src := f.ip.Dst
-		if c.dst.router < 0 {
-			src = r.Loopback
-		}
-		return c.icmpError(r, src, pkt.ICMPDestUnreachable, pkt.CodePortUnreachable, f, received, rcvTTL)
-	case pkt.ProtoICMP:
-		return c.echoReply(r, f)
-	default:
-		return nil
-	}
-}
-
-func (c *sendCtx) echoReply(r *Router, f *frame) []byte {
-	if !r.Profile.RespondsEcho {
-		c.n.met.dropSilent.Inc()
-		return nil
-	}
-	s := c.scr
-	if err := pkt.UnmarshalICMPInto(&s.echo, f.ip.Payload); err != nil || s.echo.Type != pkt.ICMPEchoRequest {
-		c.n.met.dropParse.Inc()
-		return nil
-	}
-	s.msg = pkt.ICMP{Type: pkt.ICMPEchoReply, ID: s.echo.ID, Seq: s.echo.Seq, Body: s.echo.Body}
-	payload, err := s.msg.AppendMarshal(s.payload[:0])
-	if err != nil {
-		return nil
-	}
-	s.payload = payload
-	ret := c.retDist(r)
-	c.lastRetDist = ret
-	outTTL := int(r.Profile.InitialTTLEchoReply) - ret
-	if outTTL < 1 {
-		outTTL = 1
 	}
 	src := f.ip.Dst
 	if c.dst.router < 0 {
 		src = r.Loopback
 	}
-	s.out = pkt.IPv4{
-		TTL:      uint8(outTTL),
-		Protocol: pkt.ProtoICMP,
-		ID:       c.nextIPID(r),
-		Src:      src,
-		Dst:      f.ip.Src,
-		Payload:  payload,
-	}
-	b, err := s.out.AppendMarshal(c.replyBuf)
-	if err != nil {
-		c.n.met.dropParse.Inc()
-		return nil
-	}
-	c.n.met.icmpEcho.Inc()
-	return b
-}
-
-// hostReply models the destination end host answering: port unreachable
-// for UDP probes to closed ports, echo replies for pings.
-func (c *sendCtx) hostReply(h *Host, gw *Router, f *frame) []byte {
-	const hostInitTTL = 64
-	s := c.scr
-	var payload []byte
 	switch f.ip.Protocol {
 	case pkt.ProtoUDP:
-		s.msg = pkt.ICMP{Type: pkt.ICMPDestUnreachable, Code: pkt.CodePortUnreachable, Body: c.quoteBytes(f, f.ip.TTL)}
-		b, err := s.msg.AppendMarshal(s.payload[:0])
-		if err != nil {
-			return nil
-		}
-		s.payload = b
-		payload = b
+		return c.icmpError(r, src, pkt.ICMPDestUnreachable, pkt.CodePortUnreachable, f, received, rcvTTL)
 	case pkt.ProtoICMP:
-		if err := pkt.UnmarshalICMPInto(&s.echo, f.ip.Payload); err != nil || s.echo.Type != pkt.ICMPEchoRequest {
-			c.n.met.dropParse.Inc()
+		if !r.Profile.RespondsEcho {
+			c.n.met.dropSilent.Inc()
 			return nil
 		}
-		s.msg = pkt.ICMP{Type: pkt.ICMPEchoReply, ID: s.echo.ID, Seq: s.echo.Seq, Body: s.echo.Body}
-		b, err := s.msg.AppendMarshal(s.payload[:0])
-		if err != nil {
-			c.n.met.dropParse.Inc()
+		if !c.echoReply(f) {
 			return nil
 		}
-		s.payload = b
-		payload = b
+		return c.reply(src, r.Profile.InitialTTLEchoReply, c.retDist(r), c.nextIPID(r), c.n.met.icmpEcho)
 	default:
 		return nil
 	}
-	ret := c.retDist(gw)
-	c.lastRetDist = ret + 1
-	outTTL := hostInitTTL - ret - 1
-	if outTTL < 1 {
-		outTTL = 1
+}
+
+// hostReply models the destination end host answering: port unreachable
+// for UDP probes to closed ports, echo replies for pings. A host's replies
+// start at TTL 64 with IP-ID 0 and travel one hop more than its gateway's.
+func (c *sendCtx) hostReply(h *Host, gw *Router, f *frame) []byte {
+	const hostInitTTL = 64
+	switch f.ip.Protocol {
+	case pkt.ProtoUDP:
+		c.scr.msg = pkt.ICMP{Type: pkt.ICMPDestUnreachable, Code: pkt.CodePortUnreachable, Body: c.quoteBytes(f, f.ip.TTL)}
+	case pkt.ProtoICMP:
+		if !c.echoReply(f) {
+			return nil
+		}
+	default:
+		return nil
 	}
-	s.out = pkt.IPv4{
-		TTL:      uint8(outTTL),
-		Protocol: pkt.ProtoICMP,
-		Src:      h.Addr,
-		Dst:      f.ip.Src,
-		Payload:  payload,
+	return c.reply(h.Addr, hostInitTTL, c.retDist(gw)+1, 0, c.n.met.hostReplies)
+}
+
+// echoReply parses the echo request f carries and sets the scratch's
+// message to the echo reply answering it. Anything else is a parse drop.
+func (c *sendCtx) echoReply(f *frame) bool {
+	s := c.scr
+	if err := pkt.UnmarshalICMPInto(&s.echo, f.ip.Payload); err != nil || s.echo.Type != pkt.ICMPEchoRequest {
+		c.n.met.dropParse.Inc()
+		return false
 	}
+	s.msg = pkt.ICMP{Type: pkt.ICMPEchoReply, ID: s.echo.ID, Seq: s.echo.Seq, Body: s.echo.Body}
+	return true
+}
+
+// reply serializes the scratch's message into the reply IPv4 packet from
+// src back to the probe's source, appended to the caller's buffer, and
+// counts it on sent. The packet leaves with TTL initTTL less the return
+// distance ret, floored at 1, and with IP-ID id; ret becomes the
+// delivery's return hop count. A reply that does not serialize is a parse
+// drop.
+func (c *sendCtx) reply(src netip.Addr, initTTL uint8, ret int, id uint16, sent *obs.Counter) []byte {
+	s := c.scr
+	payload, err := s.msg.AppendMarshal(s.payload[:0])
+	if err != nil {
+		c.n.met.dropParse.Inc()
+		return nil
+	}
+	s.payload = payload
+	c.lastRetDist = ret
+	ttl := int(initTTL) - ret
+	if ttl < 1 {
+		ttl = 1
+	}
+	s.out = pkt.IPv4{TTL: uint8(ttl), Protocol: pkt.ProtoICMP, ID: id, Src: src, Dst: s.ip.Src, Payload: payload}
 	b, err := s.out.AppendMarshal(c.replyBuf)
 	if err != nil {
 		c.n.met.dropParse.Inc()
 		return nil
 	}
-	c.n.met.hostReplies.Inc()
+	sent.Inc()
 	return b
 }

@@ -103,11 +103,12 @@ func TestReplyAlwaysParseable(t *testing.T) {
 			if d.Reply == nil {
 				continue
 			}
-			rip, err := pkt.UnmarshalIPv4(d.Reply)
-			if err != nil {
+			var rip pkt.IPv4
+			var m pkt.ICMP
+			if err := pkt.UnmarshalIPv4Into(&rip, d.Reply); err != nil {
 				t.Fatalf("unparseable reply IP at ttl %d: %v", ttl, err)
 			}
-			if _, err := pkt.UnmarshalICMP(rip.Payload); err != nil {
+			if err := pkt.UnmarshalICMPInto(&m, rip.Payload); err != nil {
 				t.Fatalf("unparseable reply ICMP at ttl %d: %v", ttl, err)
 			}
 		}

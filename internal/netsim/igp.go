@@ -20,7 +20,7 @@ func (n *Network) computeSPF() {
 	// A reachable pair has at least one next hop, and ECMP sets add at
 	// most 13% to that in the catalogue's worlds: a quarter's headroom
 	// keeps the slab in one allocation, and appends grow it past that.
-	n.nhSlab = make([]RouterID, 0, nr*nr+nr*nr/4)
+	n.nhSlab = make([]int32, 0, nr*nr+nr*nr/4)
 	for _, r := range n.routers {
 		lo, hi := int(r.ID)*nr, int(r.ID+1)*nr
 		n.dijkstra(r.ID, s, n.dist[lo:hi], n.nhOff[lo:hi])
@@ -28,9 +28,9 @@ func (n *Network) computeSPF() {
 	n.nhOff[nr*nr] = int32(len(n.nhSlab))
 }
 
-// nextHops returns the ECMP next hops from src toward dst, in ascending
-// order; none when dst is src or unreachable.
-func (n *Network) nextHops(src, dst RouterID) []RouterID {
+// nextHops returns the IDs of the ECMP next hops from src toward dst, in
+// ascending order; none when dst is src or unreachable.
+func (n *Network) nextHops(src, dst RouterID) []int32 {
 	i := int(src)*n.stride + int(dst)
 	return n.nhSlab[n.nhOff[i]:n.nhOff[i+1]]
 }
@@ -177,7 +177,7 @@ func (n *Network) dijkstra(src RouterID, s *spfScratch, dist, off []int32) {
 		}
 		for w, bitsw := range s.row(RouterID(id)) {
 			for ; bitsw != 0; bitsw &= bitsw - 1 {
-				slab = append(slab, RouterID(w*64+bits.TrailingZeros64(bitsw)))
+				slab = append(slab, int32(w*64+bits.TrailingZeros64(bitsw)))
 			}
 		}
 	}
@@ -193,13 +193,13 @@ func (n *Network) NextHop(src, dst RouterID, flow uint64) (RouterID, bool) {
 	case 0:
 		return 0, false
 	case 1:
-		return hops[0], true // no ECMP choice to hash for
+		return RouterID(hops[0]), true // no ECMP choice to hash for
 	}
 	// Mix the router ID in so different routers spread flows differently,
 	// as per-router ECMP hashing does.
 	h := flow*0x9e3779b97f4a7c15 + uint64(src)*0x85ebca6b
 	h ^= h >> 33
-	return hops[h%uint64(len(hops))], true
+	return RouterID(hops[h%uint64(len(hops))]), true
 }
 
 // PathLen returns the number of router hops on the flow's path from src to

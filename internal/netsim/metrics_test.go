@@ -92,8 +92,8 @@ func TestSelfLoopingFIBEntryAnswersEveryTTL(t *testing.T) {
 		if d.Reply == nil {
 			t.Fatalf("ttl %d: no reply", ttl)
 		}
-		ip, err := pkt.UnmarshalIPv4(d.Reply)
-		if err != nil {
+		var ip pkt.IPv4
+		if err := pkt.UnmarshalIPv4Into(&ip, d.Reply); err != nil {
 			t.Fatal(err)
 		}
 		addrs = append(addrs, ip.Src.String())

@@ -14,12 +14,12 @@ func a(s string) netip.Addr { return netip.MustParseAddr(s) }
 // udpProbe builds a serialized traceroute-style UDP probe.
 func udpProbe(src, dst netip.Addr, ttl uint8, dport uint16) []byte {
 	u := &pkt.UDP{SrcPort: 33434, DstPort: dport, Payload: []byte("probe-payload")}
-	ub, err := u.Marshal(src, dst)
+	ub, err := u.AppendMarshal(nil, src, dst)
 	if err != nil {
 		panic(err)
 	}
 	ip := &pkt.IPv4{TTL: ttl, Protocol: pkt.ProtoUDP, ID: uint16(ttl), Src: src, Dst: dst, Payload: ub}
-	b, err := ip.Marshal()
+	b, err := ip.AppendMarshal(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -28,12 +28,12 @@ func udpProbe(src, dst netip.Addr, ttl uint8, dport uint16) []byte {
 
 func echoProbe(src, dst netip.Addr, ttl uint8, id uint16) []byte {
 	m := &pkt.ICMP{Type: pkt.ICMPEchoRequest, ID: id, Seq: 1, Body: []byte("ping")}
-	mb, err := m.Marshal()
+	mb, err := m.AppendMarshal(nil)
 	if err != nil {
 		panic(err)
 	}
 	ip := &pkt.IPv4{TTL: ttl, Protocol: pkt.ProtoICMP, ID: 9, Src: src, Dst: dst, Payload: mb}
-	b, err := ip.Marshal()
+	b, err := ip.AppendMarshal(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -53,16 +53,16 @@ func parseReply(t *testing.T, b []byte) *hopReply {
 	if b == nil {
 		return nil
 	}
-	ip, err := pkt.UnmarshalIPv4(b)
-	if err != nil {
+	var ip pkt.IPv4
+	if err := pkt.UnmarshalIPv4Into(&ip, b); err != nil {
 		t.Fatalf("reply IP: %v", err)
 	}
-	m, err := pkt.UnmarshalICMP(ip.Payload)
-	if err != nil {
+	var m pkt.ICMP
+	if err := pkt.UnmarshalICMPInto(&m, ip.Payload); err != nil {
 		t.Fatalf("reply ICMP: %v", err)
 	}
 	h := &hopReply{from: ip.Src, icmpType: m.Type, icmpCode: m.Code, replyTTL: ip.TTL}
-	if s, ok := m.MPLSStack(); ok {
+	if s, ok := m.AppendMPLSStack(nil); ok {
 		h.stack = s
 	}
 	return h
@@ -624,8 +624,8 @@ func TestIPIDMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ip, err := pkt.UnmarshalIPv4(d.Reply)
-		if err != nil {
+		var ip pkt.IPv4
+		if err := pkt.UnmarshalIPv4Into(&ip, d.Reply); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, ip.ID)
@@ -782,9 +782,9 @@ func TestICMPLossAndRetries(t *testing.T) {
 	lost, got := 0, 0
 	for i := 0; i < 40; i++ {
 		u := &pkt.UDP{SrcPort: 33434, DstPort: uint16(33434 + i), Payload: []byte("probe")}
-		ub, _ := u.Marshal(c.vp, c.target)
+		ub, _ := u.AppendMarshal(nil, c.vp, c.target)
 		ip := &pkt.IPv4{TTL: 4, Protocol: pkt.ProtoUDP, ID: uint16(i * 17), Src: c.vp, Dst: c.target, Payload: ub}
-		w, _ := ip.Marshal()
+		w, _ := ip.AppendMarshal(nil)
 		d, err := c.net.Send(c.vp, w, nil)
 		if err != nil {
 			t.Fatal(err)

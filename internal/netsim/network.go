@@ -66,10 +66,11 @@ type Network struct {
 	// dist holds the IGP distance of every (src, dst) pair at
 	// src*stride+dst, -1 when unreachable, where stride is the number of
 	// routers SPF ran on. nhSlab holds the ECMP next hops of every pair
-	// back to back: those of pair i are nhSlab[nhOff[i]:nhOff[i+1]].
+	// back to back, as 4-byte router IDs: those of pair i are
+	// nhSlab[nhOff[i]:nhOff[i+1]].
 	stride int
 	dist   []int32
-	nhSlab []RouterID
+	nhSlab []int32
 	nhOff  []int32
 }
 

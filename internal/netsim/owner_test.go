@@ -159,11 +159,11 @@ func TestOwnerMatchesLinearScan(t *testing.T) {
 	} {
 		checkOwner(t, "small network", n, tab, netip.MustParseAddr(tc.addr), tc.want)
 	}
-	ub, err := (&pkt.UDP{SrcPort: 33434, DstPort: 33434}).Marshal(vp.Addr, host.Addr)
+	ub, err := (&pkt.UDP{SrcPort: 33434, DstPort: 33434}).AppendMarshal(nil, vp.Addr, host.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := (&pkt.IPv4{TTL: 32, Protocol: pkt.ProtoUDP, Src: vp.Addr, Dst: host.Addr, Payload: ub}).Marshal()
+	wire, err := (&pkt.IPv4{TTL: 32, Protocol: pkt.ProtoUDP, Src: vp.Addr, Dst: host.Addr, Payload: ub}).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +171,9 @@ func TestOwnerMatchesLinearScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ip, err := pkt.UnmarshalIPv4(d.Reply); err != nil || ip.Src != host.Addr {
-		t.Errorf("probe to the host behind a /32: reply %v (%v), want one from %v", ip, err, host.Addr)
+	var ip pkt.IPv4
+	if err := pkt.UnmarshalIPv4Into(&ip, d.Reply); err != nil || ip.Src != host.Addr {
+		t.Errorf("probe to the host behind a /32: reply %v (%v), want one from %v", &ip, err, host.Addr)
 	}
 	for _, a := range []netip.Addr{{}, netip.MustParseAddr("100.9.0.0"), netip.MustParseAddr("0.0.0.0")} {
 		checkOwner(t, "invalid prefix", n, tab, a, -1)

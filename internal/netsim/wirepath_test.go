@@ -26,15 +26,15 @@ var wirePathCeilings = map[string]int{
 	"internal/archive/sidescan.go":   19,
 	"internal/archive/tracecodec.go": 27,
 	"internal/mpls/lse.go":           16,
-	"internal/netsim/forward.go":     16,
+	"internal/netsim/forward.go":     9,
 	"internal/netsim/scratch.go":     0,
 	"internal/pkt/buf.go":            0,
 	"internal/pkt/checksum.go":       0,
-	"internal/pkt/icmp.go":           18,
-	"internal/pkt/ipv4.go":           14,
+	"internal/pkt/icmp.go":           15,
+	"internal/pkt/ipv4.go":           8,
 	"internal/pkt/rfc4884.go":        0,
-	"internal/pkt/udp.go":            6,
-	"internal/probe/tracer.go":       29,
+	"internal/pkt/udp.go":            2,
+	"internal/probe/tracer.go":       16,
 }
 
 // goTool returns the go command and the module root, skipping the test

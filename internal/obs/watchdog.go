@@ -22,18 +22,21 @@ import (
 // but is exported on its own so tests drive stall detection with a fake
 // clock and zero sleeps.
 //
-// Counters (registered as watchdog.heartbeats / watchdog.stalls): the
-// heartbeat count is one per unit of pipeline progress and therefore
-// deterministic across worker counts; the stall count is deterministic
-// given a deterministic scan schedule (tests), and wall-clock dependent in
+// Counters (registered as watchdog.heartbeats / watchdog.stalls when the
+// watchdog is made, so both are listed from the start): the heartbeat
+// count is one per unit of pipeline progress and therefore deterministic
+// across worker counts; the stall count is deterministic given a
+// deterministic scan schedule (tests), and wall-clock dependent in
 // production by design.
 //
 // Like every obs instrument, a nil *Watchdog and a nil *Heartbeat are
 // valid no-ops, so supervised code paths beat unconditionally.
 type Watchdog struct {
-	reg        *Registry
 	clock      func() time.Time
 	stallAfter time.Duration
+	// heartbeats and stalls are resolved once, so a Beat costs two atomic
+	// operations and no registry lookup.
+	heartbeats, stalls *Counter
 
 	mu    sync.Mutex
 	tasks map[*Heartbeat]struct{}
@@ -59,9 +62,10 @@ func NewWatchdog(reg *Registry, stallAfter time.Duration) *Watchdog {
 		clock = reg.clock
 	}
 	return &Watchdog{
-		reg:        reg,
 		clock:      clock,
 		stallAfter: stallAfter,
+		heartbeats: reg.Counter("watchdog", "heartbeats"),
+		stalls:     reg.Counter("watchdog", "stalls"),
 		tasks:      make(map[*Heartbeat]struct{}),
 	}
 }
@@ -91,7 +95,7 @@ func (h *Heartbeat) Beat() {
 		return
 	}
 	h.last.Store(h.w.clock().UnixNano())
-	h.w.reg.Counter("watchdog", "heartbeats").Inc()
+	h.w.heartbeats.Inc()
 }
 
 // Done retires the heartbeat: the unit finished (or was quarantined) and
@@ -130,7 +134,7 @@ func (w *Watchdog) Scan() int {
 	for _, h := range quiet {
 		if h.stalled.CompareAndSwap(false, true) {
 			stalls++
-			w.reg.Counter("watchdog", "stalls").Inc()
+			w.stalls.Inc()
 			if h.onStall != nil {
 				h.onStall()
 			}

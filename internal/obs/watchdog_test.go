@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"arest/internal/testrace"
 )
 
 // fakeClock is a mutex-guarded manual clock for driving Scan without sleeps.
@@ -102,4 +104,24 @@ func TestWatchdogStartDetectsRealStall(t *testing.T) {
 		t.Fatal("ticker-driven scan never detected the stall")
 	}
 	h.Done()
+}
+
+// TestAllocBudgetBeat holds a heartbeat at its two atomic operations: the
+// counter it increments is resolved when the watchdog is made, so a Beat
+// at every trace completion and every analysis batch takes no registry
+// lock and builds no key.
+func TestAllocBudgetBeat(t *testing.T) {
+	if testrace.Enabled {
+		t.Skip("allocation counts are meaningless under -race instrumentation")
+	}
+	reg := New()
+	wd := NewWatchdog(reg, time.Minute)
+	h := wd.Register("as.001", nil)
+	defer h.Done()
+	if got := testing.AllocsPerRun(200, h.Beat); got > 0 {
+		t.Errorf("Beat: %.1f allocs/op, budget 0", got)
+	}
+	if got := reg.Snapshot().Counters["watchdog.heartbeats"]; got != 201 {
+		t.Errorf("watchdog.heartbeats = %d, want 201 (one warm-up run and 200 measured)", got)
+	}
 }

@@ -8,12 +8,11 @@ import (
 	"arest/internal/testrace"
 )
 
-// Allocation budgets for the codec layer. The append-style encoders and
-// the Into decoders are exact: with a caller-held scratch buffer they must
-// not touch the heap at all. A regression there multiplies across every
-// probe of every campaign, so the gate is zero, not "small". The copying
-// decoders (UnmarshalIPv4, UnmarshalICMP, …), which the live raw socket
-// uses, cost exactly the copies they hand the caller.
+// Allocation budgets for the codec layer. Each header has one encoder,
+// appending onto a caller-held buffer, and one decoder, aliasing the bytes
+// it reads: with a scratch buffer and a reused struct neither may touch
+// the heap at all. A regression there multiplies across every probe of
+// every campaign, so the gate is zero, not "small".
 //
 // Each scenario runs one codec branch. Together with the netsim, probe
 // and archive tables they execute every non-error branch of the wire path;
@@ -78,18 +77,15 @@ func TestAllocBudgetEncoders(t *testing.T) {
 	ip := &IPv4{TTL: 5, Protocol: ProtoUDP, ID: 99, Src: src, Dst: dst, Payload: payload}
 	df := &IPv4{TTL: 64, Protocol: ProtoUDP, ID: 7, DontFrag: true, Src: src, Dst: dst, Payload: payload}
 
-	quote, err := ip.Marshal()
+	quote, err := ip.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := (&IPv4{TTL: 1, Protocol: ProtoUDP, Src: src, Dst: dst, Payload: make([]byte, 200)}).Marshal()
+	long, err := (&IPv4{TTL: 1, Protocol: ProtoUDP, Src: src, Dst: dst, Payload: make([]byte, 200)}).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := NewMPLSExtension(mpls.Stack{{Label: 16004, TTL: 254}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ext := mplsObject(t, mpls.Stack{{Label: 16004, TTL: 254}})
 	extended := &ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded, Body: quote,
 		Extensions: []ExtensionObject{ext}}
 	longExtended := &ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded, Body: long,
@@ -144,10 +140,12 @@ func TestAllocBudgetEncoders(t *testing.T) {
 			b, err := stack.AppendMarshal(buf[:0])
 			keep(t, b, err)
 		}},
-		{"Stack.Marshal/empty", 0, func(t *testing.T) {
-			if b, err := mpls.Stack(nil).Marshal(); b != nil || err != nil {
-				t.Fatalf("empty stack: %v, %v", b, err)
+		{"Stack.AppendMarshal/empty", 0, func(t *testing.T) {
+			b, err := mpls.Stack(nil).AppendMarshal(buf[:0])
+			if len(b) != 0 || err != nil {
+				t.Fatalf("empty stack: %x, %v", b, err)
 			}
+			keep(t, b, err)
 		}},
 	})
 }
@@ -156,53 +154,36 @@ func TestAllocBudgetDecoders(t *testing.T) {
 	src, dst := addr("10.0.0.1"), addr("10.0.0.2")
 	inner := &IPv4{TTL: 1, Protocol: ProtoUDP, ID: 7, Src: src, Dst: dst,
 		Payload: []byte("arest-tnt-probe")}
-	quote, err := inner.Marshal()
+	quote, err := inner.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := NewMPLSExtension(mpls.Stack{{Label: 16004, TTL: 254}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	marshal := func(m *ICMP) []byte {
-		b, err := m.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	icmpWire := marshal(&ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded, Body: quote,
+	ext := mplsObject(t, mpls.Stack{{Label: 16004, TTL: 254}})
+	icmpWire := marshalICMP(t, &ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded, Body: quote,
 		Extensions: []ExtensionObject{ext}})
 	outer := &IPv4{TTL: 60, Protocol: ProtoICMP, ID: 1234, Src: dst, Dst: src,
 		Payload: icmpWire}
-	wire, err := outer.Marshal()
+	wire, err := outer.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := marshal(&ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded, Body: quote})
+	plain := marshalICMP(t, &ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded, Body: quote})
 	// A router quoting 300 bytes under RFC 4884 cuts them to 128: the
 	// decoder keeps the whole field, since the quoted total length no
 	// longer fits it.
-	long, err := (&IPv4{TTL: 1, Protocol: ProtoUDP, Src: src, Dst: dst, Payload: make([]byte, 280)}).Marshal()
+	long, err := (&IPv4{TTL: 1, Protocol: ProtoUDP, Src: src, Dst: dst, Payload: make([]byte, 280)}).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	longWire := marshal(&ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded, Body: long,
+	longWire := marshalICMP(t, &ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded, Body: long,
 		Extensions: []ExtensionObject{ext}})
 	// The RFC 792 minimum quote: the header and 8 payload bytes of a
 	// longer datagram.
 	truncated := quote[:IPv4HeaderLen+8]
-	udpWire, err := (&UDP{SrcPort: 33434, DstPort: 33500, Payload: []byte("arest")}).Marshal(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unchecked := append([]byte(nil), udpWire...)
-	unchecked[6], unchecked[7] = 0, 0 // checksum disabled
 
 	var rip IPv4
 	var rm ICMP
 	var qip IPv4
-	var u UDP
 	lses := make(mpls.Stack, 0, 4)
 	// Warm up so rm.Extensions has capacity to reuse, as it does in a
 	// recycled scratch.
@@ -244,54 +225,6 @@ func TestAllocBudgetDecoders(t *testing.T) {
 		{"UnmarshalIPv4QuotedInto/truncated quote", 0, func(t *testing.T) {
 			if err := UnmarshalIPv4QuotedInto(&qip, truncated); err != nil || len(qip.Payload) != 8 {
 				t.Fatalf("payload %d bytes, err %v; want the 8 quoted bytes", len(qip.Payload), err)
-			}
-		}},
-		{"UnmarshalUDPInto", 0, func(t *testing.T) {
-			if err := UnmarshalUDPInto(&u, src, dst, udpWire); err != nil || u.DstPort != 33500 {
-				t.Fatalf("port %d, err %v", u.DstPort, err)
-			}
-		}},
-		{"UnmarshalUDPInto/checksum disabled", 0, func(t *testing.T) {
-			if err := UnmarshalUDPInto(&u, src, dst, unchecked); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		// The copying decoders own what they return: the struct and one
-		// copy of each payload.
-		{"UnmarshalIPv4", 2, func(t *testing.T) {
-			if _, err := UnmarshalIPv4(wire); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"UnmarshalIPv4Quoted", 2, func(t *testing.T) {
-			if _, err := UnmarshalIPv4Quoted(quote); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"UnmarshalUDP", 2, func(t *testing.T) {
-			if _, err := UnmarshalUDP(src, dst, udpWire); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"UnmarshalICMP+ext", 4, func(t *testing.T) {
-			if _, err := UnmarshalICMP(icmpWire); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"ICMP.QuotedIPv4", 2, func(t *testing.T) {
-			if err := UnmarshalICMPInto(&rm, icmpWire); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rm.QuotedIPv4(); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"ICMP.MPLSStack", 1, func(t *testing.T) {
-			if err := UnmarshalICMPInto(&rm, icmpWire); err != nil {
-				t.Fatal(err)
-			}
-			if s, ok := rm.MPLSStack(); !ok || len(s) != 1 {
-				t.Fatalf("stack %v, ok %v", s, ok)
 			}
 		}},
 	})

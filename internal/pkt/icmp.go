@@ -58,17 +58,12 @@ func (m *ICMP) IsError() bool {
 	return m.Type == ICMPTimeExceeded || m.Type == ICMPDestUnreachable
 }
 
-// Marshal serializes the message. Error messages with extension objects are
-// emitted in RFC 4884 form: the original datagram padded to 128 bytes, the
-// length field set, and a checksummed extension structure appended.
-func (m *ICMP) Marshal() ([]byte, error) {
-	return m.AppendMarshal(nil)
-}
-
 // AppendMarshal serializes the message onto dst and returns the extended
-// slice, allocating only when dst lacks capacity. The appended bytes are
-// identical to Marshal's output; every byte of the appended region is
-// written, so dst may be a recycled scratch buffer.
+// slice, allocating only when dst lacks capacity. Error messages with
+// extension objects are emitted in RFC 4884 form: the original datagram
+// padded to 128 bytes, the length field set, and a checksummed extension
+// structure appended. Every byte of the appended region is written, so
+// dst may be a recycled scratch buffer.
 func (m *ICMP) AppendMarshal(dst []byte) ([]byte, error) {
 	off := len(dst)
 	var b []byte
@@ -130,26 +125,12 @@ func appendExtensions(dst []byte, objs []ExtensionObject) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalICMP parses an ICMPv4 message, verifying the message checksum
-// and, when present, the RFC 4884 extension structure checksum. The
-// returned message owns its body and extension payloads.
-func UnmarshalICMP(b []byte) (*ICMP, error) {
-	m := new(ICMP)
-	if err := UnmarshalICMPInto(m, b); err != nil {
-		return nil, err
-	}
-	m.Body = append([]byte(nil), m.Body...)
-	for i := range m.Extensions {
-		m.Extensions[i].Payload = append([]byte(nil), m.Extensions[i].Payload...)
-	}
-	return m, nil
-}
-
 // UnmarshalICMPInto parses an ICMPv4 message into m without allocating
-// beyond m's own reusable storage: m.Body and every extension payload
-// alias b, and m.Extensions reuses its previous capacity. b must stay live
-// and unmodified for as long as m is in use. Verification matches
-// UnmarshalICMP.
+// beyond m's own reusable storage, verifying the message checksum and,
+// when present, the RFC 4884 extension structure checksum. m.Body (the
+// quoted datagram, unpadded) and every extension payload alias b, and
+// m.Extensions reuses its previous capacity. b must stay live and
+// unmodified for as long as m is in use.
 func UnmarshalICMPInto(m *ICMP, b []byte) error {
 	if len(b) < icmpHeaderLen {
 		return ErrShortPacket
@@ -228,24 +209,10 @@ func appendUnmarshaledExtensions(dst []ExtensionObject, b []byte) ([]ExtensionOb
 	return objs, nil
 }
 
-// NewMPLSExtension builds the RFC 4950 incoming-label-stack object from s.
-func NewMPLSExtension(s mpls.Stack) (ExtensionObject, error) {
-	payload, err := s.Marshal()
-	if err != nil {
-		return ExtensionObject{}, err
-	}
-	return ExtensionObject{Class: ClassMPLSLabelStack, CType: CTypeIncomingStack, Payload: payload}, nil
-}
-
-// MPLSStack extracts the quoted MPLS label stack from the message's
-// RFC 4950 extension object, if present.
-func (m *ICMP) MPLSStack() (mpls.Stack, bool) {
-	return m.AppendMPLSStack(nil)
-}
-
-// AppendMPLSStack is MPLSStack appending the quoted entries onto dst,
-// allocating only when dst lacks capacity; when there is no stack to
-// decode it returns dst unchanged and false.
+// AppendMPLSStack appends the MPLS label stack quoted in the message's
+// RFC 4950 extension object onto dst, allocating only when dst lacks
+// capacity; when there is no stack to decode it returns dst unchanged and
+// false.
 func (m *ICMP) AppendMPLSStack(dst mpls.Stack) (mpls.Stack, bool) {
 	for _, o := range m.Extensions {
 		if o.Class == ClassMPLSLabelStack && o.CType == CTypeIncomingStack {
@@ -254,15 +221,6 @@ func (m *ICMP) AppendMPLSStack(dst mpls.Stack) (mpls.Stack, bool) {
 		}
 	}
 	return dst, false
-}
-
-// QuotedIPv4 parses the quoted original datagram of an error message,
-// tolerating the truncated quotes many routers emit.
-func (m *ICMP) QuotedIPv4() (*IPv4, error) {
-	if !m.IsError() {
-		return nil, fmt.Errorf("%w: not an error message", ErrBadHeader)
-	}
-	return UnmarshalIPv4Quoted(m.Body)
 }
 
 // String summarizes the message for debugging.

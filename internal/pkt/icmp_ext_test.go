@@ -13,13 +13,8 @@ import (
 // extension objects (RFC 4884 form: quote padded to 128 bytes).
 func marshalWithExt(t *testing.T, objs []ExtensionObject) []byte {
 	t.Helper()
-	in := &ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded,
-		Body: buildQuote(t), Extensions: objs}
-	b, err := in.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return marshalICMP(t, &ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded,
+		Body: buildQuote(t), Extensions: objs})
 }
 
 // reseal recomputes the ICMP message checksum after a mutation.
@@ -48,21 +43,19 @@ func TestICMPLengthFieldDisagreesWithPadding(t *testing.T) {
 		// the extension structure would start beyond the buffer.
 		{"beyond message (60 words)", 60, false},
 	}
-	obj, err := NewMPLSExtension(mpls.Stack{{Label: 16005, TTL: 253}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj := mplsObject(t, mpls.Stack{{Label: 16005, TTL: 253}})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := marshalWithExt(t, []ExtensionObject{obj})
 			b[5] = tc.words
 			reseal(b)
-			out, err := UnmarshalICMP(b)
+			var out ICMP
+			err := UnmarshalICMPInto(&out, b)
 			if tc.ok {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
 				}
-				if _, found := out.MPLSStack(); !found {
+				if _, found := out.AppendMPLSStack(nil); !found {
 					t.Error("MPLS stack lost")
 				}
 				return
@@ -78,19 +71,16 @@ func TestICMPLengthFieldDisagreesWithPadding(t *testing.T) {
 // rule: an all-zero extension checksum means "not computed" and the
 // structure must be accepted without verification.
 func TestICMPZeroChecksumExtension(t *testing.T) {
-	obj, err := NewMPLSExtension(mpls.Stack{{Label: 24001, TTL: 254}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj := mplsObject(t, mpls.Stack{{Label: 24001, TTL: 254}})
 	b := marshalWithExt(t, []ExtensionObject{obj})
 	extOff := icmpHeaderLen + origDatagramPadLen
 	b[extOff+2], b[extOff+3] = 0, 0 // zero the extension checksum
 	reseal(b)
-	out, err := UnmarshalICMP(b)
-	if err != nil {
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, b); err != nil {
 		t.Fatalf("zero-checksum extension rejected: %v", err)
 	}
-	s, ok := out.MPLSStack()
+	s, ok := out.AppendMPLSStack(nil)
 	if !ok || s[0].Label != 24001 {
 		t.Fatalf("stack = %v, ok = %v", s, ok)
 	}
@@ -98,7 +88,7 @@ func TestICMPZeroChecksumExtension(t *testing.T) {
 	// A non-zero but wrong checksum stays an error.
 	b[extOff+2] = 0xAA
 	reseal(b)
-	if _, err := UnmarshalICMP(b); !errors.Is(err, ErrBadExtension) {
+	if err := UnmarshalICMPInto(&out, b); !errors.Is(err, ErrBadExtension) {
 		t.Fatalf("corrupt extension checksum: err = %v, want ErrBadExtension", err)
 	}
 }
@@ -108,23 +98,19 @@ func TestICMPZeroChecksumExtension(t *testing.T) {
 // interface-information objects (RFC 5837) ahead of it.
 func TestICMPMPLSObjectNotFirst(t *testing.T) {
 	stack := mpls.Stack{{Label: 16010, TTL: 252}, {Label: 100, TTL: 252}}
-	mplsObj, err := NewMPLSExtension(stack)
-	if err != nil {
-		t.Fatal(err)
-	}
 	objs := []ExtensionObject{
 		{Class: 2, CType: 1, Payload: []byte{0xde, 0xad, 0xbe, 0xef}}, // RFC 5837-style
 		{Class: 2, CType: 3, Payload: []byte("eth0")},
-		mplsObj,
+		mplsObject(t, stack),
 	}
-	out, err := UnmarshalICMP(marshalWithExt(t, objs))
-	if err != nil {
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, marshalWithExt(t, objs)); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Extensions) != 3 {
 		t.Fatalf("extensions = %d, want 3", len(out.Extensions))
 	}
-	got, ok := out.MPLSStack()
+	got, ok := out.AppendMPLSStack(nil)
 	if !ok {
 		t.Fatal("MPLS stack not found behind leading objects")
 	}
@@ -138,12 +124,8 @@ func TestICMPMPLSObjectNotFirst(t *testing.T) {
 // flag before the object ends) leaves dst as it was.
 func TestAppendMPLSStack(t *testing.T) {
 	stack := mpls.Stack{{Label: 16010, TTL: 252}, {Label: 100, TTL: 252, S: true}}
-	obj, err := NewMPLSExtension(stack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalICMP(marshalWithExt(t, []ExtensionObject{obj}))
-	if err != nil {
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, marshalWithExt(t, []ExtensionObject{mplsObject(t, stack)})); err != nil {
 		t.Fatal(err)
 	}
 	prefix := mpls.Stack{{Label: 24001, TTL: 9, S: true}}
@@ -154,15 +136,14 @@ func TestAppendMPLSStack(t *testing.T) {
 
 	bad := ExtensionObject{Class: ClassMPLSLabelStack, CType: CTypeIncomingStack,
 		Payload: []byte{0x01, 0x00, 0x00, 0xff}} // S bit clear, then nothing
-	out, err = UnmarshalICMP(marshalWithExt(t, []ExtensionObject{bad}))
-	if err != nil {
+	if err := UnmarshalICMPInto(&out, marshalWithExt(t, []ExtensionObject{bad})); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := out.AppendMPLSStack(prefix); ok || !slices.Equal(got, prefix) {
 		t.Fatalf("undecodable stack: got %v, %v; want %v, false", got, ok, prefix)
 	}
-	if got, ok := out.MPLSStack(); ok || got != nil {
-		t.Fatalf("undecodable stack: MPLSStack = %v, %v; want nil, false", got, ok)
+	if got, ok := out.AppendMPLSStack(nil); ok || got != nil {
+		t.Fatalf("undecodable stack onto nil: got %v, %v; want nil, false", got, ok)
 	}
 }
 
@@ -171,8 +152,8 @@ func TestAppendMPLSStack(t *testing.T) {
 // must parse as a zero-byte object, and one byte less must be rejected.
 func TestICMPObjectLengthExactlyHeader(t *testing.T) {
 	empty := ExtensionObject{Class: 9, CType: 9}
-	out, err := UnmarshalICMP(marshalWithExt(t, []ExtensionObject{empty}))
-	if err != nil {
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, marshalWithExt(t, []ExtensionObject{empty})); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Extensions) != 1 {
@@ -182,7 +163,7 @@ func TestICMPObjectLengthExactlyHeader(t *testing.T) {
 	if o.Class != 9 || o.CType != 9 || len(o.Payload) != 0 {
 		t.Errorf("object = %+v", o)
 	}
-	if _, ok := out.MPLSStack(); ok {
+	if _, ok := out.AppendMPLSStack(nil); ok {
 		t.Error("empty object misread as MPLS stack")
 	}
 
@@ -195,7 +176,7 @@ func TestICMPObjectLengthExactlyHeader(t *testing.T) {
 	b[extOff+2], b[extOff+3] = 0, 0
 	binary.BigEndian.PutUint16(b[extOff+2:], Checksum(b[extOff:]))
 	reseal(b)
-	if _, err := UnmarshalICMP(b); !errors.Is(err, ErrBadExtension) {
+	if err := UnmarshalICMPInto(&out, b); !errors.Is(err, ErrBadExtension) {
 		t.Fatalf("undersized object: err = %v, want ErrBadExtension", err)
 	}
 }
@@ -205,31 +186,19 @@ func TestICMPObjectLengthExactlyHeader(t *testing.T) {
 // zero-checksum compatibility form, and known-malformed inputs. The parser
 // must never panic and must round-trip whatever it accepts.
 func FuzzUnmarshalICMP(f *testing.F) {
-	quote := buildQuoteF(f)
-	seed := func(m *ICMP) {
-		b, err := m.Marshal()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-	}
+	quote := buildQuote(f)
+	seed := func(m *ICMP) { f.Add(marshalICMP(f, m)) }
 	seed(&ICMP{Type: ICMPEchoRequest, ID: 1, Seq: 2, Body: []byte("ping")})
 	seed(&ICMP{Type: ICMPEchoReply, ID: 1, Seq: 2})
 	seed(&ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded, Body: quote})
 	seed(&ICMP{Type: ICMPDestUnreachable, Code: CodePortUnreachable, Body: quote})
-	mplsObj, err := NewMPLSExtension(mpls.Stack{{Label: 16005, TTL: 253}, {Label: 99, TTL: 253}})
-	if err != nil {
-		f.Fatal(err)
-	}
+	mplsObj := mplsObject(f, mpls.Stack{{Label: 16005, TTL: 253}, {Label: 99, TTL: 253}})
 	seed(&ICMP{Type: ICMPTimeExceeded, Body: quote, Extensions: []ExtensionObject{mplsObj}})
 	seed(&ICMP{Type: ICMPTimeExceeded, Body: quote, Extensions: []ExtensionObject{
 		{Class: 2, CType: 1, Payload: []byte{1, 2, 3, 4}}, mplsObj, {Class: 9, CType: 9}}})
 	// Zero-checksum extension structure.
-	withExt, err := (&ICMP{Type: ICMPTimeExceeded, Body: quote,
-		Extensions: []ExtensionObject{mplsObj}}).Marshal()
-	if err != nil {
-		f.Fatal(err)
-	}
+	withExt := marshalICMP(f, &ICMP{Type: ICMPTimeExceeded, Body: quote,
+		Extensions: []ExtensionObject{mplsObj}})
 	zc := append([]byte(nil), withExt...)
 	extOff := icmpHeaderLen + origDatagramPadLen
 	zc[extOff+2], zc[extOff+3] = 0, 0
@@ -249,39 +218,22 @@ func FuzzUnmarshalICMP(f *testing.F) {
 	f.Add(badVer)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := UnmarshalICMP(b)
-		if err != nil {
+		var m, m2 ICMP
+		if err := UnmarshalICMPInto(&m, b); err != nil {
 			return
 		}
 		// Accepted messages must re-marshal (byte equality does not hold in
 		// general: unpadded quotes re-pad differently), and the re-marshaled
 		// form must parse again with identical structure.
-		b2, err := m.Marshal()
+		b2, err := m.AppendMarshal(nil)
 		if err != nil {
-			t.Fatalf("accepted message does not re-marshal: %v (%s)", err, m)
+			t.Fatalf("accepted message does not re-marshal: %v (%s)", err, &m)
 		}
-		m2, err := UnmarshalICMP(b2)
-		if err != nil {
-			t.Fatalf("re-marshaled message rejected: %v (%s)", err, m)
+		if err := UnmarshalICMPInto(&m2, b2); err != nil {
+			t.Fatalf("re-marshaled message rejected: %v (%s)", err, &m)
 		}
 		if m.Type != m2.Type || m.Code != m2.Code || len(m.Extensions) != len(m2.Extensions) {
-			t.Fatalf("round trip drifted: %s vs %s", m, m2)
+			t.Fatalf("round trip drifted: %s vs %s", &m, &m2)
 		}
 	})
-}
-
-// buildQuoteF is buildQuote for fuzz targets (testing.F has no t.Helper).
-func buildQuoteF(f *testing.F) []byte {
-	src, dst := addr("10.0.0.1"), addr("192.0.2.9")
-	u := &UDP{SrcPort: 33434, DstPort: 33435, Payload: []byte("probe-xyz")}
-	ub, err := u.Marshal(src, dst)
-	if err != nil {
-		f.Fatal(err)
-	}
-	ip := &IPv4{TTL: 1, Protocol: ProtoUDP, ID: 77, Src: src, Dst: dst, Payload: ub}
-	b, err := ip.Marshal()
-	if err != nil {
-		f.Fatal(err)
-	}
-	return b
 }

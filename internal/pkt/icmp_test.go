@@ -2,6 +2,7 @@ package pkt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
@@ -10,16 +11,37 @@ import (
 )
 
 // buildQuote builds a plausible original datagram: IPv4+UDP probe bytes.
-func buildQuote(t *testing.T) []byte {
+func buildQuote(t testing.TB) []byte {
 	t.Helper()
 	src, dst := addr("10.0.0.1"), addr("192.0.2.9")
 	u := &UDP{SrcPort: 33434, DstPort: 33435, Payload: []byte("probe-xyz")}
-	ub, err := u.Marshal(src, dst)
+	ub, err := u.AppendMarshal(nil, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ip := &IPv4{TTL: 1, Protocol: ProtoUDP, ID: 77, Src: src, Dst: dst, Payload: ub}
-	b, err := ip.Marshal()
+	b, err := ip.AppendMarshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// mplsObject builds the RFC 4950 incoming-label-stack object quoting s,
+// as the simulator's routers do.
+func mplsObject(t testing.TB, s mpls.Stack) ExtensionObject {
+	t.Helper()
+	payload, err := s.AppendMarshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ExtensionObject{Class: ClassMPLSLabelStack, CType: CTypeIncomingStack, Payload: payload}
+}
+
+// marshalICMP serializes m, failing the test on error.
+func marshalICMP(t testing.TB, m *ICMP) []byte {
+	t.Helper()
+	b, err := m.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,12 +50,8 @@ func buildQuote(t *testing.T) []byte {
 
 func TestICMPEchoRoundTrip(t *testing.T) {
 	in := &ICMP{Type: ICMPEchoRequest, ID: 0x1234, Seq: 7, Body: []byte("ping")}
-	b, err := in.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalICMP(b)
-	if err != nil {
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, marshalICMP(t, in)); err != nil {
 		t.Fatal(err)
 	}
 	if out.Type != ICMPEchoRequest || out.ID != 0x1234 || out.Seq != 7 || string(out.Body) != "ping" {
@@ -44,12 +62,8 @@ func TestICMPEchoRoundTrip(t *testing.T) {
 func TestICMPTimeExceededPlain(t *testing.T) {
 	quote := buildQuote(t)
 	in := &ICMP{Type: ICMPTimeExceeded, Code: CodeTTLExceeded, Body: quote}
-	b, err := in.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalICMP(b)
-	if err != nil {
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, marshalICMP(t, in)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Body, quote) {
@@ -58,8 +72,8 @@ func TestICMPTimeExceededPlain(t *testing.T) {
 	if len(out.Extensions) != 0 {
 		t.Errorf("unexpected extensions: %d", len(out.Extensions))
 	}
-	q, err := out.QuotedIPv4()
-	if err != nil {
+	var q IPv4
+	if err := UnmarshalIPv4QuotedInto(&q, out.Body); err != nil {
 		t.Fatal(err)
 	}
 	if q.ID != 77 {
@@ -73,28 +87,21 @@ func TestICMPTimeExceededWithMPLSExtension(t *testing.T) {
 		{Label: 16005, TC: 0, TTL: 253},
 		{Label: 37000, TC: 0, TTL: 253},
 	}
-	obj, err := NewMPLSExtension(stack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &ICMP{Type: ICMPTimeExceeded, Body: quote, Extensions: []ExtensionObject{obj}}
-	b, err := in.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := &ICMP{Type: ICMPTimeExceeded, Body: quote, Extensions: []ExtensionObject{mplsObject(t, stack)}}
+	b := marshalICMP(t, in)
 	// RFC 4884: original datagram padded to 128 bytes, length field 32 words.
 	if b[5] != origDatagramPadLen/4 {
 		t.Errorf("length field = %d words, want %d", b[5], origDatagramPadLen/4)
 	}
-	out, err := UnmarshalICMP(b)
-	if err != nil {
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, b); err != nil {
 		t.Fatal(err)
 	}
 	// The quoted datagram must come back unpadded.
 	if !bytes.Equal(out.Body, quote) {
 		t.Errorf("quote: got %d bytes, want %d", len(out.Body), len(quote))
 	}
-	got, ok := out.MPLSStack()
+	got, ok := out.AppendMPLSStack(nil)
 	if !ok {
 		t.Fatal("MPLS stack not found in extensions")
 	}
@@ -104,95 +111,83 @@ func TestICMPTimeExceededWithMPLSExtension(t *testing.T) {
 	if !got[1].S || got[0].S {
 		t.Errorf("bottom-of-stack bits wrong: %v", got)
 	}
-	q, err := out.QuotedIPv4()
-	if err != nil {
+	var q IPv4
+	if err := UnmarshalIPv4QuotedInto(&q, out.Body); err != nil {
 		t.Fatalf("quoted IPv4 unparseable after pad/trim: %v", err)
 	}
-	u, err := UnmarshalUDP(q.Src, q.Dst, q.Payload)
-	if err != nil {
-		t.Fatalf("quoted UDP: %v", err)
+	if udpChecksum(q.Src, q.Dst, q.Payload) != 0 {
+		t.Error("quoted UDP datagram fails its checksum after pad/trim")
 	}
-	if u.DstPort != 33435 {
-		t.Errorf("quoted dst port = %d", u.DstPort)
+	if port := binary.BigEndian.Uint16(q.Payload[2:]); port != 33435 {
+		t.Errorf("quoted dst port = %d", port)
 	}
 }
 
 func TestICMPChecksumValidation(t *testing.T) {
-	in := &ICMP{Type: ICMPEchoReply, ID: 1, Seq: 1, Body: []byte("x")}
-	b, _ := in.Marshal()
+	b := marshalICMP(t, &ICMP{Type: ICMPEchoReply, ID: 1, Seq: 1, Body: []byte("x")})
 	b[4] ^= 0xaa
-	if _, err := UnmarshalICMP(b); !errors.Is(err, ErrBadChecksum) {
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, b); !errors.Is(err, ErrBadChecksum) {
 		t.Errorf("err = %v, want ErrBadChecksum", err)
 	}
 }
 
 func TestICMPExtensionChecksumValidation(t *testing.T) {
-	quote := buildQuote(t)
-	obj, _ := NewMPLSExtension(mpls.Stack{{Label: 16005, TTL: 1}})
-	in := &ICMP{Type: ICMPTimeExceeded, Body: quote, Extensions: []ExtensionObject{obj}}
-	b, _ := in.Marshal()
+	obj := mplsObject(t, mpls.Stack{{Label: 16005, TTL: 1}})
+	b := marshalICMP(t, &ICMP{Type: ICMPTimeExceeded, Body: buildQuote(t), Extensions: []ExtensionObject{obj}})
 	// Corrupt one byte inside the extension payload and fix the outer ICMP
 	// checksum so only the extension checksum catches it.
 	extStart := icmpHeaderLen + origDatagramPadLen
 	b[extStart+extHeaderLen+objectHeaderLen] ^= 0x01
-	b[2], b[3] = 0, 0
-	ck := Checksum(b)
-	b[2], b[3] = byte(ck>>8), byte(ck)
-	if _, err := UnmarshalICMP(b); !errors.Is(err, ErrBadExtension) {
+	reseal(b)
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, b); !errors.Is(err, ErrBadExtension) {
 		t.Errorf("err = %v, want ErrBadExtension", err)
 	}
 }
 
 func TestICMPBadExtensionVersion(t *testing.T) {
-	quote := buildQuote(t)
-	obj, _ := NewMPLSExtension(mpls.Stack{{Label: 16005, TTL: 1}})
-	in := &ICMP{Type: ICMPTimeExceeded, Body: quote, Extensions: []ExtensionObject{obj}}
-	b, _ := in.Marshal()
+	obj := mplsObject(t, mpls.Stack{{Label: 16005, TTL: 1}})
+	b := marshalICMP(t, &ICMP{Type: ICMPTimeExceeded, Body: buildQuote(t), Extensions: []ExtensionObject{obj}})
 	extStart := icmpHeaderLen + origDatagramPadLen
 	b[extStart] = 1 << 4 // wrong version
-	b[2], b[3] = 0, 0
-	ck := Checksum(b)
-	b[2], b[3] = byte(ck>>8), byte(ck)
-	if _, err := UnmarshalICMP(b); !errors.Is(err, ErrBadExtension) {
+	reseal(b)
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, b); !errors.Is(err, ErrBadExtension) {
 		t.Errorf("err = %v, want ErrBadExtension", err)
 	}
 }
 
 func TestICMPMultipleExtensionObjects(t *testing.T) {
-	quote := buildQuote(t)
-	obj1, _ := NewMPLSExtension(mpls.Stack{{Label: 16005, TTL: 2}})
+	obj1 := mplsObject(t, mpls.Stack{{Label: 16005, TTL: 2}})
 	obj2 := ExtensionObject{Class: 3, CType: 1, Payload: []byte{1, 2, 3, 4}} // e.g. interface info
-	in := &ICMP{Type: ICMPTimeExceeded, Body: quote, Extensions: []ExtensionObject{obj2, obj1}}
-	b, _ := in.Marshal()
-	out, err := UnmarshalICMP(b)
-	if err != nil {
+	in := &ICMP{Type: ICMPTimeExceeded, Body: buildQuote(t), Extensions: []ExtensionObject{obj2, obj1}}
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, marshalICMP(t, in)); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Extensions) != 2 {
 		t.Fatalf("extensions = %d, want 2", len(out.Extensions))
 	}
-	if s, ok := out.MPLSStack(); !ok || s[0].Label != 16005 {
+	if s, ok := out.AppendMPLSStack(nil); !ok || s[0].Label != 16005 {
 		t.Errorf("MPLS object not recovered: %v %v", s, ok)
 	}
 }
 
 func TestICMPNoMPLSStack(t *testing.T) {
-	m := &ICMP{Type: ICMPTimeExceeded, Body: buildQuote(t)}
-	b, _ := m.Marshal()
-	out, _ := UnmarshalICMP(b)
-	if _, ok := out.MPLSStack(); ok {
-		t.Error("MPLSStack found where none encoded")
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, marshalICMP(t, &ICMP{Type: ICMPTimeExceeded, Body: buildQuote(t)})); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := out.AppendMPLSStack(nil); ok {
+		t.Error("AppendMPLSStack found a stack where none was encoded")
 	}
 }
 
 func TestICMPPortUnreachable(t *testing.T) {
 	in := &ICMP{Type: ICMPDestUnreachable, Code: CodePortUnreachable, Body: buildQuote(t)}
-	b, err := in.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalICMP(b)
-	if err != nil {
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, marshalICMP(t, in)); err != nil {
 		t.Fatal(err)
 	}
 	if out.Type != ICMPDestUnreachable || out.Code != CodePortUnreachable {
@@ -203,43 +198,32 @@ func TestICMPPortUnreachable(t *testing.T) {
 	}
 }
 
-func TestICMPQuotedIPv4OnEcho(t *testing.T) {
-	m := &ICMP{Type: ICMPEchoRequest}
-	if _, err := m.QuotedIPv4(); err == nil {
-		t.Error("QuotedIPv4 on echo should fail")
-	}
-}
-
 func TestICMPUnsupportedType(t *testing.T) {
-	if _, err := (&ICMP{Type: 42}).Marshal(); err == nil {
-		t.Error("Marshal of unsupported type succeeded")
+	if _, err := (&ICMP{Type: 42}).AppendMarshal(nil); err == nil {
+		t.Error("AppendMarshal of unsupported type succeeded")
 	}
 	b := []byte{42, 0, 0, 0, 0, 0, 0, 0}
-	ck := Checksum(b)
-	b[2], b[3] = byte(ck>>8), byte(ck)
-	if _, err := UnmarshalICMP(b); err == nil {
-		t.Error("Unmarshal of unsupported type succeeded")
+	reseal(b)
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, b); err == nil {
+		t.Error("UnmarshalICMPInto of unsupported type succeeded")
 	}
 }
 
 func TestICMPShort(t *testing.T) {
-	if _, err := UnmarshalICMP(make([]byte, 7)); !errors.Is(err, ErrShortPacket) {
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, make([]byte, 7)); !errors.Is(err, ErrShortPacket) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestICMPTruncatedOriginalDatagram(t *testing.T) {
-	quote := buildQuote(t)
-	obj, _ := NewMPLSExtension(mpls.Stack{{Label: 1600, TTL: 3}})
-	in := &ICMP{Type: ICMPTimeExceeded, Body: quote, Extensions: []ExtensionObject{obj}}
-	b, _ := in.Marshal()
+	obj := mplsObject(t, mpls.Stack{{Label: 1600, TTL: 3}})
+	b := marshalICMP(t, &ICMP{Type: ICMPTimeExceeded, Body: buildQuote(t), Extensions: []ExtensionObject{obj}})
 	cut := b[:icmpHeaderLen+64] // cut inside the padded original datagram
-	ck := Checksum(cut[:2])
-	_ = ck
-	cut[2], cut[3] = 0, 0
-	c := Checksum(cut)
-	cut[2], cut[3] = byte(c>>8), byte(c)
-	if _, err := UnmarshalICMP(cut); !errors.Is(err, ErrBadExtension) {
+	reseal(cut)
+	var out ICMP
+	if err := UnmarshalICMPInto(&out, cut); !errors.Is(err, ErrBadExtension) {
 		t.Errorf("err = %v, want ErrBadExtension", err)
 	}
 }
@@ -247,32 +231,26 @@ func TestICMPTruncatedOriginalDatagram(t *testing.T) {
 func TestICMPFullExchangeThroughIPv4(t *testing.T) {
 	// End-to-end: an LSR builds a time-exceeded with a quoted stack, wraps
 	// it in IPv4, and a prober on the other side digs the stack back out.
-	quote := buildQuote(t)
 	stack := mpls.Stack{{Label: 24017, TTL: 254}, {Label: 16008, TTL: 254}}
-	obj, _ := NewMPLSExtension(stack)
-	icmp := &ICMP{Type: ICMPTimeExceeded, Body: quote, Extensions: []ExtensionObject{obj}}
-	ib, err := icmp.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip := &IPv4{TTL: 255, Protocol: ProtoICMP, Src: addr("10.9.9.9"), Dst: addr("10.0.0.1"), Payload: ib}
-	wire, err := ip.Marshal()
+	icmp := &ICMP{Type: ICMPTimeExceeded, Body: buildQuote(t), Extensions: []ExtensionObject{mplsObject(t, stack)}}
+	ip := &IPv4{TTL: 255, Protocol: ProtoICMP, Src: addr("10.9.9.9"), Dst: addr("10.0.0.1"), Payload: marshalICMP(t, icmp)}
+	wire, err := ip.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rxIP, err := UnmarshalIPv4(wire)
-	if err != nil {
+	var rxIP IPv4
+	if err := UnmarshalIPv4Into(&rxIP, wire); err != nil {
 		t.Fatal(err)
 	}
 	if rxIP.Protocol != ProtoICMP {
 		t.Fatalf("proto = %d", rxIP.Protocol)
 	}
-	rxICMP, err := UnmarshalICMP(rxIP.Payload)
-	if err != nil {
+	var rxICMP ICMP
+	if err := UnmarshalICMPInto(&rxICMP, rxIP.Payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := rxICMP.MPLSStack()
+	got, ok := rxICMP.AppendMPLSStack(nil)
 	if !ok || !slices.Equal(got, mpls.Stack{{Label: 24017, TTL: 254}, {Label: 16008, TTL: 254, S: true}}) {
 		t.Errorf("stack = %v ok=%v", got, ok)
 	}

@@ -37,16 +37,10 @@ type IPv4 struct {
 	Payload  []byte
 }
 
-// Marshal serializes the packet, computing TotalLength and the header
-// checksum.
-func (p *IPv4) Marshal() ([]byte, error) {
-	return p.AppendMarshal(nil)
-}
-
-// AppendMarshal serializes the packet onto dst and returns the extended
-// slice, allocating only when dst lacks capacity. The appended bytes are
-// identical to Marshal's output; every byte of the appended region is
-// written, so dst may be a recycled scratch buffer.
+// AppendMarshal serializes the packet onto dst, computing the total
+// length and the header checksum, and returns the extended slice,
+// allocating only when dst lacks capacity. Every byte of the appended
+// region is written, so dst may be a recycled scratch buffer.
 func (p *IPv4) AppendMarshal(dst []byte) ([]byte, error) {
 	if !p.Src.Is4() || !p.Dst.Is4() {
 		return nil, fmt.Errorf("%w: src/dst must be IPv4 addresses", ErrBadHeader)
@@ -78,21 +72,27 @@ func (p *IPv4) AppendMarshal(dst []byte) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalIPv4 parses an IPv4 packet, verifying version, lengths, and the
-// header checksum. The returned packet owns its payload.
-func UnmarshalIPv4(b []byte) (*IPv4, error) {
-	p := new(IPv4)
-	if err := UnmarshalIPv4Into(p, b); err != nil {
-		return nil, err
-	}
-	p.Payload = append([]byte(nil), p.Payload...)
-	return p, nil
+// UnmarshalIPv4Into parses an IPv4 packet into p without allocating,
+// verifying the version, the header and total lengths and the header
+// checksum. p.Payload aliases b, so b must stay live and unmodified for as
+// long as p is in use.
+func UnmarshalIPv4Into(p *IPv4, b []byte) error {
+	return parseIPv4(p, b, false)
 }
 
-// UnmarshalIPv4Into parses an IPv4 packet into p without allocating:
-// p.Payload aliases b, so b must stay live and unmodified for as long as p
-// is in use. Verification matches UnmarshalIPv4.
-func UnmarshalIPv4Into(p *IPv4, b []byte) error {
+// UnmarshalIPv4QuotedInto parses the original datagram quoted in an ICMP
+// error body as UnmarshalIPv4Into does, but tolerates truncation: many
+// routers quote only the IP header plus 8 payload bytes (RFC 792
+// minimum), so the declared total length may exceed the bytes present,
+// and p.Payload keeps what is there. The checksum still has to verify —
+// the header itself is never truncated.
+func UnmarshalIPv4QuotedInto(p *IPv4, b []byte) error {
+	return parseIPv4(p, b, true)
+}
+
+// parseIPv4 is the one IPv4 header parser. A quote clamps a total length
+// that does not fit b to the bytes present instead of refusing it.
+func parseIPv4(p *IPv4, b []byte, quote bool) error {
 	if len(b) < IPv4HeaderLen {
 		return ErrShortPacket
 	}
@@ -105,7 +105,10 @@ func UnmarshalIPv4Into(p *IPv4, b []byte) error {
 	}
 	total := int(binary.BigEndian.Uint16(b[2:]))
 	if total < ihl || total > len(b) {
-		return fmt.Errorf("%w: total length %d of %d bytes", ErrBadHeader, total, len(b))
+		if !quote {
+			return fmt.Errorf("%w: total length %d of %d bytes", ErrBadHeader, total, len(b))
+		}
+		total = len(b) // truncated quote: keep what we have
 	}
 	if Checksum(b[:ihl]) != 0 {
 		return ErrBadChecksum
@@ -119,54 +122,6 @@ func UnmarshalIPv4Into(p *IPv4, b []byte) error {
 		Src:      netip.AddrFrom4([4]byte(b[12:16])),
 		Dst:      netip.AddrFrom4([4]byte(b[16:20])),
 		Payload:  b[ihl:total],
-	}
-	return nil
-}
-
-// UnmarshalIPv4Quoted parses a quoted original datagram from an ICMP error
-// body. Unlike UnmarshalIPv4 it tolerates truncation: many routers quote
-// only the IP header plus 8 payload bytes (RFC 792 minimum), so the
-// declared total length may exceed the bytes present. The checksum still
-// has to verify — the header itself is never truncated.
-func UnmarshalIPv4Quoted(b []byte) (*IPv4, error) {
-	p := new(IPv4)
-	if err := UnmarshalIPv4QuotedInto(p, b); err != nil {
-		return nil, err
-	}
-	p.Payload = append([]byte(nil), p.Payload...)
-	return p, nil
-}
-
-// UnmarshalIPv4QuotedInto is the allocation-free form of
-// UnmarshalIPv4Quoted: p.Payload aliases b.
-func UnmarshalIPv4QuotedInto(p *IPv4, b []byte) error {
-	if len(b) < IPv4HeaderLen {
-		return ErrShortPacket
-	}
-	if b[0]>>4 != 4 {
-		return ErrBadVersion
-	}
-	ihl := int(b[0]&0xf) * 4
-	if ihl < IPv4HeaderLen || len(b) < ihl {
-		return fmt.Errorf("%w: IHL=%d", ErrBadHeader, ihl)
-	}
-	if Checksum(b[:ihl]) != 0 {
-		return ErrBadChecksum
-	}
-	total := int(binary.BigEndian.Uint16(b[2:]))
-	end := total
-	if end > len(b) || end < ihl {
-		end = len(b) // truncated quote: keep what we have
-	}
-	*p = IPv4{
-		TOS:      b[1],
-		ID:       binary.BigEndian.Uint16(b[4:]),
-		DontFrag: b[6]&(1<<6) != 0,
-		TTL:      b[8],
-		Protocol: b[9],
-		Src:      netip.AddrFrom4([4]byte(b[12:16])),
-		Dst:      netip.AddrFrom4([4]byte(b[16:20])),
-		Payload:  b[ihl:end],
 	}
 	return nil
 }

@@ -20,15 +20,15 @@ func TestIPv4RoundTrip(t *testing.T) {
 		Dst:      addr("192.0.2.33"),
 		Payload:  []byte("hello world"),
 	}
-	b, err := in.Marshal()
+	b, err := in.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(b) != IPv4HeaderLen+len(in.Payload) {
 		t.Fatalf("len = %d", len(b))
 	}
-	out, err := UnmarshalIPv4(b)
-	if err != nil {
+	var out IPv4
+	if err := UnmarshalIPv4Into(&out, b); err != nil {
 		t.Fatal(err)
 	}
 	if out.TOS != in.TOS || out.ID != in.ID || out.DontFrag != in.DontFrag ||
@@ -40,51 +40,45 @@ func TestIPv4RoundTrip(t *testing.T) {
 
 func TestIPv4ChecksumValidation(t *testing.T) {
 	in := &IPv4{TTL: 64, Protocol: ProtoICMP, Src: addr("1.2.3.4"), Dst: addr("5.6.7.8")}
-	b, _ := in.Marshal()
+	b, _ := in.AppendMarshal(nil)
 	b[8] ^= 0xff // corrupt TTL without fixing checksum
-	if _, err := UnmarshalIPv4(b); !errors.Is(err, ErrBadChecksum) {
+	var out IPv4
+	if err := UnmarshalIPv4Into(&out, b); !errors.Is(err, ErrBadChecksum) {
 		t.Errorf("corrupted header: err = %v, want ErrBadChecksum", err)
 	}
 }
 
 func TestIPv4RejectsNonV4(t *testing.T) {
 	in := &IPv4{TTL: 64, Src: addr("1.2.3.4"), Dst: addr("5.6.7.8")}
-	b, _ := in.Marshal()
+	b, _ := in.AppendMarshal(nil)
 	b[0] = 6<<4 | 5
-	if _, err := UnmarshalIPv4(b); !errors.Is(err, ErrBadVersion) {
+	var out IPv4
+	if err := UnmarshalIPv4Into(&out, b); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("err = %v, want ErrBadVersion", err)
 	}
-	if _, err := (&IPv4{Src: addr("::1"), Dst: addr("5.6.7.8")}).Marshal(); err == nil {
-		t.Error("Marshal accepted IPv6 source")
+	if _, err := (&IPv4{Src: addr("::1"), Dst: addr("5.6.7.8")}).AppendMarshal(nil); err == nil {
+		t.Error("AppendMarshal accepted IPv6 source")
 	}
 }
 
 func TestIPv4Short(t *testing.T) {
-	if _, err := UnmarshalIPv4(make([]byte, 19)); !errors.Is(err, ErrShortPacket) {
+	var out IPv4
+	if err := UnmarshalIPv4Into(&out, make([]byte, 19)); !errors.Is(err, ErrShortPacket) {
 		t.Errorf("err = %v, want ErrShortPacket", err)
 	}
 }
 
 func TestIPv4BadTotalLength(t *testing.T) {
 	in := &IPv4{TTL: 1, Src: addr("1.2.3.4"), Dst: addr("5.6.7.8"), Payload: []byte{1, 2, 3}}
-	b, _ := in.Marshal()
-	// Claim a total length longer than the buffer.
-	b[2], b[3] = 0xff, 0xff
-	if _, err := UnmarshalIPv4(b); err == nil {
-		t.Error("oversized total length accepted")
-	}
-}
-
-func TestIPv4PayloadCopied(t *testing.T) {
-	in := &IPv4{TTL: 9, Src: addr("1.1.1.1"), Dst: addr("2.2.2.2"), Payload: []byte{1, 2, 3}}
-	b, _ := in.Marshal()
-	out, err := UnmarshalIPv4(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[IPv4HeaderLen] = 0xff
-	if out.Payload[0] != 1 {
-		t.Error("Unmarshal aliases input buffer")
+	b, _ := in.AppendMarshal(nil)
+	var out IPv4
+	// Claim a total length longer than the buffer, then one shorter than
+	// the header.
+	for _, total := range []uint16{0xffff, IPv4HeaderLen - 1} {
+		b[2], b[3] = byte(total>>8), byte(total)
+		if err := UnmarshalIPv4Into(&out, b); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("total length %d: err = %v, want ErrBadHeader", total, err)
+		}
 	}
 }
 
@@ -95,12 +89,12 @@ func TestIPv4QuickRoundTrip(t *testing.T) {
 		}
 		in := &IPv4{TOS: tos, ID: id, DontFrag: df, TTL: ttl, Protocol: proto,
 			Src: netip.AddrFrom4(s), Dst: netip.AddrFrom4(d), Payload: payload}
-		b, err := in.Marshal()
+		b, err := in.AppendMarshal(nil)
 		if err != nil {
 			return false
 		}
-		out, err := UnmarshalIPv4(b)
-		if err != nil {
+		var out IPv4
+		if err := UnmarshalIPv4Into(&out, b); err != nil {
 			return false
 		}
 		if out.TTL != ttl || out.Src != in.Src || out.Dst != in.Dst || len(out.Payload) != len(payload) {
@@ -131,23 +125,36 @@ func TestUnmarshalIPv4QuotedTruncated(t *testing.T) {
 	full := &IPv4{TTL: 5, ID: 321, Protocol: ProtoUDP,
 		Src: addr("10.0.0.1"), Dst: addr("192.0.2.2"),
 		Payload: make([]byte, 100)}
-	b, _ := full.Marshal()
+	b, _ := full.AppendMarshal(nil)
 	quote := b[:IPv4HeaderLen+8]
 	// Strict parser refuses it...
-	if _, err := UnmarshalIPv4(quote); err == nil {
+	var q IPv4
+	if err := UnmarshalIPv4Into(&q, quote); err == nil {
 		t.Error("strict parser accepted truncated datagram")
 	}
 	// ...the quoted parser accepts it and keeps the header fields.
-	q, err := UnmarshalIPv4Quoted(quote)
-	if err != nil {
+	if err := UnmarshalIPv4QuotedInto(&q, quote); err != nil {
 		t.Fatal(err)
 	}
 	if q.ID != 321 || q.Src != full.Src || q.Dst != full.Dst || len(q.Payload) != 8 {
 		t.Errorf("quoted parse = %+v", q)
 	}
+	// A quote whose total length undercuts its header keeps every byte
+	// too; the header checks are the strict parser's.
+	short := append([]byte(nil), quote...)
+	short[2], short[3] = 0, IPv4HeaderLen-1
+	short[10], short[11] = 0, 0
+	ck := Checksum(short[:IPv4HeaderLen])
+	short[10], short[11] = byte(ck>>8), byte(ck)
+	if err := UnmarshalIPv4QuotedInto(&q, short); err != nil || len(q.Payload) != 8 {
+		t.Errorf("quote with total length %d: payload %d bytes, err %v; want 8, nil", IPv4HeaderLen-1, len(q.Payload), err)
+	}
+	if err := UnmarshalIPv4QuotedInto(&q, quote[:IPv4HeaderLen-1]); !errors.Is(err, ErrShortPacket) {
+		t.Errorf("quote shorter than a header: err = %v, want ErrShortPacket", err)
+	}
 	// But a corrupted header is still rejected.
 	quote[8] ^= 0xff
-	if _, err := UnmarshalIPv4Quoted(quote); err == nil {
-		t.Error("corrupted quote accepted")
+	if err := UnmarshalIPv4QuotedInto(&q, quote); !errors.Is(err, ErrBadChecksum) {
+		t.Errorf("corrupted quote: err = %v, want ErrBadChecksum", err)
 	}
 }

@@ -49,7 +49,7 @@ func TestAppendPaddedOriginalOverwritesDirtyScratch(t *testing.T) {
 func TestTrimOriginalIPv4(t *testing.T) {
 	p := &IPv4{TTL: 5, Protocol: ProtoUDP, Src: addr("10.0.0.1"),
 		Dst: addr("10.0.0.2"), Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
-	wire, err := p.Marshal()
+	wire, err := p.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

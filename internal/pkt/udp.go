@@ -9,22 +9,16 @@ import (
 // UDPHeaderLen is the fixed UDP header length.
 const UDPHeaderLen = 8
 
-// UDP is a UDP datagram. Checksums are computed over the IPv4 pseudo-header,
-// so Marshal and Unmarshal take the enclosing addresses.
+// UDP is a UDP datagram. Its checksum covers the IPv4 pseudo-header, so
+// AppendMarshal takes the enclosing addresses.
 type UDP struct {
 	SrcPort, DstPort uint16
 	Payload          []byte
 }
 
-// Marshal serializes the datagram with a checksum over the pseudo-header
-// (src, dst, protocol, UDP length).
-func (u *UDP) Marshal(src, dst netip.Addr) ([]byte, error) {
-	return u.AppendMarshal(nil, src, dst)
-}
-
-// AppendMarshal serializes the datagram onto dst and returns the extended
-// slice, allocating only when dst lacks capacity. The appended bytes are
-// identical to Marshal's output.
+// AppendMarshal serializes the datagram onto dst with a checksum over the
+// pseudo-header (src, dst, protocol, UDP length) and returns the extended
+// slice, allocating only when dst lacks capacity.
 func (u *UDP) AppendMarshal(dst []byte, src, dstAddr netip.Addr) ([]byte, error) {
 	total := UDPHeaderLen + len(u.Payload)
 	if total > 0xffff {
@@ -43,41 +37,6 @@ func (u *UDP) AppendMarshal(dst []byte, src, dstAddr netip.Addr) ([]byte, error)
 	}
 	binary.BigEndian.PutUint16(b[o+6:], ck)
 	return b, nil
-}
-
-// UnmarshalUDP parses a UDP datagram and verifies its checksum against the
-// pseudo-header. A zero checksum field (checksum disabled) is accepted.
-// The returned datagram owns its payload.
-func UnmarshalUDP(src, dst netip.Addr, b []byte) (*UDP, error) {
-	u := new(UDP)
-	if err := UnmarshalUDPInto(u, src, dst, b); err != nil {
-		return nil, err
-	}
-	u.Payload = append([]byte(nil), u.Payload...)
-	return u, nil
-}
-
-// UnmarshalUDPInto parses a UDP datagram into u without allocating:
-// u.Payload aliases b. Verification matches UnmarshalUDP.
-func UnmarshalUDPInto(u *UDP, src, dst netip.Addr, b []byte) error {
-	if len(b) < UDPHeaderLen {
-		return ErrShortPacket
-	}
-	ulen := int(binary.BigEndian.Uint16(b[4:]))
-	if ulen < UDPHeaderLen || ulen > len(b) {
-		return fmt.Errorf("%w: UDP length %d of %d bytes", ErrBadHeader, ulen, len(b))
-	}
-	if binary.BigEndian.Uint16(b[6:]) != 0 {
-		if udpChecksum(src, dst, b[:ulen]) != 0 {
-			return ErrBadChecksum
-		}
-	}
-	*u = UDP{
-		SrcPort: binary.BigEndian.Uint16(b[0:]),
-		DstPort: binary.BigEndian.Uint16(b[2:]),
-		Payload: b[UDPHeaderLen:ulen],
-	}
-	return nil
 }
 
 // udpChecksum folds the pseudo-header and the datagram bytes. When called

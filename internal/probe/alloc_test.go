@@ -174,16 +174,12 @@ func probeCases(t *testing.T, wrap func(Conn) Conn) []probeCase {
 		return NewTracer(c, tn.vp)
 	}
 	tr := tracer(NetsimConn{tn.net})
-	// A tracer whose BasePort lies outside the traceroute range probes
-	// from the range's base instead.
-	lowPort := tracer(NetsimConn{tn.net})
-	lowPort.BasePort = 80
 	// A ping answered by a time-exceeded message is no echo reply.
-	echo, err := (&pkt.ICMP{Type: pkt.ICMPEchoRequest, ID: 7, Seq: 1, Body: pingPayload}).Marshal()
+	echo, err := (&pkt.ICMP{Type: pkt.ICMPEchoRequest, ID: 7, Seq: 1, Body: pingPayload}).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := (&pkt.IPv4{TTL: 1, Protocol: pkt.ProtoICMP, Src: tn.vp, Dst: tn.target, Payload: echo}).Marshal()
+	probe, err := (&pkt.IPv4{TTL: 1, Protocol: pkt.ProtoICMP, Src: tn.vp, Dst: tn.target, Payload: echo}).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +190,6 @@ func probeCases(t *testing.T, wrap func(Conn) Conn) []probeCase {
 		{"Ping/time exceeded instead of echo reply", teConn, tn.target, false, false},
 		{"SampleIPID", tr, tn.target, true, true},
 		{"SampleIPID/silent router", tr, tn.ps[2].Loopback, true, false},
-		{"SampleIPID/BasePort below the traceroute range", lowPort, tn.target, true, true},
 	}
 }
 
@@ -262,11 +257,11 @@ func TestAllocBudgetExchange(t *testing.T) {
 // udpProbeWire serializes the tracer's UDP probe toward dst at ttl.
 func udpProbeWire(t *testing.T, src, dst netip.Addr, ttl uint8) []byte {
 	t.Helper()
-	udp, err := (&pkt.UDP{SrcPort: 33434, DstPort: 33434, Payload: probePayload}).AppendMarshal(nil, src, dst)
+	udp, err := (&pkt.UDP{SrcPort: PortRangeLo, DstPort: PortRangeLo, Payload: probePayload}).AppendMarshal(nil, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := (&pkt.IPv4{TTL: ttl, Protocol: pkt.ProtoUDP, ID: 9, Src: src, Dst: dst, Payload: udp}).Marshal()
+	wire, err := (&pkt.IPv4{TTL: ttl, Protocol: pkt.ProtoUDP, ID: 9, Src: src, Dst: dst, Payload: udp}).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -332,7 +332,6 @@ func TestTraceGapHalt(t *testing.T) {
 	}
 	tn.pe2.Profile.RespondsICMP = false
 	tc := tn.tracer()
-	tc.MaxGaps = 3
 	// Target the last interior router's address so the destination itself
 	// never answers either.
 	dst := tn.ps[2].Loopback

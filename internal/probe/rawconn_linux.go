@@ -74,8 +74,8 @@ const recvSlice = 100 * time.Millisecond
 // noisy-but-unmatched) wait promptly instead of riding out the full
 // timeout.
 func (c *RawConn) Exchange(ctx context.Context, src netip.Addr, wire []byte) ([]byte, float64, error) {
-	probe, err := pkt.UnmarshalIPv4(wire)
-	if err != nil {
+	var probe pkt.IPv4
+	if err := pkt.UnmarshalIPv4Into(&probe, wire); err != nil {
 		return nil, 0, fmt.Errorf("probe: malformed probe: %w", err)
 	}
 	dst := probe.Dst.As4()
@@ -109,9 +109,8 @@ func (c *RawConn) Exchange(ctx context.Context, src netip.Addr, wire []byte) ([]
 			}
 			return nil, 0, fmt.Errorf("probe: recvfrom: %w", err)
 		}
-		reply := make([]byte, n)
-		copy(reply, buf[:n])
-		if matchesProbe(probe, reply) {
+		if matchesProbe(&probe, buf[:n]) {
+			reply := append([]byte(nil), buf[:n]...)
 			return reply, float64(time.Since(start)) / float64(time.Millisecond), nil
 		}
 		// Unrelated ICMP traffic: keep listening until the deadline.
@@ -120,26 +119,24 @@ func (c *RawConn) Exchange(ctx context.Context, src netip.Addr, wire []byte) ([]
 
 // matchesProbe decides whether a received ICMP packet answers the probe.
 func matchesProbe(probe *pkt.IPv4, reply []byte) bool {
-	rip, err := pkt.UnmarshalIPv4(reply)
-	if err != nil || rip.Protocol != pkt.ProtoICMP {
-		return false
-	}
-	m, err := pkt.UnmarshalICMP(rip.Payload)
-	if err != nil {
+	var rip pkt.IPv4
+	var m pkt.ICMP
+	if pkt.UnmarshalIPv4Into(&rip, reply) != nil || rip.Protocol != pkt.ProtoICMP ||
+		pkt.UnmarshalICMPInto(&m, rip.Payload) != nil {
 		return false
 	}
 	switch {
 	case m.IsError():
-		q, err := m.QuotedIPv4()
-		if err != nil {
-			// Some routers quote fewer than 20 bytes; fall back to a
-			// source/destination glance on the raw quote.
+		// Some routers quote fewer than the 20 bytes of a header; such a
+		// quote matches nothing.
+		var q pkt.IPv4
+		if pkt.UnmarshalIPv4QuotedInto(&q, m.Body) != nil {
 			return false
 		}
 		return q.Src == probe.Src && q.Dst == probe.Dst && q.ID == probe.ID
 	case m.Type == pkt.ICMPEchoReply && probe.Protocol == pkt.ProtoICMP:
-		req, err := pkt.UnmarshalICMP(probe.Payload)
-		if err != nil {
+		var req pkt.ICMP
+		if pkt.UnmarshalICMPInto(&req, probe.Payload) != nil {
 			return false
 		}
 		return m.ID == req.ID && m.Seq == req.Seq

@@ -94,11 +94,10 @@ func (t *Tracer) directPathRevelation(ctx context.Context, s *probeScratch, at i
 	// would change fault-free probe sequences (each retry draws a fresh
 	// rate-limiter coin) and with them every pinned campaign result.
 	// Transport errors in the aux sweep therefore surface immediately.
-	aux := Tracer{Conn: t.Conn, VP: t.VP, MaxTTL: t.MaxTTL, MaxGaps: t.MaxGaps,
-		BasePort: t.BasePort, Metrics: t.Metrics}
+	aux := Tracer{Conn: t.Conn, VP: t.VP, MaxTTL: t.MaxTTL, Metrics: t.Metrics}
 	as := probeScratchPool.Get().(*probeScratch)
 	defer probeScratchPool.Put(as)
-	halt, errText, err := aux.sweep(ctx, as, trigger, aux.flowPort(0))
+	halt, errText, err := aux.sweep(ctx, as, trigger, flowPort(0))
 	if err != nil {
 		return 0, err
 	}

@@ -11,6 +11,7 @@ import (
 
 	"arest/internal/mpls"
 	"arest/internal/netsim"
+	"arest/internal/obs"
 	"arest/internal/pkt"
 )
 
@@ -164,11 +165,6 @@ type Tracer struct {
 	Method Method
 	// MaxTTL bounds the forward TTL sweep.
 	MaxTTL int
-	// MaxGaps stops the sweep after this many consecutive silent hops.
-	MaxGaps int
-	// BasePort is the UDP destination port of flow 0; Paris flow IDs
-	// offset it.
-	BasePort uint16
 	// Reveal enables TNT revelation of hidden tunnel content (DPR).
 	Reveal bool
 	// Retries is how many extra probes a silent hop gets before being
@@ -190,7 +186,7 @@ type Tracer struct {
 // routers draw a fresh loss coin per IP-ID). Scratch buffers come from a
 // package pool per call, never from the Tracer itself.
 func NewTracer(conn Conn, vp netip.Addr) *Tracer {
-	return &Tracer{Conn: conn, VP: vp, MaxTTL: 32, MaxGaps: 3, BasePort: 33434, Reveal: true, Retries: 2}
+	return &Tracer{Conn: conn, VP: vp, MaxTTL: 32, Reveal: true, Retries: 2}
 }
 
 // probeID derives the 16-bit IP identifier of one probe from the probe's
@@ -208,27 +204,25 @@ func (t *Tracer) probeID(dst netip.Addr, flow uint16, ttl uint8, attempt int) ui
 	return uint16(v ^ (v >> 31))
 }
 
-// Traceroute UDP destination ports live in [PortRangeLo, PortRangeHi): at
-// or above the classic traceroute base and strictly below the port-space
-// ceiling, so a probe can never land on a well-known or zero port.
+// Traceroute UDP ports live in [PortRangeLo, PortRangeHi): at or above
+// the classic traceroute base and strictly below the port-space ceiling,
+// so a probe can never land on a well-known or zero port. Every UDP probe
+// leaves from PortRangeLo, and Paris flow 0 probes it too.
 const (
 	PortRangeLo = 33434
 	PortRangeHi = 65535
 )
 
-// flowPort maps a Paris flow ID onto the UDP destination port. The naive
-// BasePort+flowID wraps uint16 for large flow IDs, landing probes on
-// well-known ports — where a real service might answer (or a firewall
-// drop), breaking the port-unreachable halt semantics — so the sum is
-// folded back into [PortRangeLo, PortRangeHi). Flow IDs that never reached
-// the old wrap point keep their exact historical port.
-func (t *Tracer) flowPort(flowID uint16) uint16 {
-	base := uint32(t.BasePort)
-	if base < PortRangeLo || base >= PortRangeHi {
-		base = PortRangeLo
-	}
-	const span = PortRangeHi - PortRangeLo
-	return uint16(PortRangeLo + (base-PortRangeLo+uint32(flowID))%span)
+// maxGaps is how many consecutive silent hops end a sweep.
+const maxGaps = 3
+
+// flowPort maps a Paris flow ID onto the UDP destination port
+// PortRangeLo+flowID, wrapped back into [PortRangeLo, PortRangeHi): the
+// naive sum would wrap uint16 for large flow IDs and land probes on
+// well-known ports, where a real service might answer (or a firewall
+// drop), breaking the port-unreachable halt semantics.
+func flowPort(flowID uint16) uint16 {
+	return uint16(PortRangeLo + uint32(flowID)%(PortRangeHi-PortRangeLo))
 }
 
 // loopRunLen is the number of consecutive identical responding addresses
@@ -259,7 +253,7 @@ const loopRunLen = 3
 func (t *Tracer) Trace(ctx context.Context, dst netip.Addr, flowID uint16) (*Trace, error) {
 	s := probeScratchPool.Get().(*probeScratch)
 	defer probeScratchPool.Put(s)
-	halt, errText, err := t.sweep(ctx, s, dst, t.flowPort(flowID))
+	halt, errText, err := t.sweep(ctx, s, dst, flowPort(flowID))
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +307,7 @@ sweep:
 			t.Metrics.gaps.Inc()
 			gaps++
 			run = 0
-			if gaps >= t.MaxGaps {
+			if gaps >= maxGaps {
 				halt = HaltGaps
 				break sweep
 			}
@@ -355,50 +349,75 @@ func revisits(hops []Hop, addr netip.Addr, ttl int) bool {
 	return false
 }
 
+// wireProbe is one probe as exchange puts it on the wire: an IPv4 header
+// toward dst with TTL ttl and IP-ID id, carrying an ICMP echo request
+// (identifier port, sequence seq) when proto is pkt.ProtoICMP, and
+// otherwise a UDP datagram to destination port port.
+type wireProbe struct {
+	dst       netip.Addr
+	ttl       uint8
+	id        uint16
+	proto     uint8
+	port, seq uint16
+	payload   []byte
+}
+
+// exchange builds p in s, counts it on sent, sends it from the VP and
+// decodes the reply's IP header into s.rip. ok is false when no reply
+// came back, or when its IP header does not parse (counted as a decode
+// error). err is a build or transport error for the caller to return; a
+// transport error is counted here.
+func (t *Tracer) exchange(ctx context.Context, s *probeScratch, p wireProbe, sent *obs.Counter) (rtt float64, ok bool, err error) {
+	if p.proto == pkt.ProtoICMP {
+		s.echo = pkt.ICMP{Type: pkt.ICMPEchoRequest, ID: p.port, Seq: p.seq, Body: p.payload}
+		s.payload, err = s.echo.AppendMarshal(s.payload[:0])
+	} else {
+		s.udp = pkt.UDP{SrcPort: PortRangeLo, DstPort: p.port, Payload: p.payload}
+		s.payload, err = s.udp.AppendMarshal(s.payload[:0], t.VP, p.dst)
+	}
+	if err != nil {
+		return 0, false, err
+	}
+	s.ip = pkt.IPv4{TTL: p.ttl, Protocol: p.proto, ID: p.id, Src: t.VP, Dst: p.dst, Payload: s.payload}
+	if s.wire, err = s.ip.AppendMarshal(s.wire[:0]); err != nil {
+		return 0, false, err
+	}
+	sent.Inc()
+	reply, rtt, err := t.Conn.Exchange(ctx, t.VP, s.wire)
+	if err != nil {
+		t.Metrics.exchangeErr.Inc()
+		return 0, false, err
+	}
+	if reply == nil {
+		return 0, false, nil
+	}
+	if err := pkt.UnmarshalIPv4Into(&s.rip, reply); err != nil {
+		// The IP header itself is mangled: no responder address to keep.
+		t.Metrics.decodeErr.Inc()
+		return 0, false, nil
+	}
+	return rtt, true, nil
+}
+
 // probeOnce sends a single probe (UDP or ICMP echo, per Method) and parses
 // the reply into a Hop. attempt distinguishes retries of the same hop so
 // each retry carries a distinct IP-ID. All construction and decoding goes
 // through s; the returned Hop's Stack aliases s.stack, valid until the
 // next probeOnce on s.
 func (t *Tracer) probeOnce(ctx context.Context, s *probeScratch, dst netip.Addr, ttl uint8, dport uint16, attempt int) (Hop, error) {
-	var err error
-	proto := uint8(pkt.ProtoUDP)
-	switch t.Method {
-	case MethodICMP:
+	p := wireProbe{dst: dst, ttl: ttl, id: t.probeID(dst, dport, ttl, attempt),
+		proto: pkt.ProtoUDP, port: dport, payload: probePayload}
+	if t.Method == MethodICMP {
 		// Paris semantics for ICMP: the identifier is the flow key, so it
 		// derives from dport; the sequence varies per probe.
-		s.echo = pkt.ICMP{Type: pkt.ICMPEchoRequest, ID: dport, Seq: uint16(ttl), Body: probePayload}
-		s.payload, err = s.echo.AppendMarshal(s.payload[:0])
-		if err != nil {
-			return Hop{}, fmt.Errorf("probe: %w", err)
-		}
-		proto = pkt.ProtoICMP
-	default:
-		s.udp = pkt.UDP{SrcPort: 33434, DstPort: dport, Payload: probePayload}
-		s.payload, err = s.udp.AppendMarshal(s.payload[:0], t.VP, dst)
-		if err != nil {
-			return Hop{}, fmt.Errorf("probe: %w", err)
-		}
+		p.proto, p.seq = pkt.ProtoICMP, uint16(ttl)
 	}
-	s.ip = pkt.IPv4{TTL: ttl, Protocol: proto, ID: t.probeID(dst, dport, ttl, attempt),
-		Src: t.VP, Dst: dst, Payload: s.payload}
-	s.wire, err = s.ip.AppendMarshal(s.wire[:0])
+	rtt, ok, err := t.exchange(ctx, s, p, t.Metrics.sent[t.Method])
 	if err != nil {
-		return Hop{}, fmt.Errorf("probe: %w", err)
-	}
-	t.Metrics.sent[t.Method].Inc()
-	reply, rtt, err := t.Conn.Exchange(ctx, t.VP, s.wire)
-	if err != nil {
-		t.Metrics.exchangeErr.Inc()
 		return Hop{}, fmt.Errorf("probe: %w", err)
 	}
 	hop := Hop{TTL: int(ttl)}
-	if reply == nil {
-		return hop, nil
-	}
-	if err := pkt.UnmarshalIPv4Into(&s.rip, reply); err != nil {
-		// The IP header itself is mangled: no responder address to keep.
-		t.Metrics.decodeErr.Inc()
+	if !ok {
 		return hop, nil
 	}
 	hop.Addr = s.rip.Src
@@ -418,7 +437,6 @@ func (t *Tracer) probeOnce(ctx context.Context, s *probeScratch, dst netip.Addr,
 	}
 	hop.ICMPType = s.rm.Type
 	hop.ICMPCode = s.rm.Code
-	var ok bool
 	if s.stack, ok = s.rm.AppendMPLSStack(s.stack[:0]); ok {
 		hop.Stack = s.stack
 	}
@@ -438,28 +456,9 @@ func (t *Tracer) Ping(ctx context.Context, dst netip.Addr, id uint16) (replyTTL 
 	}
 	s := probeScratchPool.Get().(*probeScratch)
 	defer probeScratchPool.Put(s)
-	s.echo = pkt.ICMP{Type: pkt.ICMPEchoRequest, ID: id, Seq: 1, Body: pingPayload}
-	s.payload, err = s.echo.AppendMarshal(s.payload[:0])
-	if err != nil {
+	p := wireProbe{dst: dst, ttl: 64, id: id, proto: pkt.ProtoICMP, port: id, seq: 1, payload: pingPayload}
+	if _, ok, err = t.exchange(ctx, s, p, t.Metrics.pings); !ok {
 		return 0, false, err
-	}
-	s.ip = pkt.IPv4{TTL: 64, Protocol: pkt.ProtoICMP, ID: id, Src: t.VP, Dst: dst, Payload: s.payload}
-	s.wire, err = s.ip.AppendMarshal(s.wire[:0])
-	if err != nil {
-		return 0, false, err
-	}
-	t.Metrics.pings.Inc()
-	reply, _, err := t.Conn.Exchange(ctx, t.VP, s.wire)
-	if err != nil {
-		t.Metrics.exchangeErr.Inc()
-		return 0, false, err
-	}
-	if reply == nil {
-		return 0, false, nil
-	}
-	if err := pkt.UnmarshalIPv4Into(&s.rip, reply); err != nil {
-		t.Metrics.decodeErr.Inc()
-		return 0, false, nil
 	}
 	if err := pkt.UnmarshalICMPInto(&s.rm, s.rip.Payload); err != nil {
 		t.Metrics.decodeErr.Inc()
@@ -508,31 +507,11 @@ type IPIDSample struct {
 func (t *Tracer) SampleIPID(ctx context.Context, dst netip.Addr, seq uint32) (IPIDSample, bool, error) {
 	s := probeScratchPool.Get().(*probeScratch)
 	defer probeScratchPool.Put(s)
-	dport := t.flowPort(200)
-	s.udp = pkt.UDP{SrcPort: 33434, DstPort: dport, Payload: ipidPayload}
-	var err error
-	s.payload, err = s.udp.AppendMarshal(s.payload[:0], t.VP, dst)
-	if err != nil {
+	dport := flowPort(200)
+	p := wireProbe{dst: dst, ttl: 64, id: t.probeID(dst, dport, uint8(seq>>16), int(uint16(seq))),
+		proto: pkt.ProtoUDP, port: dport, payload: ipidPayload}
+	if _, ok, err := t.exchange(ctx, s, p, t.Metrics.ipidSamples); !ok {
 		return IPIDSample{}, false, err
-	}
-	id := t.probeID(dst, dport, uint8(seq>>16), int(uint16(seq)))
-	s.ip = pkt.IPv4{TTL: 64, Protocol: pkt.ProtoUDP, ID: id, Src: t.VP, Dst: dst, Payload: s.payload}
-	s.wire, err = s.ip.AppendMarshal(s.wire[:0])
-	if err != nil {
-		return IPIDSample{}, false, err
-	}
-	t.Metrics.ipidSamples.Inc()
-	reply, _, err := t.Conn.Exchange(ctx, t.VP, s.wire)
-	if err != nil {
-		t.Metrics.exchangeErr.Inc()
-		return IPIDSample{}, false, err
-	}
-	if reply == nil {
-		return IPIDSample{}, false, nil
-	}
-	if err := pkt.UnmarshalIPv4Into(&s.rip, reply); err != nil {
-		t.Metrics.decodeErr.Inc()
-		return IPIDSample{}, false, nil
 	}
 	t.Metrics.ipidReplies.Inc()
 	return IPIDSample{ID: s.rip.ID, ReplyTTL: s.rip.TTL}, true, nil

@@ -29,8 +29,8 @@ func (c *captureConn) Exchange(ctx context.Context, src netip.Addr, wire []byte)
 // sentDport extracts the UDP destination port of a captured probe.
 func sentDport(t *testing.T, wire []byte) uint16 {
 	t.Helper()
-	ip, err := pkt.UnmarshalIPv4(wire)
-	if err != nil {
+	var ip pkt.IPv4
+	if err := pkt.UnmarshalIPv4Into(&ip, wire); err != nil {
 		t.Fatalf("probe wire: %v", err)
 	}
 	if ip.Protocol != pkt.ProtoUDP || len(ip.Payload) < 4 {
@@ -40,8 +40,8 @@ func sentDport(t *testing.T, wire []byte) uint16 {
 }
 
 // TestFlowPortStaysInTracerouteRange is the regression test for the
-// BasePort+flowID uint16 wrap: the first flow ID past the wrap point must
-// still probe inside [33434, 65535), not land on a well-known port.
+// PortRangeLo+flowID uint16 wrap: the first flow ID past the wrap point
+// must still probe inside [33434, 65535), not land on a well-known port.
 func TestFlowPortStaysInTracerouteRange(t *testing.T) {
 	conn := &captureConn{}
 	tr := NewTracer(conn, a("172.16.0.10"))
@@ -49,7 +49,7 @@ func TestFlowPortStaysInTracerouteRange(t *testing.T) {
 	tr.Retries = 0
 	tr.Reveal = false
 
-	wrapFlow := uint16(0xFFFF - tr.BasePort + 1) // old code: dport wraps to 0
+	wrapFlow := uint16(0xFFFF - PortRangeLo + 1) // a plain uint16 sum wraps to port 0
 	if _, err := tr.Trace(context.Background(), a("100.1.0.20"), wrapFlow); err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +63,13 @@ func TestFlowPortStaysInTracerouteRange(t *testing.T) {
 	if _, err := tr.Trace(context.Background(), a("100.1.0.20"), 7); err != nil {
 		t.Fatal(err)
 	}
-	if got := sentDport(t, conn.sent[0]); got != tr.BasePort+7 {
-		t.Fatalf("flow 7 probed port %d, want %d", got, tr.BasePort+7)
+	if got := sentDport(t, conn.sent[0]); got != PortRangeLo+7 {
+		t.Fatalf("flow 7 probed port %d, want %d", got, PortRangeLo+7)
 	}
 
 	// Property: every flow ID lands in range.
 	for _, flow := range []uint16{0, 1, 1000, 32101, 32102, 40000, 0xFFFF} {
-		if p := tr.flowPort(flow); p < PortRangeLo || p >= PortRangeHi {
+		if p := flowPort(flow); p < PortRangeLo || p >= PortRangeHi {
 			t.Errorf("flowPort(%d) = %d, out of range", flow, p)
 		}
 	}
@@ -134,17 +134,17 @@ func TestTraceStillDetectsLongerPeriodLoops(t *testing.T) {
 // timeExceededFrom builds a well-formed time-exceeded reply quoting wire.
 func timeExceededFrom(t *testing.T, src netip.Addr, wire []byte) []byte {
 	t.Helper()
-	q, err := pkt.UnmarshalIPv4(wire)
-	if err != nil {
+	var q pkt.IPv4
+	if err := pkt.UnmarshalIPv4Into(&q, wire); err != nil {
 		t.Fatal(err)
 	}
 	msg := &pkt.ICMP{Type: pkt.ICMPTimeExceeded, Code: pkt.CodeTTLExceeded, Body: wire[:min(len(wire), 28)]}
-	payload, err := msg.Marshal()
+	payload, err := msg.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ip := &pkt.IPv4{TTL: 250, Protocol: pkt.ProtoICMP, Src: src, Dst: q.Src, Payload: payload}
-	b, err := ip.Marshal()
+	b, err := ip.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,19 +159,19 @@ func TestDecodeErrorHopKeepsResponder(t *testing.T) {
 	responder := a("9.9.9.9")
 	conn := &captureConn{}
 	conn.replyFn = func(wire []byte) []byte {
-		q, err := pkt.UnmarshalIPv4(wire)
-		if err != nil {
+		var q pkt.IPv4
+		if err := pkt.UnmarshalIPv4Into(&q, wire); err != nil {
 			t.Fatal(err)
 		}
 		// Valid IPv4 wrapping an ICMP message with a corrupted checksum.
 		msg := &pkt.ICMP{Type: pkt.ICMPTimeExceeded, Code: pkt.CodeTTLExceeded, Body: wire[:28]}
-		payload, err := msg.Marshal()
+		payload, err := msg.AppendMarshal(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		payload[2] ^= 0xFF // break the ICMP checksum
 		ip := &pkt.IPv4{TTL: 250, Protocol: pkt.ProtoICMP, Src: responder, Dst: q.Src, Payload: payload}
-		b, err := ip.Marshal()
+		b, err := ip.AppendMarshal(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,15 +227,15 @@ func TestDecodeErrorNotReachedUnderICMPEcho(t *testing.T) {
 	i := 0
 	conn := &captureConn{}
 	conn.replyFn = func(wire []byte) []byte {
-		q, err := pkt.UnmarshalIPv4(wire)
-		if err != nil {
+		var q pkt.IPv4
+		if err := pkt.UnmarshalIPv4Into(&q, wire); err != nil {
 			t.Fatal(err)
 		}
 		src := responders[i%len(responders)]
 		i++
 		ip := &pkt.IPv4{TTL: 250, Protocol: pkt.ProtoICMP, Src: src, Dst: q.Src,
 			Payload: []byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0, 1}} // unparseable ICMP
-		b, err := ip.Marshal()
+		b, err := ip.AppendMarshal(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
