@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -206,8 +207,10 @@ type ASResult struct {
 // Cancelling ctx aborts the measurement at the next trace/TTL boundary and
 // returns the cause; an aborted measurement yields no Data at all, so
 // nothing cancellation-shaped can reach the archive.
+//
+// The Data owns its memory: its traces live in a store of their own.
 func MeasureAS(ctx context.Context, rec asgen.Record, cfg Config) (*archive.Data, error) {
-	return measureWithDeployment(ctx, rec, cfg.deployment(rec), cfg)
+	return measureWithDeployment(ctx, rec, cfg.deployment(rec), cfg, new(measureStore))
 }
 
 // deployment derives rec's deployment at the configured seed, with its
@@ -220,9 +223,32 @@ func (c Config) deployment(rec asgen.Record) asgen.Deployment {
 	return dep
 }
 
+// measureStore is the trace storage an AS's sweep is written into: one
+// Trace per trace job, indexed by job, and the slab their hops and label
+// stacks live in. measureWithDeployment resets it at every AS, keeping its
+// storage, so the traces of a Data measured into it are valid only until
+// the store's next measurement (foldStore documents who hands it on). The
+// zero value is ready.
+type measureStore struct {
+	traces []probe.Trace
+	slab   probe.Slab
+}
+
+// reset readies the store for an AS of n trace jobs and returns its n
+// zeroed traces. The previous AS's traces are cleared, and the slab keeps
+// only the chunks they used, so nothing the store retains points into
+// dropped memory.
+func (m *measureStore) reset(n int) []probe.Trace {
+	clear(m.traces)
+	m.traces = slices.Grow(m.traces[:0], n)[:n]
+	m.slab.Reset()
+	return m.traces
+}
+
 // measureWithDeployment measures against an explicit deployment (used by
-// the longitudinal extension to sweep SRFrac).
-func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Deployment, cfg Config) (*archive.Data, error) {
+// the longitudinal extension to sweep SRFrac), writing the traces into
+// store.
+func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Deployment, cfg Config, store *measureStore) (*archive.Data, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
@@ -294,17 +320,17 @@ func measureWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Depl
 		return nil, err
 	}
 	jobErrs := make([]error, len(jobs))
+	trs := store.reset(len(jobs))
 	reg.Counter("exp", "jobs.trace").Add(uint64(len(jobs)))
 	traceDone := reg.Span("exp", "stage.trace").Start()
 	sweepErr := par.ForEach(ctx, workers, len(jobs), func(i int) {
 		defer busy.Start()()
 		j := jobs[i]
-		tr, err := tracers[j.vpIdx].Trace(ctx, j.tgt, j.flow)
-		if err != nil {
+		if err := tracers[j.vpIdx].TraceInto(ctx, &trs[i], &store.slab, j.tgt, j.flow); err != nil {
 			jobErrs[i] = fmt.Errorf("trace %s from %s: %w", j.tgt, w.VPs[j.vpIdx], err)
 			return
 		}
-		data.PerVP[j.vpIdx][j.slot] = tr
+		data.PerVP[j.vpIdx][j.slot] = &trs[i]
 		cfg.beat()
 	})
 	traceDone()
@@ -468,7 +494,7 @@ func RunAS(ctx context.Context, rec asgen.Record, cfg Config) (*ASResult, error)
 // runASWithDeployment runs measure+detect against an explicit deployment
 // (longitudinal extension), folding in store.
 func runASWithDeployment(ctx context.Context, rec asgen.Record, dep asgen.Deployment, cfg Config, store *foldStore) (*ASResult, error) {
-	data, err := measureWithDeployment(ctx, rec, dep, cfg)
+	data, err := measureWithDeployment(ctx, rec, dep, cfg, &store.measured)
 	if err != nil {
 		return nil, stageErr(StageMeasure, err)
 	}

@@ -93,9 +93,10 @@ func RunSharded(ctx context.Context, records []asgen.Record, cfg Config, dir str
 // identically whether it was just measured or resumed from an earlier run.
 //
 // The cancellation invariant lives here: the shard write is atomic
-// (archive.WriteFile's temp+rename) and happens only after MeasureAS
-// returned a complete measurement, so an interrupt can never leave a
-// partial shard that a resume would mistake for evidence.
+// (archive.WriteFile's temp+rename) and happens only after the
+// measurement returned complete, so an interrupt can never leave a
+// partial shard that a resume would mistake for evidence. The measurement
+// goes into the worker's store, and nothing reads it after the write.
 func runShard(ctx context.Context, rec asgen.Record, cfg Config, dir string, store *foldStore) (*ASResult, ShardStatus, error) {
 	path := ShardPath(dir, rec)
 	res, err := detectStreamFile(ctx, path, cfg, store)
@@ -112,7 +113,7 @@ func runShard(ctx context.Context, rec asgen.Record, cfg Config, dir string, sto
 		return nil, 0, shardErr(path, err)
 	}
 
-	data, err := MeasureAS(ctx, rec, cfg)
+	data, err := measureWithDeployment(ctx, rec, cfg.deployment(rec), cfg, &store.measured)
 	if err != nil {
 		return nil, 0, stageErr(StageMeasure, err)
 	}

@@ -125,16 +125,25 @@ func (t *addrTable) row(addr netip.Addr) int32 {
 	return r
 }
 
-// foldStore is the storage a fold builds its batches in: the batch slots,
-// copies of lent traces, and one set of append-only slabs per analysis
-// worker for the paths, row indexes, results and tunnel facts. Everything
-// in it is reset at every batch and keeps its capacity, so it holds only
-// what one batch produced. It also holds the address table, which is
-// reset, keeping its storage, at every AS. A store belongs to one Run, RunSharded, Detect or
-// DetectStream call: an AS worker hands its store from one AS's fold to
-// the next, and the store is dropped when the call returns. Nothing a
-// fold returns points into it (Config.KeepPaths copies out what it
-// retains). The zero value is ready.
+// foldStore is an AS worker's storage: the storage a fold builds its
+// batches in — the batch slots, copies of lent traces, and one set of
+// append-only slabs per analysis worker for the paths, row indexes,
+// results and tunnel facts — and the trace storage the worker's
+// measurement writes into. The batch storage is reset at every batch and
+// keeps its capacity, so it holds only what one batch produced. The
+// address table and the measurement are reset, keeping their storage, at
+// every AS.
+//
+// A store belongs to one Run, RunSharded, RunLongitudinal, Detect or
+// DetectStream call: an AS worker hands its store from one AS to the
+// next, and the store is dropped when the call returns. The lifetime rule
+// that makes the reuse safe: nothing a call returns points into a store.
+// A measured AS's traces live in the store only until its next AS is
+// measured, and until then only the fold reads them — Run's fold (Detect)
+// queues them in place and drops each at the end of its batch, and
+// RunSharded's replays the shard written from them. Config.KeepPaths
+// copies out what it retains, and MeasureAS, whose Data the caller keeps,
+// measures into a store of its own. The zero value is ready.
 type foldStore struct {
 	slots []batchSlot // analyzeBatch slots, allocated on first use
 
@@ -147,6 +156,8 @@ type foldStore struct {
 	workers []workerSlabs // indexed by analysis worker
 
 	table addrTable // the current AS's, reset by newFold
+
+	measured measureStore // the current AS's traces, reset by its measurement
 }
 
 // batchSlot is one trace of a batch and everything derived from it.

@@ -34,7 +34,8 @@ var wirePathCeilings = map[string]int{
 	"internal/pkt/ipv4.go":           8,
 	"internal/pkt/rfc4884.go":        0,
 	"internal/pkt/udp.go":            2,
-	"internal/probe/tracer.go":       16,
+	"internal/probe/slab.go":         0,
+	"internal/probe/tracer.go":       14,
 }
 
 // goTool returns the go command and the module root, skipping the test

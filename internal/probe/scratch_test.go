@@ -183,3 +183,52 @@ func TestTracerSameOverFreshReplies(t *testing.T) {
 		}
 	}
 }
+
+// A slab hands its chunks from one round of traces to the next, as an AS
+// worker hands its slab from AS to AS, and keeps only the chunks the last
+// round used: after a large round and then a small one, one chunk of each
+// kind is left, holding the small round's hops and nothing of the large
+// one's. Each trace written into the slab equals the one Trace returns.
+func TestSlabDropsChunksAfterSmallerRound(t *testing.T) {
+	ctx := context.Background()
+	tn := build(t, netsim.ModeSR, false, true) // labeled, revealed traces
+	tc := tn.tracer()
+	var slab Slab
+	round := func(traces int) (hops int) {
+		slab.Reset()
+		var tr Trace
+		for k := 0; k < traces; k++ {
+			if err := tc.TraceInto(ctx, &tr, &slab, tn.target, uint16(k)); err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.Trace(ctx, tn.target, uint16(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(&tr, want) {
+				t.Fatalf("trace %d into the slab\n%s\nwant\n%s", k, &tr, want)
+			}
+			hops += len(tr.Hops)
+		}
+		return hops
+	}
+	if hops := round(400); hops <= 2*chunkLen {
+		t.Fatalf("the large round took %d hops, want more than two chunks", hops)
+	}
+	large := len(slab.hops.bufs)
+	small := round(20)
+	slab.Reset()
+	if len(slab.hops.bufs) != 1 || len(slab.lses.bufs) != 1 {
+		t.Fatalf("after a round of %d chunks and a round of one, the slab keeps %d hop and %d LSE chunks, want 1 and 1",
+			large, len(slab.hops.bufs), len(slab.lses.bufs))
+	}
+	kept := 0
+	for _, h := range slab.hops.bufs[0] {
+		if h.TTL != 0 {
+			kept++
+		}
+	}
+	if kept != small {
+		t.Errorf("the kept chunk holds %d hops, want the small round's %d", kept, small)
+	}
+}
